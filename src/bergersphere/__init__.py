@@ -25,7 +25,6 @@ from .diameter import (
 from .errors import (
     DomainError,
     NoConjugatePoint,
-    NoRootFound,
     NormalizationError,
     SingularDenominator,
 )
@@ -47,7 +46,7 @@ from .model import (
     classify_regime,
     momentum_norm,
 )
-from .roots import Tau, find_first_root, tau3, tau3_derivative, tau_conj
+from .roots import Tau, tau3, tau3_derivative, tau_conj
 from .verify import CheckResult, run_checks
 
 __version__ = "0.1.0"
@@ -61,7 +60,6 @@ __all__ = [
     "GeodesicState",
     "Momentum",
     "NoConjugatePoint",
-    "NoRootFound",
     "NormalizationError",
     "ProfileRow",
     "ReducedMomentum",
@@ -77,7 +75,6 @@ __all__ = [
     "diameter_report",
     "endpoint_state",
     "exp_map",
-    "find_first_root",
     "initial_momentum",
     "momentum_norm",
     "run_checks",

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
-from .model import BergerMetric, ReducedMomentum, _pbar3_value, momentum_norm
-from .roots import Tau, tau3, tau3_derivative, tau_conj
+from .model import BergerMetric, ReducedMomentum, _pbar3_value, _real, momentum_norm
+# tau3_derivative is not called here; perfbench/tracing.py wraps it under this name
+from .roots import Tau, _tau3_slope, tau3, tau3_derivative, tau_conj  # noqa: F401
 from .serialize import fmt17, json_text
 
 __all__ = [
@@ -41,11 +42,9 @@ CSV_HEADER = "pbar3,tau3,tau_conj,t_cut,dt_cut"
 
 def tau_cut(eta: float, pb: "ReducedMomentum | float") -> Tau:
     """Reparametrized cut time: pi for ``eta <= 0``, ``tau3`` for ``eta > 0``."""
-    if not isinstance(eta, (int, float)) or isinstance(eta, bool):
-        raise DomainError(f"eta must be a real number, got {eta!r}")
-    eta = float(eta)
-    if not math.isfinite(eta) or eta <= -1.0:
-        raise DomainError(f"eta must be finite and greater than -1, got {eta!r}")
+    eta = _real("eta", eta, finite=True)
+    if eta <= -1.0:
+        raise DomainError(f"eta must be greater than -1, got {eta!r}")
     if eta <= 0.0:
         _pbar3_value(pb)  # validate even though the value is constant
         return Tau(math.pi)
@@ -76,10 +75,13 @@ def t_cut_derivative(m: BergerMetric, pb: "ReducedMomentum | float") -> float:
     pbar3 = _pbar3_value(pb)
     if pbar3 == 0.0:
         raise DomainError("t_cut_derivative is undefined at pbar3 = 0")
-    t3 = tau3(eta, pbar3).value
-    d3 = tau3_derivative(eta, pbar3)
+    return _dt_cut(m, eta, pbar3, tau3(eta, pbar3).value)
+
+
+def _dt_cut(m: BergerMetric, eta: float, pbar3: float, t3: float) -> float:
+    # t_cut_derivative at the root t3 = tau3(eta, pbar3) already solved
     root = math.sqrt(1.0 + eta * pbar3 * pbar3)
-    return 2.0 * math.sqrt(m.i1) * (d3 * root + t3 * eta * pbar3 / root)
+    return 2.0 * math.sqrt(m.i1) * (_tau3_slope(eta, pbar3, t3) * root + t3 * eta * pbar3 / root)
 
 
 @dataclass(frozen=True)
@@ -166,16 +168,17 @@ def sample_profile(m: BergerMetric, n: int = 201) -> CutProfile:
     rows = []
     for k in range(n):
         pbar3 = (2 * k - (n - 1)) / (n - 1)
-        tc = t_cut(m, pbar3)
         if eta > 0.0:
+            t3 = tau3(eta, pbar3).value  # the row's one root solve
             row = ProfileRow(
                 pbar3=pbar3,
-                tau3=tau3(eta, pbar3).value,
+                tau3=t3,
                 tau_conj=tau_conj(eta, pbar3).value,
-                t_cut=tc,
-                dt_cut=None if pbar3 == 0.0 else t_cut_derivative(m, pbar3),
+                t_cut=2.0 * m.i1 * t3 / momentum_norm(m, pbar3),
+                dt_cut=None if pbar3 == 0.0 else _dt_cut(m, eta, pbar3, t3),
             )
         else:
-            row = ProfileRow(pbar3=pbar3, tau3=None, tau_conj=None, t_cut=tc, dt_cut=None)
+            row = ProfileRow(pbar3=pbar3, tau3=None, tau_conj=None,
+                             t_cut=t_cut(m, pbar3), dt_cut=None)
         rows.append(row)
     return CutProfile(metric=m, rows=tuple(rows))

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .cutprofile import t_cut
-from .model import BergerMetric, Regime, classify_regime
+from .model import BergerMetric, Regime, _real, classify_regime
 from .serialize import json_text
 
 __all__ = [
@@ -84,7 +84,8 @@ def diameter_numeric(
     """
     if not isinstance(grid_n, int) or isinstance(grid_n, bool) or grid_n < 65:
         raise ValueError(f"grid_n must be an integer >= 65, got {grid_n!r}")
-    if not (isinstance(refine_tol, (int, float)) and 0.0 < float(refine_tol) < 1.0):
+    refine_tol = _real("refine_tol", refine_tol)
+    if not 0.0 < refine_tol < 1.0:
         raise ValueError(f"refine_tol must lie in (0, 1), got {refine_tol!r}")
 
     def f(x: float) -> float:
@@ -101,7 +102,7 @@ def diameter_numeric(
 
     lo = (best_i - 1) / (grid_n - 1) if best_i > 0 else 0.0
     hi = (best_i + 1) / (grid_n - 1) if best_i < grid_n - 1 else 1.0
-    xg = _golden_max(f, lo, hi, float(refine_tol))
+    xg = _golden_max(f, lo, hi, refine_tol)
     vg = f(xg)
     if vg > best_v:
         return vg, xg

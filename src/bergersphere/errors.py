@@ -2,11 +2,13 @@
 
 
 class DomainError(ValueError):
-    """An argument lies outside the mathematical domain of the operation."""
+    """An argument lies outside the domain of the operation.
 
-
-class NoRootFound(RuntimeError):
-    """A sign-change scan exhausted its bracket without finding a root."""
+    That covers arguments that are not real numbers (bools included),
+    values outside the mathematical domain, and metrics whose derived
+    quantities double precision cannot hold, such as an ``i1/i3`` that
+    overflows.
+    """
 
 
 class SingularDenominator(ArithmeticError):

@@ -48,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, NoConjugatePoint, NormalizationError
-from .model import BergerMetric, Momentum, ReducedMomentum, _pbar3_value, momentum_norm
+from .model import BergerMetric, Momentum, ReducedMomentum, _pbar3_value, _real, momentum_norm
 
 __all__ = [
     "UnitQuaternion",
@@ -162,8 +162,7 @@ def _hamiltonian(i1: float, i3: float, p1: float, p2: float, p3: float) -> float
 
 def initial_momentum(m: BergerMetric, pb: "ReducedMomentum | float", phi: float) -> Momentum:
     """Unit-speed momentum with axis fraction ``pb`` and equatorial angle ``phi``."""
-    if not isinstance(phi, (int, float)) or isinstance(phi, bool) or not math.isfinite(phi):
-        raise ValueError(f"phi must be a finite real number, got {phi!r}")
+    phi = _real("phi", phi, finite=True)
     pbar3 = _pbar3_value(pb)
     norm = momentum_norm(m, pbar3)
     s = math.sqrt(max(0.0, 1.0 - pbar3 * pbar3))
@@ -196,13 +195,13 @@ def endpoint_state(m: BergerMetric, p0: Momentum, t: float, step: float) -> Geod
     The momentum drift relative to the conserved quantities (energy,
     momentum norm, axis component) is the integrator's error estimate.
     """
-    if not isinstance(t, (int, float)) or isinstance(t, bool) or not math.isfinite(t) or t < 0.0:
-        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
+    t = _real("t", t, finite=True)
+    if t < 0.0:
+        raise DomainError(f"t must be nonnegative, got {t!r}")
     _check_level(m, p0)
     if t == 0.0:
         return GeodesicState(q=UnitQuaternion(1.0, 0.0, 0.0, 0.0), p=p0, t=0.0)
-    if not isinstance(step, (int, float)) or isinstance(step, bool) or not step > 0.0:
-        raise ValueError(f"step must be positive, got {step!r}")
+    step = _real("step", step, positive=True)
     if step > t / 1000.0:
         raise ValueError(f"step {step!r} exceeds t/1000 = {t / 1000.0!r}")
     n = math.ceil(t / step)
@@ -272,8 +271,7 @@ def conjugate_time_numeric(m: BergerMetric, pb: "ReducedMomentum | float", t_max
     eta = m.eta()
     if eta <= 0.0:
         raise DomainError(f"conjugate times require eta > 0, got eta={eta!r}")
-    if not isinstance(t_max, (int, float)) or isinstance(t_max, bool) or not t_max > 0.0:
-        raise ValueError(f"t_max must be positive, got {t_max!r}")
+    t_max = _real("t_max", t_max, positive=True)
     pbar3 = _pbar3_value(pb)
     p0 = initial_momentum(m, pbar3, 0.0)
     v1, v2 = _level_tangent_basis(m, p0)
@@ -376,8 +374,7 @@ def shorter_path_search(
     """
     if not isinstance(attempts, int) or isinstance(attempts, bool) or attempts < 10:
         raise ValueError(f"attempts must be an integer >= 10, got {attempts!r}")
-    if not isinstance(t, (int, float)) or isinstance(t, bool) or not t > 0.0:
-        raise ValueError(f"t must be positive, got {t!r}")
+    t = _real("t", t, positive=True)
     _check_level(m, p0)
 
     target = _flow(m, (p0.p1, p0.p2, p0.p3), t)[:4]

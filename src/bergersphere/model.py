@@ -27,7 +27,11 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
+import sys
 from dataclasses import dataclass
+
+from .errors import DomainError
 
 __all__ = [
     "BergerMetric",
@@ -37,6 +41,29 @@ __all__ = [
     "momentum_norm",
     "classify_regime",
 ]
+
+
+def _real(name: str, v: object, *, finite: bool = False, positive: bool = False) -> float:
+    """``v`` as a float, checked to be a real number other than a bool.
+
+    Accepts Python and numpy integers and floats.  Raises DomainError
+    naming ``name`` when ``v`` is not real, or is not finite or not
+    positive where those are asked for.
+    """
+    # Fast paths: the numbers.Real check costs about 4x a type check, so
+    # floats skip it and float subclasses (np.float64) stop at ``float``.
+    if type(v) is not float:
+        if isinstance(v, bool) or not isinstance(v, (float, numbers.Real)):
+            raise DomainError(f"{name} must be a real number, got {v!r}")
+        try:
+            v = float(v)
+        except OverflowError:
+            raise DomainError(f"{name} is too large for a float, got {v!r}") from None
+    if finite and not math.isfinite(v):
+        raise DomainError(f"{name} must be finite, got {v!r}")
+    if positive and not v > 0.0:
+        raise DomainError(f"{name} must be positive, got {v!r}")
+    return v
 
 
 class Regime(enum.Enum):
@@ -56,17 +83,23 @@ class BergerMetric:
 
     def __post_init__(self) -> None:
         for name in ("i1", "i3"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ValueError(f"{name} must be a real number, got {v!r}")
-            v = float(v)
-            if not math.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{name} must be finite and positive, got {v!r}")
+            v = _real(name, getattr(self, name), finite=True, positive=True)
             object.__setattr__(self, name, v)
 
     def eta(self) -> float:
-        """Shape parameter ``i1/i3 - 1``; always greater than -1."""
-        return self.i1 / self.i3 - 1.0
+        """Shape parameter ``i1/i3 - 1``, finite and greater than -1.
+
+        Raises DomainError when double precision cannot hold it: when
+        ``i1/i3`` overflows, or lies at or below ``2**-54`` so that
+        ``i1/i3 - 1`` rounds to -1.
+        """
+        eta = self.i1 / self.i3 - 1.0
+        if not -1.0 < eta < math.inf:
+            raise DomainError(
+                f"eta = i1/i3 - 1 needs 2**-54 < i1/i3 <= {sys.float_info.max!r} "
+                f"in double precision, got i1={self.i1!r}, i3={self.i3!r}"
+            )
+        return eta
 
 
 @dataclass(frozen=True)
@@ -76,12 +109,9 @@ class ReducedMomentum:
     pbar3: float
 
     def __post_init__(self) -> None:
-        v = self.pbar3
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ValueError(f"pbar3 must be a real number, got {v!r}")
-        v = float(v)
-        if not math.isfinite(v) or abs(v) > 1.0:
-            raise ValueError(f"pbar3 must lie in [-1, 1], got {v!r}")
+        v = _real("pbar3", self.pbar3)
+        if not abs(v) <= 1.0:
+            raise DomainError(f"pbar3 must lie in [-1, 1], got {v!r}")
         object.__setattr__(self, "pbar3", v)
 
 
@@ -95,13 +125,7 @@ class Momentum:
 
     def __post_init__(self) -> None:
         for name in ("p1", "p2", "p3"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ValueError(f"{name} must be a real number, got {v!r}")
-            v = float(v)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _real(name, getattr(self, name), finite=True))
 
     def norm(self) -> float:
         """Euclidean norm ``sqrt(p1^2 + p2^2 + p3^2)``."""

@@ -17,11 +17,23 @@ to the zero function and ``tau3`` is defined by its limit, which equals
 
 The conjugate equation is solved in the singularity-free form
 ``sin(tau) + c*tau*cos(tau) = 0`` on the bracket [pi/2, pi], where it has
-exactly one root; ``c = 0`` (pbar3 = +-1) gives exactly pi.  The cut
-equation is scanned for its first sign change on (0, pi] with step
-pi/2000 and the bracket is refined by bisection.  The scan step is far
-below the minimal root spacing of the oscillatory factors for
-``eta <= 1e3``, so the first sign change always brackets the first root.
+exactly one root; ``c = 0`` (pbar3 = +-1) gives exactly pi.
+
+The cut equation is solved by bisection in an analytic bracket.  For
+``pbar3 > 0`` it is
+
+* ``(pi/2, pi)``          when ``w < 1``,
+* ``(pi/(2w), pi/2]``     when ``1 <= w < 2``,
+* ``(pi/(2w), pi/w]``     when ``w >= 2``.
+
+On ``(0, a]``, with ``a`` the left end, the factors ``cos(tau)``,
+``sin(w*tau)``, ``sin(tau)`` and ``cos(w*tau)`` are all nonnegative, so
+the cut function is positive there; it is negative at the right end and
+changes sign once in between, so the bisected root is the first one.
+The function is bisected divided by ``pbar3``, which keeps it from
+underflowing for subnormal ``pbar3`` and makes it tend to the conjugate
+function of ``pbar3 = 0``, as ``tau3`` itself does.  The bisection tolerance is relative to the root's
+scale, since roots reach about ``pi/eta`` (1e-8 at ``eta = 1e8``).
 """
 
 from __future__ import annotations
@@ -30,30 +42,20 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from .errors import DomainError, NoRootFound, SingularDenominator
-from .model import ReducedMomentum, _pbar3_value
+from .errors import DomainError, SingularDenominator
+from .model import ReducedMomentum, _pbar3_value, _real
 
 __all__ = [
     "Tau",
-    "find_first_root",
     "tau3",
     "tau_conj",
     "tau3_derivative",
-    "SCAN_STEP",
     "BISECT_TOL",
 ]
 
-SCAN_STEP = math.pi / 2000.0
 BISECT_TOL = 1e-13
 _DENOM_TINY = 1e-14
-
-# Fixed scan grid for the cut equation, shared by every call.
-_SCAN_N = 2000
-_TAU_GRID = np.linspace(0.0, math.pi, _SCAN_N + 1)
-_COS_GRID = np.cos(_TAU_GRID)
-_SIN_GRID = np.sin(_TAU_GRID)
+_SMALL_ARG = 1e-8  # below it sin(u)/u rounds to 1
 
 
 @dataclass(frozen=True)
@@ -63,10 +65,7 @@ class Tau:
     value: float
 
     def __post_init__(self) -> None:
-        v = self.value
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ValueError(f"tau must be a real number, got {v!r}")
-        v = float(v)
+        v = _real("tau", self.value)
         if not (0.0 < v <= math.pi * (1.0 + 1e-12)):
             raise ValueError(f"tau must lie in (0, pi], got {v!r}")
         object.__setattr__(self, "value", v)
@@ -86,86 +85,23 @@ def _bisect(f: Callable[[float], float], a: float, b: float, fa: float, tol: flo
     return 0.5 * (a + b)
 
 
-def find_first_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    scan_step: float = SCAN_STEP,
-    tol: float = BISECT_TOL,
-) -> Tau:
-    """First root of ``f`` in ``(lo, hi]`` by sign-change scan plus bisection.
-
-    The scan evaluates ``f`` on the grid ``lo, lo+scan_step, ..., hi`` and
-    refines the first cell with a sign change by bisection to absolute
-    tolerance ``tol``.  An exact zero at a grid point other than ``lo`` is
-    returned as is; a zero value at ``lo`` itself is not a root of the
-    open-left interval and is skipped.  Raises NoRootFound when no sign
-    change occurs, which includes functions that touch zero without
-    crossing inside a single scan cell.
-    """
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"invalid bracket [{lo!r}, {hi!r}]")
-    if not (scan_step > 0.0 and tol > 0.0):
-        raise ValueError("scan_step and tol must be positive")
-    n = max(1, math.ceil((hi - lo) / scan_step))
-    x_prev = lo
-    f_prev = f(lo)
-    for k in range(1, n + 1):
-        x = hi if k == n else lo + k * scan_step
-        fx = f(x)
-        if fx == 0.0:
-            return Tau(x)
-        if f_prev != 0.0 and (fx > 0.0) != (f_prev > 0.0):
-            return Tau(_bisect(f, x_prev, x, f_prev, tol))
-        x_prev, f_prev = x, fx
-    raise NoRootFound(f"no sign change in ({lo}, {hi}] at step {scan_step}")
-
-
-def _require_positive_eta(eta: float) -> float:
-    if not isinstance(eta, (int, float)) or isinstance(eta, bool):
-        raise DomainError(f"eta must be a real number, got {eta!r}")
-    eta = float(eta)
-    if not math.isfinite(eta) or eta <= 0.0:
-        raise DomainError(f"defined only for eta > 0, got eta={eta!r}")
-    return eta
-
-
-def _cut_equation(eta: float, s: float) -> Callable[[float], float]:
-    w = eta * s
-    def f(x: float) -> float:
-        return math.cos(x) * math.sin(w * x) + s * math.sin(x) * math.cos(w * x)
-    return f
-
-
 def _tau3_value(eta: float, s: float) -> float:
-    # Vectorized scan on the shared grid, then scalar bisection in the
-    # first crossing cell.  Falls back to the generic scalar scan in the
-    # rare case where grid and scalar evaluations disagree about a sign
-    # at a cell edge (one-ulp effects next to an exact grid root).
+    # s = |pbar3| > 0; the bracket and the scaling are the module docstring's
     w = eta * s
-    vals = _COS_GRID * np.sin(w * _TAU_GRID) + s * (_SIN_GRID * np.cos(w * _TAU_GRID))
-    f = _cut_equation(eta, s)
-    zeros = np.flatnonzero(vals[1:] == 0.0)
-    neg = vals < 0.0
-    flips = np.flatnonzero(neg[1:] != neg[:-1])
-    first_zero = int(zeros[0]) + 1 if zeros.size else None
-    first_flip = int(flips[0]) if flips.size else None
-    if first_zero is not None and (first_flip is None or first_zero <= first_flip):
-        return float(_TAU_GRID[first_zero])
-    if first_flip is None:
-        raise NoRootFound(f"no sign change on (0, pi] for eta={eta}, pbar3={s}")
-    a = float(_TAU_GRID[first_flip])
-    b = float(_TAU_GRID[first_flip + 1])
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        # a == 0 cannot happen here: vals[0] is exactly zero, so a flip at
-        # cell 0 requires vals[1] < 0, which only occurs for s == 0.
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0.0) == (fb > 0.0):
-        return find_first_root(f, 0.0, math.pi).value
-    return _bisect(f, a, b, fa, BISECT_TOL)
+    if w < 1.0:
+        a, b = 0.5 * math.pi, math.pi
+    elif w < 2.0:
+        a, b = 0.5 * math.pi / w, 0.5 * math.pi
+    else:
+        a, b = 0.5 * math.pi / w, math.pi / w
+
+    def g(x: float) -> float:
+        u = w * x
+        # sin(u)/s = eta*x*sin(u)/u
+        sin_over_s = eta * x if u < _SMALL_ARG else math.sin(u) / s
+        return math.cos(x) * sin_over_s + math.sin(x) * math.cos(u)
+
+    return _bisect(g, a, b, 1.0, BISECT_TOL * min(1.0, b))
 
 
 def tau3(eta: float, pb: "ReducedMomentum | float") -> Tau:
@@ -176,7 +112,7 @@ def tau3(eta: float, pb: "ReducedMomentum | float") -> Tau:
     ``pbar3 = +-1``, and equals ``pi/2`` at ``pbar3 = 1/eta`` when
     ``eta >= 1``.
     """
-    eta = _require_positive_eta(eta)
+    eta = _real("eta", eta, finite=True, positive=True)
     s = abs(_pbar3_value(pb))
     if s == 0.0:
         return tau_conj(eta, 0.0)
@@ -190,7 +126,7 @@ def tau_conj(eta: float, pb: "ReducedMomentum | float") -> Tau:
     ``c = eta*(1 - pbar3^2)/(1 + eta*pbar3^2)`` on [pi/2, pi], where the
     left side is strictly decreasing; returns exactly pi when ``c == 0``.
     """
-    eta = _require_positive_eta(eta)
+    eta = _real("eta", eta, finite=True, positive=True)
     pbar3 = _pbar3_value(pb)
     c = eta * (1.0 - pbar3 * pbar3) / (1.0 + eta * pbar3 * pbar3)
     if c == 0.0:
@@ -220,11 +156,15 @@ def tau3_derivative(eta: float, pb: "ReducedMomentum | float") -> float:
     SingularDenominator when the denominator falls below 1e-14 in
     absolute value.
     """
-    eta = _require_positive_eta(eta)
+    eta = _real("eta", eta, finite=True, positive=True)
     pbar3 = _pbar3_value(pb)
     if pbar3 == 0.0:
         raise DomainError("tau3_derivative is undefined at pbar3 = 0")
-    t = tau3(eta, pbar3).value
+    return _tau3_slope(eta, pbar3, tau3(eta, pbar3).value)
+
+
+def _tau3_slope(eta: float, pbar3: float, t: float) -> float:
+    # tau3_derivative at the root t = tau3(eta, pbar3) already solved
     ct, st = math.cos(t), math.sin(t)
     cw, sw = math.cos(t * eta * pbar3), math.sin(t * eta * pbar3)
     num = t * eta * ct * cw + st * cw - t * eta * pbar3 * st * sw

@@ -32,6 +32,19 @@ class TestDiameterCommand:
         assert code == 1
         assert "error" in err
 
+    def test_strongly_prolate_metric(self, capsys):
+        code, out, err = run(capsys, ["--i1", "1e4", "--i3", "1", "diameter"])
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["closed_form"] == pytest.approx(math.pi * 1e4 / math.sqrt(9999.0))
+        assert payload["abs_gap"] <= 1e-8 * payload["closed_form"]
+
+    def test_overflowing_ratio_exits_one_and_names_it(self, capsys):
+        code, out, err = run(capsys, ["--i1", "1e300", "--i3", "1e-300", "diameter"])
+        assert code == 1
+        assert out == ""
+        assert "i1/i3" in err
+
     def test_byte_identical_reruns(self, capsys):
         argv = ["--i1", "2.7", "--i3", "1.1", "diameter"]
         _, first, _ = run(capsys, argv)

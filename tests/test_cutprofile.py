@@ -14,6 +14,7 @@ from bergersphere.cutprofile import (
 )
 from bergersphere.errors import DomainError
 from bergersphere.model import BergerMetric
+from bergersphere.roots import tau3
 
 
 class TestTauCut:
@@ -123,6 +124,28 @@ class TestSampleProfile:
         for r in profile.rows:
             assert r.tau3 is not None and r.tau_conj is not None
             assert (r.dt_cut is None) == (r.pbar3 == 0.0)
+
+    @pytest.mark.parametrize("i1,i3", [(3.0, 1.0), (1.3, 1.0), (2.0e3, 0.5)])
+    def test_rows_match_public_functions(self, i1, i3):
+        m = BergerMetric(i1, i3)
+        eta = m.eta()
+        for r in sample_profile(m, 41).rows:
+            assert r.tau3 == pytest.approx(tau3(eta, r.pbar3).value, rel=1e-15, abs=0.0)
+            assert r.t_cut == pytest.approx(t_cut(m, r.pbar3), rel=1e-15, abs=0.0)
+            if r.pbar3 != 0.0:
+                assert r.dt_cut == pytest.approx(t_cut_derivative(m, r.pbar3), rel=1e-15, abs=0.0)
+
+    def test_one_tau3_solve_per_row(self, monkeypatch):
+        import bergersphere.cutprofile as cutprofile_module
+        calls = []
+
+        def counted(eta, pb):
+            calls.append(pb)
+            return tau3(eta, pb)
+
+        monkeypatch.setattr(cutprofile_module, "tau3", counted)
+        sample_profile(BergerMetric(3.0, 1.0), 21)
+        assert len(calls) == 21
 
     def test_grid_is_exact(self):
         profile = sample_profile(BergerMetric(1.0, 2.0), 9)

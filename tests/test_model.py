@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from bergersphere.errors import DomainError
 from bergersphere.model import (
     BergerMetric,
     Momentum,
@@ -23,7 +25,8 @@ class TestBergerMetric:
         assert BergerMetric(1.0, 2.0).eta() == -0.5
 
     @pytest.mark.parametrize("i1,i3", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0),
-                                       (1.0, -2.0), (math.nan, 1.0), (1.0, math.inf)])
+                                       (1.0, -2.0), (math.nan, 1.0), (1.0, math.inf),
+                                       (10**400, 1.0)])
     def test_rejects_bad_eigenvalues(self, i1, i3):
         with pytest.raises(ValueError):
             BergerMetric(i1, i3)
@@ -37,6 +40,28 @@ class TestBergerMetric:
         m = BergerMetric(i1, i3)
         scaled = BergerMetric(c * i1, c * i3)
         assert scaled.eta() == pytest.approx(m.eta(), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("make", [np.int64, np.float32, np.float64])
+    def test_accepts_numpy_scalars(self, make):
+        m = BergerMetric(make(3), make(1))
+        assert (m.i1, m.i3) == (3.0, 1.0)
+        assert type(m.i1) is float and type(m.i3) is float
+        assert ReducedMomentum(make(1)).pbar3 == 1.0
+        assert Momentum(make(3), make(0), make(4)).norm() == 5.0
+
+    @pytest.mark.parametrize("v", [True, False, np.bool_(True), "3", None])
+    def test_rejects_non_real_and_bool(self, v):
+        with pytest.raises(DomainError, match="real number"):
+            BergerMetric(v, 1.0)
+        with pytest.raises(DomainError, match="real number"):
+            ReducedMomentum(v)
+
+    @pytest.mark.parametrize("i1,i3", [(1e300, 1e-300), (1.0, 1e17)])
+    def test_eta_names_the_ratio_limit(self, i1, i3):
+        # each eigenvalue is fine; i1/i3 overflows, or i1/i3 - 1 rounds to -1
+        m = BergerMetric(i1, i3)
+        with pytest.raises(DomainError, match=r"i1/i3"):
+            m.eta()
 
 
 class TestReducedMomentum:

@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bergersphere.errors import DomainError, NoRootFound, SingularDenominator
-from bergersphere.roots import Tau, find_first_root, tau3, tau3_derivative, tau_conj
+from bergersphere.errors import DomainError, SingularDenominator
+from bergersphere.roots import Tau, tau3, tau3_derivative, tau_conj
 
 # spot values frozen from a 40-digit bisection oracle
 TAU_CONJ_1_0 = 2.02875783811043422357697112473490345673
@@ -13,6 +14,7 @@ TAU3_1_TINY = 2.028757833559380532526140452   # eta=1, pbar3=1e-4
 TAU3_1_HALF = 1.910633236249018556327714205   # eta=1, pbar3=0.5
 
 ETA_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 20.0)
+WIDE_ETA_GRID = tuple(10.0 ** (k / 2) for k in range(-6, 17))   # 1e-3 .. 1e8
 
 eta_strategy = st.floats(min_value=0.05, max_value=50.0,
                          allow_nan=False, allow_infinity=False)
@@ -27,24 +29,6 @@ class TestTau:
     def test_rejects_out_of_range(self, v):
         with pytest.raises(ValueError):
             Tau(v)
-
-
-class TestFindFirstRoot:
-    def test_sine(self):
-        root = find_first_root(math.sin, 0.1, 4.0, scan_step=0.01, tol=1e-13)
-        assert root.value == pytest.approx(math.pi, abs=1e-12)
-
-    def test_cosine(self):
-        root = find_first_root(math.cos, 0.0, 2.0, scan_step=0.01, tol=1e-13)
-        assert root.value == pytest.approx(math.pi / 2, abs=1e-12)
-
-    def test_no_root(self):
-        with pytest.raises(NoRootFound):
-            find_first_root(lambda t: t - 2.5, 0.0, 2.0, scan_step=0.01)
-
-    def test_returns_first_of_several(self):
-        root = find_first_root(lambda t: math.sin(3.0 * t), 0.1, 3.0, scan_step=0.01)
-        assert root.value == pytest.approx(math.pi / 3, abs=1e-12)
 
 
 class TestTau3:
@@ -69,6 +53,11 @@ class TestTau3:
     def test_frozen_interior_value(self):
         assert tau3(1.0, 0.5).value == pytest.approx(TAU3_1_HALF, abs=1e-11)
 
+    def test_accepts_numpy_scalars(self):
+        assert tau3(np.int64(2), np.float32(0.5)).value == tau3(2.0, 0.5).value
+        with pytest.raises(DomainError):
+            tau3(True, 0.5)
+
     @pytest.mark.parametrize("eta", [0.0, -0.5, -1.0])
     def test_rejects_nonpositive_eta(self, eta):
         with pytest.raises(DomainError):
@@ -92,6 +81,26 @@ class TestTau3:
             t = tau3(eta, pb).value
             res = math.cos(t) * math.sin(t * eta * pb) + pb * math.sin(t) * math.cos(t * eta * pb)
             assert abs(res) < 1e-11
+
+    @pytest.mark.parametrize("eta", WIDE_ETA_GRID)
+    def test_first_root_over_wide_eta(self, eta):
+        # includes w = eta*pbar3 at the bracket boundaries 1 and 2
+        grid = [1e-300, 1e-9, 1e-4, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
+        grid += [w / eta for w in (1.0, 2.0) if w / eta <= 1.0]
+        for pb in grid:
+            t = tau3(eta, pb).value
+            w = eta * pb
+            res = math.cos(t) * math.sin(t * w) + pb * math.sin(t) * math.cos(t * w)
+            assert abs(res) < 1e-11, (eta, pb, t, res)
+            x = t * np.arange(1, 256) / 256
+            before = np.cos(x) * np.sin(w * x) + pb * np.sin(x) * np.cos(w * x)
+            assert (before > 0.0).all(), (eta, pb, t)
+
+    @pytest.mark.parametrize("eta", [0.5, 2.0, 1e4, 1e8])
+    def test_continuous_down_to_subnormal_pbar3(self, eta):
+        limit = tau_conj(eta, 0.0).value
+        for pb in (5e-324, 1e-310, 1e-100):
+            assert tau3(eta, pb).value == pytest.approx(limit, abs=1e-12)
 
     def test_result_in_tau_range(self):
         for eta in ETA_GRID:
