@@ -46,7 +46,7 @@ from .model import (
     classify_regime,
     momentum_norm,
 )
-from .roots import Tau, tau3, tau3_derivative, tau_conj
+from .roots import tau3, tau3_derivative, tau_conj
 from .verify import CheckResult, run_checks
 
 __version__ = "0.1.0"
@@ -66,7 +66,6 @@ __all__ = [
     "Regime",
     "ShorterPath",
     "SingularDenominator",
-    "Tau",
     "UnitQuaternion",
     "classify_regime",
     "conjugate_time_numeric",

@@ -8,9 +8,7 @@ deterministic; rerunning a command byte-reproduces it.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -18,11 +16,11 @@ from .cutprofile import sample_profile
 from .diameter import diameter_report
 from .errors import NormalizationError
 from .geodesic import endpoint_state, initial_momentum
-from .model import BergerMetric, ReducedMomentum
+from .model import BergerMetric
 from .serialize import fmt17, json_text
 from .verify import run_checks
 
-__all__ = ["CliConfig", "build_parser", "main", "entrypoint"]
+__all__ = ["build_parser", "main", "entrypoint"]
 
 _GAP_BUDGET = 1e-6  # relative closed-form vs numeric gap treated as disagreement
 
@@ -31,23 +29,6 @@ class _Parser(argparse.ArgumentParser):
     # usage problems land in the same exit code as semantic validation
     def error(self, message: str) -> "None":
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Parsed and validated invocation."""
-
-    i1: float
-    i3: float
-    command: str
-    output: Optional[str] = None
-    n: int = 201
-    format: str = "json"
-    pbar3: float = 0.0
-    phi: float = 0.0
-    t: float = 0.0
-    step: Optional[float] = None
-    level: str = "quick"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,22 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        i1=args.i1,
-        i3=args.i3,
-        command=args.command,
-        output=getattr(args, "output", None),
-        n=getattr(args, "n", 201),
-        format=getattr(args, "format", "json"),
-        pbar3=getattr(args, "pbar3", 0.0),
-        phi=getattr(args, "phi", 0.0),
-        t=getattr(args, "t", 0.0),
-        step=getattr(args, "step", None),
-        level=getattr(args, "level", "quick"),
-    )
-
-
 def _emit(text: str, output: Optional[str]) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -110,9 +75,9 @@ def _emit(text: str, output: Optional[str]) -> None:
         Path(output).write_text(text, encoding="utf-8")
 
 
-def _cmd_diameter(metric: BergerMetric, cfg: CliConfig) -> int:
+def _cmd_diameter(metric: BergerMetric, args: argparse.Namespace) -> int:
     report = diameter_report(metric)
-    _emit(report.to_json(), cfg.output)
+    _emit(report.to_json(), args.output)
     if report.abs_gap > _GAP_BUDGET * report.closed_form:
         print(
             f"error: numeric maximization disagrees with the closed form "
@@ -123,31 +88,28 @@ def _cmd_diameter(metric: BergerMetric, cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_profile(metric: BergerMetric, cfg: CliConfig) -> int:
-    profile = sample_profile(metric, cfg.n)
-    if cfg.format == "csv":
-        _emit(profile.to_csv(), cfg.output)
+def _cmd_profile(metric: BergerMetric, args: argparse.Namespace) -> int:
+    profile = sample_profile(metric, args.n)
+    if args.format == "csv":
+        _emit(profile.to_csv(), args.output)
     else:
-        _emit(profile.to_json(), cfg.output)
+        _emit(profile.to_json(), args.output)
     return 0
 
 
-def _cmd_exp(metric: BergerMetric, cfg: CliConfig) -> int:
-    pb = ReducedMomentum(cfg.pbar3)
-    if not math.isfinite(cfg.t) or cfg.t < 0.0:
-        raise ValueError(f"--t must be finite and nonnegative, got {cfg.t!r}")
-    step = cfg.t / 2000.0 if cfg.step is None else cfg.step
-    p0 = initial_momentum(metric, pb, cfg.phi)
-    state = endpoint_state(metric, p0, cfg.t, step)
+def _cmd_exp(metric: BergerMetric, args: argparse.Namespace) -> int:
+    step = args.t / 2000.0 if args.step is None else args.step
+    p0 = initial_momentum(metric, args.pbar3, args.phi)
+    state = endpoint_state(metric, p0, args.t, step)
 
     norm0 = p0.norm()
     h_end = 0.5 * ((state.p.p1**2 + state.p.p2**2) / metric.i1 + state.p.p3**2 / metric.i3)
     payload = {
         "i1": metric.i1,
         "i3": metric.i3,
-        "pbar3": pb.pbar3,
-        "phi": cfg.phi,
-        "t": cfg.t,
+        "pbar3": args.pbar3,
+        "phi": args.phi,
+        "t": args.t,
         "step": step,
         "endpoint": {"w": state.q.w, "x": state.q.x, "y": state.q.y, "z": state.q.z},
         "drift": {
@@ -156,12 +118,12 @@ def _cmd_exp(metric: BergerMetric, cfg: CliConfig) -> int:
             "axis_momentum_rel": abs(state.p.p3 - p0.p3) / norm0,
         },
     }
-    _emit(json_text(payload), cfg.output)
+    _emit(json_text(payload), args.output)
     return 0
 
 
-def _cmd_verify(metric: BergerMetric, cfg: CliConfig) -> int:
-    results = run_checks(metric, cfg.level)
+def _cmd_verify(metric: BergerMetric, args: argparse.Namespace) -> int:
+    results = run_checks(metric, args.level)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -177,16 +139,15 @@ def _cmd_verify(metric: BergerMetric, cfg: CliConfig) -> int:
 
 def main(argv: "Optional[list[str]]" = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _config_from(args)
     try:
-        metric = BergerMetric(cfg.i1, cfg.i3)
-        if cfg.command == "diameter":
-            return _cmd_diameter(metric, cfg)
-        if cfg.command == "profile":
-            return _cmd_profile(metric, cfg)
-        if cfg.command == "exp":
-            return _cmd_exp(metric, cfg)
-        return _cmd_verify(metric, cfg)
+        metric = BergerMetric(args.i1, args.i3)
+        if args.command == "diameter":
+            return _cmd_diameter(metric, args)
+        if args.command == "profile":
+            return _cmd_profile(metric, args)
+        if args.command == "exp":
+            return _cmd_exp(metric, args)
+        return _cmd_verify(metric, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

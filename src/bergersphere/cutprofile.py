@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
-from .model import BergerMetric, ReducedMomentum, _pbar3_value, _real, momentum_norm
+from .model import BergerMetric, _integer, _pbar3, _real, momentum_norm
 # tau3_derivative is not called here; perfbench/tracing.py wraps it under this name
-from .roots import Tau, _tau3_slope, tau3, tau3_derivative, tau_conj  # noqa: F401
+from .roots import _tau3_slope, tau3, tau3_derivative, tau_conj  # noqa: F401
 from .serialize import fmt17, json_text
 
 __all__ = [
@@ -40,24 +40,23 @@ __all__ = [
 CSV_HEADER = "pbar3,tau3,tau_conj,t_cut,dt_cut"
 
 
-def tau_cut(eta: float, pb: "ReducedMomentum | float") -> Tau:
+def tau_cut(eta: float, pbar3: float) -> float:
     """Reparametrized cut time: pi for ``eta <= 0``, ``tau3`` for ``eta > 0``."""
     eta = _real("eta", eta, finite=True)
     if eta <= -1.0:
         raise DomainError(f"eta must be greater than -1, got {eta!r}")
     if eta <= 0.0:
-        _pbar3_value(pb)  # validate even though the value is constant
-        return Tau(math.pi)
-    return tau3(eta, pb)
+        _pbar3(pbar3)  # validate even though the value is constant
+        return math.pi
+    return tau3(eta, pbar3)
 
 
-def t_cut(m: BergerMetric, pb: "ReducedMomentum | float") -> float:
-    """Cut time ``2*i1*tau_cut/|p|`` of the geodesic with axis fraction ``pb``."""
-    tau = tau_cut(m.eta(), pb)
-    return 2.0 * m.i1 * tau.value / momentum_norm(m, pb)
+def t_cut(m: BergerMetric, pbar3: float) -> float:
+    """Cut time ``2*i1*tau_cut/|p|`` of the geodesic with axis fraction ``pbar3``."""
+    return 2.0 * m.i1 * tau_cut(m.eta(), pbar3) / momentum_norm(m, pbar3)
 
 
-def t_cut_derivative(m: BergerMetric, pb: "ReducedMomentum | float") -> float:
+def t_cut_derivative(m: BergerMetric, pbar3: float) -> float:
     """Closed-form derivative of ``t_cut`` in ``pbar3``, for ``eta > 0``.
 
     Differentiating ``2*sqrt(i1)*tau3*sqrt(1 + eta*pbar3^2)`` gives
@@ -72,10 +71,10 @@ def t_cut_derivative(m: BergerMetric, pb: "ReducedMomentum | float") -> float:
     eta = m.eta()
     if eta <= 0.0:
         raise DomainError(f"t_cut_derivative requires eta > 0, got eta={eta!r}")
-    pbar3 = _pbar3_value(pb)
+    pbar3 = _pbar3(pbar3)
     if pbar3 == 0.0:
         raise DomainError("t_cut_derivative is undefined at pbar3 = 0")
-    return _dt_cut(m, eta, pbar3, tau3(eta, pbar3).value)
+    return _dt_cut(m, eta, pbar3, tau3(eta, pbar3))
 
 
 def _dt_cut(m: BergerMetric, eta: float, pbar3: float, t3: float) -> float:
@@ -162,18 +161,17 @@ def sample_profile(m: BergerMetric, n: int = 201) -> CutProfile:
     The grid is generated as ``(2k - (n-1))/(n-1)`` so that the endpoints
     and, for odd ``n``, the midpoint 0 are exact.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 3:
-        raise ValueError(f"n must be an integer >= 3, got {n!r}")
+    n = _integer("n", n, 3)
     eta = m.eta()
     rows = []
     for k in range(n):
         pbar3 = (2 * k - (n - 1)) / (n - 1)
         if eta > 0.0:
-            t3 = tau3(eta, pbar3).value  # the row's one root solve
+            t3 = tau3(eta, pbar3)  # the row's one root solve
             row = ProfileRow(
                 pbar3=pbar3,
                 tau3=t3,
-                tau_conj=tau_conj(eta, pbar3).value,
+                tau_conj=tau_conj(eta, pbar3),
                 t_cut=2.0 * m.i1 * t3 / momentum_norm(m, pbar3),
                 dt_cut=None if pbar3 == 0.0 else _dt_cut(m, eta, pbar3, t3),
             )

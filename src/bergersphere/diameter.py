@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .cutprofile import t_cut
-from .model import BergerMetric, Regime, _real, classify_regime
+from .model import BergerMetric, Regime, classify_regime
 from .serialize import json_text
 
 __all__ = [
@@ -35,6 +35,8 @@ __all__ = [
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+_GRID_N = 513         # profile samples on [0, 1] in the numeric maximization
+_REFINE_TOL = 1e-12   # width of the golden-section refinement
 
 
 def diameter_closed_form(m: BergerMetric) -> float:
@@ -70,39 +72,31 @@ def _golden_max(f, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def diameter_numeric(
-    m: BergerMetric, grid_n: int = 513, refine_tol: float = 1e-12
-) -> "tuple[float, float]":
+def diameter_numeric(m: BergerMetric) -> "tuple[float, float]":
     """Maximize the cut profile on [0, 1] numerically.
 
-    Returns ``(value, maximizer)``.  A grid of ``grid_n`` points locates
-    the best cell and golden-section search refines it to width
-    ``refine_tol``.  When the refined point does not beat the best grid
-    point the grid point wins, so flat profiles (the round case) and
-    boundary maxima report their maximizer exactly; exact ties are broken
-    toward the smaller axis fraction.
+    Returns ``(value, maximizer)``.  A grid of 513 points locates the
+    best cell and golden-section search refines it to width 1e-12.  When
+    the refined point does not beat the best grid point the grid point
+    wins, so flat profiles (the round case) and boundary maxima report
+    their maximizer exactly; exact ties are broken toward the smaller
+    axis fraction.
     """
-    if not isinstance(grid_n, int) or isinstance(grid_n, bool) or grid_n < 65:
-        raise ValueError(f"grid_n must be an integer >= 65, got {grid_n!r}")
-    refine_tol = _real("refine_tol", refine_tol)
-    if not 0.0 < refine_tol < 1.0:
-        raise ValueError(f"refine_tol must lie in (0, 1), got {refine_tol!r}")
-
     def f(x: float) -> float:
         return t_cut(m, x)
 
     best_i = 0
     best_x = 0.0
     best_v = f(0.0)
-    for k in range(1, grid_n):
-        x = k / (grid_n - 1)
+    for k in range(1, _GRID_N):
+        x = k / (_GRID_N - 1)
         v = f(x)
         if v > best_v:
             best_i, best_x, best_v = k, x, v
 
-    lo = (best_i - 1) / (grid_n - 1) if best_i > 0 else 0.0
-    hi = (best_i + 1) / (grid_n - 1) if best_i < grid_n - 1 else 1.0
-    xg = _golden_max(f, lo, hi, refine_tol)
+    lo = (best_i - 1) / (_GRID_N - 1) if best_i > 0 else 0.0
+    hi = (best_i + 1) / (_GRID_N - 1) if best_i < _GRID_N - 1 else 1.0
+    xg = _golden_max(f, lo, hi, _REFINE_TOL)
     vg = f(xg)
     if vg > best_v:
         return vg, xg
@@ -136,12 +130,10 @@ class DiameterReport:
         return json_text(payload)
 
 
-def diameter_report(
-    m: BergerMetric, grid_n: int = 513, refine_tol: float = 1e-12
-) -> DiameterReport:
+def diameter_report(m: BergerMetric) -> DiameterReport:
     """Compute both diameter routes and package the comparison."""
     closed = diameter_closed_form(m)
-    numeric, maximizer = diameter_numeric(m, grid_n=grid_n, refine_tol=refine_tol)
+    numeric, maximizer = diameter_numeric(m)
     return DiameterReport(
         metric=m,
         regime=classify_regime(m),

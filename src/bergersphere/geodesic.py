@@ -48,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, NoConjugatePoint, NormalizationError
-from .model import BergerMetric, Momentum, ReducedMomentum, _pbar3_value, _real, momentum_norm
+from .model import BergerMetric, Momentum, _integer, _pbar3, _real, momentum_norm
 
 __all__ = [
     "UnitQuaternion",
@@ -160,10 +160,10 @@ def _hamiltonian(i1: float, i3: float, p1: float, p2: float, p3: float) -> float
     return 0.5 * ((p1 * p1 + p2 * p2) / i1 + p3 * p3 / i3)
 
 
-def initial_momentum(m: BergerMetric, pb: "ReducedMomentum | float", phi: float) -> Momentum:
-    """Unit-speed momentum with axis fraction ``pb`` and equatorial angle ``phi``."""
+def initial_momentum(m: BergerMetric, pbar3: float, phi: float) -> Momentum:
+    """Unit-speed momentum with axis fraction ``pbar3`` and equatorial angle ``phi``."""
     phi = _real("phi", phi, finite=True)
-    pbar3 = _pbar3_value(pb)
+    pbar3 = _pbar3(pbar3)
     norm = momentum_norm(m, pbar3)
     s = math.sqrt(max(0.0, 1.0 - pbar3 * pbar3))
     return Momentum(
@@ -251,8 +251,8 @@ def _level_tangent_basis(m: BergerMetric, p0: Momentum) -> "tuple[np.ndarray, np
     return v1, v2
 
 
-def conjugate_time_numeric(m: BergerMetric, pb: "ReducedMomentum | float", t_max: float) -> float:
-    """First conjugate time along the geodesic with axis fraction ``pb``.
+def conjugate_time_numeric(m: BergerMetric, pbar3: float, t_max: float) -> float:
+    """First conjugate time along the geodesic with axis fraction ``pbar3``.
 
     Follows the exact flow of the base geodesic and four level-set
     perturbations of the initial momentum (two directions, central
@@ -271,8 +271,7 @@ def conjugate_time_numeric(m: BergerMetric, pb: "ReducedMomentum | float", t_max
     eta = m.eta()
     if eta <= 0.0:
         raise DomainError(f"conjugate times require eta > 0, got eta={eta!r}")
-    t_max = _real("t_max", t_max, positive=True)
-    pbar3 = _pbar3_value(pb)
+    t_max = _real("t_max", t_max, finite=True, positive=True)
     p0 = initial_momentum(m, pbar3, 0.0)
     v1, v2 = _level_tangent_basis(m, p0)
 
@@ -372,9 +371,8 @@ def shorter_path_search(
     the cut time of ``p0`` the search comes up empty; past it, it finds
     the competing geodesic.
     """
-    if not isinstance(attempts, int) or isinstance(attempts, bool) or attempts < 10:
-        raise ValueError(f"attempts must be an integer >= 10, got {attempts!r}")
-    t = _real("t", t, positive=True)
+    attempts = _integer("attempts", attempts, 10)
+    t = _real("t", t, finite=True, positive=True)
     _check_level(m, p0)
 
     target = _flow(m, (p0.p1, p0.p2, p0.p3), t)[:4]

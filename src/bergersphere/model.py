@@ -66,6 +66,21 @@ def _real(name: str, v: object, *, finite: bool = False, positive: bool = False)
     return v
 
 
+def _pbar3(v: object) -> float:
+    """``v`` as an axis fraction: a real number in [-1, 1]."""
+    v = _real("pbar3", v)
+    if not abs(v) <= 1.0:
+        raise DomainError(f"pbar3 must lie in [-1, 1], got {v!r}")
+    return v
+
+
+def _integer(name: str, v: object, minimum: int) -> int:
+    """``v`` as an int: a Python or numpy integer, not a bool, >= ``minimum``."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {v!r}")
+    return int(v)
+
+
 class Regime(enum.Enum):
     """Diameter regime of a metric, split by the ratio i1/i3."""
 
@@ -109,10 +124,7 @@ class ReducedMomentum:
     pbar3: float
 
     def __post_init__(self) -> None:
-        v = _real("pbar3", self.pbar3)
-        if not abs(v) <= 1.0:
-            raise DomainError(f"pbar3 must lie in [-1, 1], got {v!r}")
-        object.__setattr__(self, "pbar3", v)
+        object.__setattr__(self, "pbar3", _pbar3(self.pbar3))
 
 
 @dataclass(frozen=True)
@@ -140,21 +152,14 @@ class Momentum:
         return ReducedMomentum(min(1.0, max(-1.0, self.p3 / n)))
 
 
-def _pbar3_value(pb: "ReducedMomentum | float") -> float:
-    """Accept either a ReducedMomentum or a bare float, validated either way."""
-    if isinstance(pb, ReducedMomentum):
-        return pb.pbar3
-    return ReducedMomentum(pb).pbar3
-
-
-def momentum_norm(m: BergerMetric, pb: "ReducedMomentum | float") -> float:
+def momentum_norm(m: BergerMetric, pbar3: float) -> float:
     """Norm ``|p| = sqrt(i1/(1 + eta*pbar3^2))`` on the unit-speed level set.
 
     The denominator is bounded below by ``min(1, i1/i3) > 0``, so the
     expression is well defined for every admissible metric and axis
     fraction.
     """
-    pbar3 = _pbar3_value(pb)
+    pbar3 = _pbar3(pbar3)
     return math.sqrt(m.i1 / (1.0 + m.eta() * pbar3 * pbar3))
 
 

@@ -32,21 +32,23 @@ the cut function is positive there; it is negative at the right end and
 changes sign once in between, so the bisected root is the first one.
 The function is bisected divided by ``pbar3``, which keeps it from
 underflowing for subnormal ``pbar3`` and makes it tend to the conjugate
-function of ``pbar3 = 0``, as ``tau3`` itself does.  The bisection tolerance is relative to the root's
-scale, since roots reach about ``pi/eta`` (1e-8 at ``eta = 1e8``).
+function of ``pbar3 = 0``, as ``tau3`` itself does.  The bisection
+tolerance is relative to the root's scale, since roots reach about
+``pi/eta`` (1e-8 at ``eta = 1e8``).
+
+Every root lies in (0, pi] by construction of its bracket and is
+returned as a plain float.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, SingularDenominator
-from .model import ReducedMomentum, _pbar3_value, _real
+from .model import _pbar3, _real
 
 __all__ = [
-    "Tau",
     "tau3",
     "tau_conj",
     "tau3_derivative",
@@ -56,19 +58,6 @@ __all__ = [
 BISECT_TOL = 1e-13
 _DENOM_TINY = 1e-14
 _SMALL_ARG = 1e-8  # below it sin(u)/u rounds to 1
-
-
-@dataclass(frozen=True)
-class Tau:
-    """A reparametrized time in (0, pi], the range of both root families."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        v = _real("tau", self.value)
-        if not (0.0 < v <= math.pi * (1.0 + 1e-12)):
-            raise ValueError(f"tau must lie in (0, pi], got {v!r}")
-        object.__setattr__(self, "value", v)
 
 
 def _bisect(f: Callable[[float], float], a: float, b: float, fa: float, tol: float) -> float:
@@ -104,7 +93,7 @@ def _tau3_value(eta: float, s: float) -> float:
     return _bisect(g, a, b, 1.0, BISECT_TOL * min(1.0, b))
 
 
-def tau3(eta: float, pb: "ReducedMomentum | float") -> Tau:
+def tau3(eta: float, pbar3: float) -> float:
     """First positive root of the cut equation; even in ``pbar3``.
 
     Requires ``eta > 0``.  Decreases strictly from ``tau_conj(eta, 0)``
@@ -113,13 +102,13 @@ def tau3(eta: float, pb: "ReducedMomentum | float") -> Tau:
     ``eta >= 1``.
     """
     eta = _real("eta", eta, finite=True, positive=True)
-    s = abs(_pbar3_value(pb))
+    s = abs(_pbar3(pbar3))
     if s == 0.0:
         return tau_conj(eta, 0.0)
-    return Tau(_tau3_value(eta, s))
+    return _tau3_value(eta, s)
 
 
-def tau_conj(eta: float, pb: "ReducedMomentum | float") -> Tau:
+def tau_conj(eta: float, pbar3: float) -> float:
     """First positive root of the conjugate equation, in (pi/2, pi].
 
     Requires ``eta > 0``.  Solves ``sin(tau) + c*tau*cos(tau) = 0`` with
@@ -127,21 +116,21 @@ def tau_conj(eta: float, pb: "ReducedMomentum | float") -> Tau:
     left side is strictly decreasing; returns exactly pi when ``c == 0``.
     """
     eta = _real("eta", eta, finite=True, positive=True)
-    pbar3 = _pbar3_value(pb)
+    pbar3 = _pbar3(pbar3)
     c = eta * (1.0 - pbar3 * pbar3) / (1.0 + eta * pbar3 * pbar3)
     if c == 0.0:
-        return Tau(math.pi)
+        return math.pi
     def g(x: float) -> float:
         return math.sin(x) + c * x * math.cos(x)
     b = math.pi
     gb = g(b)
     if gb >= 0.0:
         # c so small that the root is within one ulp of pi
-        return Tau(math.pi)
-    return Tau(_bisect(g, 0.5 * math.pi, b, 1.0, BISECT_TOL))
+        return math.pi
+    return _bisect(g, 0.5 * math.pi, b, 1.0, BISECT_TOL)
 
 
-def tau3_derivative(eta: float, pb: "ReducedMomentum | float") -> float:
+def tau3_derivative(eta: float, pbar3: float) -> float:
     """Derivative of ``tau3`` with respect to ``pbar3``, for ``pbar3 != 0``.
 
     Implicit differentiation of the cut equation gives the quotient
@@ -157,10 +146,10 @@ def tau3_derivative(eta: float, pb: "ReducedMomentum | float") -> float:
     absolute value.
     """
     eta = _real("eta", eta, finite=True, positive=True)
-    pbar3 = _pbar3_value(pb)
+    pbar3 = _pbar3(pbar3)
     if pbar3 == 0.0:
         raise DomainError("tau3_derivative is undefined at pbar3 = 0")
-    return _tau3_slope(eta, pbar3, tau3(eta, pbar3).value)
+    return _tau3_slope(eta, pbar3, tau3(eta, pbar3))
 
 
 def _tau3_slope(eta: float, pbar3: float, t: float) -> float:

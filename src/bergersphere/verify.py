@@ -70,15 +70,15 @@ def _check_tau3_evenness(m: BergerMetric) -> CheckResult:
     worst = 0.0
     for eta in _ETA_GRID:
         for pb in (0.2, 0.55, 0.9, 1.0):
-            worst = max(worst, abs(tau3(eta, pb).value - tau3(eta, -pb).value))
+            worst = max(worst, abs(tau3(eta, pb) - tau3(eta, -pb)))
     return CheckResult("tau3-evenness", worst <= 1e-11, f"max asymmetry {worst:.3e}")
 
 
 def _check_tau3_monotone(m: BergerMetric) -> CheckResult:
     for eta in _ETA_GRID:
-        prev = tau3(eta, 0.0).value
+        prev = tau3(eta, 0.0)
         for pb in _PB_GRID:
-            cur = tau3(eta, pb).value
+            cur = tau3(eta, pb)
             if not cur < prev:
                 return CheckResult("tau3-monotone-decreasing", False,
                                    f"not decreasing at eta={eta}, pbar3={pb}")
@@ -91,17 +91,17 @@ def _check_tau3_below_tau_conj(m: BergerMetric) -> CheckResult:
     margin = math.inf
     for eta in _ETA_GRID:
         for pb in _PB_GRID:
-            margin = min(margin, tau_conj(eta, pb).value - tau3(eta, pb).value)
+            margin = min(margin, tau_conj(eta, pb) - tau3(eta, pb))
     return CheckResult("tau3-below-tau-conj", margin > 0.0, f"min margin {margin:.3e}")
 
 
 def _check_tau_conj_range(m: BergerMetric) -> CheckResult:
     for eta in _ETA_GRID:
         for pb in (0.0,) + _PB_GRID:
-            v = tau_conj(eta, pb).value
+            v = tau_conj(eta, pb)
             if not 0.5 * math.pi < v <= math.pi:
                 return CheckResult("tau-conj-range", False, f"out of range at eta={eta}, pbar3={pb}")
-        if tau_conj(eta, 1.0).value != math.pi:
+        if tau_conj(eta, 1.0) != math.pi:
             return CheckResult("tau-conj-range", False, f"pbar3=1 not pi at eta={eta}")
     return CheckResult("tau-conj-range", True, "(pi/2, pi] on all grids, pi at the pole")
 
@@ -110,7 +110,7 @@ def _check_tau3_residual(m: BergerMetric) -> CheckResult:
     worst = 0.0
     for eta in _ETA_GRID:
         for pb in _PB_GRID:
-            t = tau3(eta, pb).value
+            t = tau3(eta, pb)
             w = eta * pb
             res = abs(math.cos(t) * math.sin(w * t) + pb * math.sin(t) * math.cos(w * t))
             worst = max(worst, res)
@@ -122,7 +122,7 @@ def _check_tau3_derivative_fd(m: BergerMetric) -> CheckResult:
     worst = 0.0
     for eta in (0.5, 2.0, 5.0):
         for pb in (0.3, 0.7):
-            fd = (tau3(eta, pb + h).value - tau3(eta, pb - h).value) / (2.0 * h)
+            fd = (tau3(eta, pb + h) - tau3(eta, pb - h)) / (2.0 * h)
             cf = tau3_derivative(eta, pb)
             worst = max(worst, abs(cf - fd) / abs(fd))
     return CheckResult("tau3-derivative-fd", worst < 1e-4, f"max rel dev {worst:.3e}")
@@ -165,7 +165,7 @@ def _check_tcut_below_conjugate(m: BergerMetric) -> CheckResult:
     eta = mm.eta()
     margin = math.inf
     for pb in _PB_GRID:
-        t_conj = 2.0 * mm.i1 * tau_conj(eta, pb).value / momentum_norm(mm, pb)
+        t_conj = 2.0 * mm.i1 * tau_conj(eta, pb) / momentum_norm(mm, pb)
         margin = min(margin, t_conj - t_cut(mm, pb))
     return CheckResult("tcut-below-conjugate-time", margin > 0.0, f"min margin {margin:.3e}")
 
@@ -237,7 +237,7 @@ def _check_conjugate_agreement(m: BergerMetric) -> CheckResult:
     worst = 0.0
     for pb in (0.0, 0.5):
         norm = momentum_norm(mm, pb)
-        expected = 2.0 * mm.i1 * tau_conj(eta, pb).value / norm
+        expected = 2.0 * mm.i1 * tau_conj(eta, pb) / norm
         horizon = 1.02 * 2.0 * mm.i1 * math.pi / norm
         got = conjugate_time_numeric(mm, pb, horizon)
         worst = max(worst, abs(got - expected) / expected)

@@ -92,9 +92,9 @@ def test_criterion_04_diameter_bounds_sweep():
 
 def test_criterion_05_tau3_spot_values():
     worst = max(
-        abs(tau3(1.0, 1.0).value - math.pi / 2),
-        abs(tau3(0.5, 1.0).value - 2.0 * math.pi / 3),
-        max(abs(tau3(eta, 1.0 / eta).value - math.pi / 2) for eta in (1.5, 2.0, 5.0, 20.0)),
+        abs(tau3(1.0, 1.0) - math.pi / 2),
+        abs(tau3(0.5, 1.0) - 2.0 * math.pi / 3),
+        max(abs(tau3(eta, 1.0 / eta) - math.pi / 2) for eta in (1.5, 2.0, 5.0, 20.0)),
     )
     passed = worst <= 1e-11
     _report(5, "tau3 spot values", passed, f"max abs deviation {worst:.3e} (tol 1e-11)")
@@ -109,13 +109,13 @@ def test_criterion_06_tau3_structural_properties():
     worst_residual = 0.0
     monotone = separated = ranged = True
     for eta in etas:
-        prev = tau3(eta, 0.0).value
+        prev = tau3(eta, 0.0)
         for pb in pbs:
-            t3 = tau3(eta, pb).value
-            worst_even = max(worst_even, abs(t3 - tau3(eta, -pb).value))
+            t3 = tau3(eta, pb)
+            worst_even = max(worst_even, abs(t3 - tau3(eta, -pb)))
             monotone = monotone and t3 < prev
             prev = t3
-            tc = tau_conj(eta, pb).value
+            tc = tau_conj(eta, pb)
             separated = separated and t3 < tc
             ranged = ranged and math.pi / 2 < tc <= math.pi
             w = eta * pb
@@ -139,7 +139,7 @@ def test_criterion_07_derivative_formulas():
     for eta in (0.5, 1.0, 2.0, 5.0):
         for k in range(40):
             pb = 0.06 + (0.99 - 0.06) * k / 39
-            fd = (tau3(eta, pb + h).value - tau3(eta, pb - h).value) / (2.0 * h)
+            fd = (tau3(eta, pb + h) - tau3(eta, pb - h)) / (2.0 * h)
             worst_tau3 = max(worst_tau3, abs(tau3_derivative(eta, pb) - fd) / abs(fd))
 
     worst_tcut = 0.0
@@ -188,7 +188,7 @@ def test_criterion_09_conjugate_time_agreement():
         m = BergerMetric(1.0, 1.0 / (1.0 + eta))
         for pb in (0.0, 0.3, 0.6, 0.9):
             norm = momentum_norm(m, pb)
-            expected = 2.0 * m.i1 * tau_conj(eta, pb).value / norm
+            expected = 2.0 * m.i1 * tau_conj(eta, pb) / norm
             horizon = 1.02 * 2.0 * m.i1 * math.pi / norm
             got = conjugate_time_numeric(m, pb, horizon)
             worst = max(worst, abs(got - expected) / expected)

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bergersphere.cutprofile import (
@@ -20,10 +21,10 @@ from bergersphere.roots import tau3
 class TestTauCut:
     @pytest.mark.parametrize("eta,pb", [(-0.5, 0.3), (0.0, 0.9), (-0.99, 0.0)])
     def test_pi_branch(self, eta, pb):
-        assert tau_cut(eta, pb).value == math.pi
+        assert tau_cut(eta, pb) == math.pi
 
     def test_tau3_branch(self):
-        assert tau_cut(1.0, 1.0).value == pytest.approx(math.pi / 2, abs=1e-11)
+        assert tau_cut(1.0, 1.0) == pytest.approx(math.pi / 2, abs=1e-11)
 
     def test_rejects_eta_at_or_below_minus_one(self):
         with pytest.raises(DomainError):
@@ -130,7 +131,7 @@ class TestSampleProfile:
         m = BergerMetric(i1, i3)
         eta = m.eta()
         for r in sample_profile(m, 41).rows:
-            assert r.tau3 == pytest.approx(tau3(eta, r.pbar3).value, rel=1e-15, abs=0.0)
+            assert r.tau3 == pytest.approx(tau3(eta, r.pbar3), rel=1e-15, abs=0.0)
             assert r.t_cut == pytest.approx(t_cut(m, r.pbar3), rel=1e-15, abs=0.0)
             if r.pbar3 != 0.0:
                 assert r.dt_cut == pytest.approx(t_cut_derivative(m, r.pbar3), rel=1e-15, abs=0.0)
@@ -153,10 +154,14 @@ class TestSampleProfile:
         assert profile.rows[4].pbar3 == 0.0
         assert profile.rows[-1].pbar3 == 1.0
 
-    @pytest.mark.parametrize("n", [2, 1, 0, -3, 2.5])
+    @pytest.mark.parametrize("n", [2, 1, 0, -3, 2.5, 5.0, True])
     def test_rejects_bad_n(self, n):
         with pytest.raises(ValueError):
             sample_profile(BergerMetric(1.0, 1.0), n)
+
+    def test_accepts_numpy_integer_n(self):
+        m = BergerMetric(3.0, 1.0)
+        assert sample_profile(m, np.int64(5)) == sample_profile(m, 5)
 
 
 class TestCutProfileSerialization:

@@ -46,29 +46,19 @@ class TestClosedForm:
 
 class TestNumeric:
     def test_flat_profile_tie_breaks_to_zero(self):
-        value, maximizer = diameter_numeric(BergerMetric(1.0, 2.0), grid_n=257)
+        value, maximizer = diameter_numeric(BergerMetric(1.0, 2.0))
         assert value == pytest.approx(TWO_PI, abs=1e-9)
         assert maximizer == 0.0
 
     def test_prolate_interior_maximizer(self):
-        value, maximizer = diameter_numeric(BergerMetric(3.0, 1.0), grid_n=257,
-                                            refine_tol=1e-10)
+        value, maximizer = diameter_numeric(BergerMetric(3.0, 1.0))
         assert value == pytest.approx(3.0 * math.pi / math.sqrt(2.0), abs=1e-9)
         assert maximizer == pytest.approx(0.5, abs=1e-6)
 
     def test_middle_boundary_maximizer(self):
-        value, maximizer = diameter_numeric(BergerMetric(1.5, 1.0), grid_n=257)
+        value, maximizer = diameter_numeric(BergerMetric(1.5, 1.0))
         assert value == pytest.approx(TWO_PI, abs=1e-9)
         assert maximizer == pytest.approx(1.0, abs=1e-6)
-
-    @pytest.mark.parametrize("grid_n", [64, 10, 0])
-    def test_rejects_small_grid(self, grid_n):
-        with pytest.raises(ValueError):
-            diameter_numeric(BergerMetric(1.0, 1.0), grid_n=grid_n)
-
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            diameter_numeric(BergerMetric(1.0, 1.0), refine_tol=0.0)
 
 
 class TestReport:

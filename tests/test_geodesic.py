@@ -136,14 +136,14 @@ class TestExpMap:
 
 class TestConjugateTime:
     def test_matches_closed_form_at_zero(self):
-        expect = 2.0 * tau_conj(1.0, 0.0).value  # |p| = 1 at pbar3 = 0
+        expect = 2.0 * tau_conj(1.0, 0.0)  # |p| = 1 at pbar3 = 0
         got = conjugate_time_numeric(ETA_ONE, 0.0, 6.0)
         assert got == pytest.approx(expect, rel=1e-3)
 
     def test_matches_closed_form_interior(self):
         pb = 0.6
         norm = momentum_norm(ETA_ONE, pb)
-        expect = 2.0 * ETA_ONE.i1 * tau_conj(1.0, pb).value / norm
+        expect = 2.0 * ETA_ONE.i1 * tau_conj(1.0, pb) / norm
         got = conjugate_time_numeric(ETA_ONE, pb, 1.02 * 2.0 * math.pi / norm)
         assert got == pytest.approx(expect, rel=1e-3)
 
@@ -162,6 +162,10 @@ class TestConjugateTime:
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError):
             conjugate_time_numeric(ETA_ONE, 0.5, 0.0)
+
+    def test_rejects_infinite_horizon(self):
+        with pytest.raises(DomainError, match="t_max must be finite"):
+            conjugate_time_numeric(ETA_ONE, 0.5, math.inf)
 
 
 class TestShorterPathSearch:
@@ -188,9 +192,20 @@ class TestShorterPathSearch:
         assert hit.momentum.reduced().pbar3 == pytest.approx(-1.0, abs=1e-6)
 
     def test_rejects_few_attempts(self):
-        with pytest.raises(ValueError):
-            shorter_path_search(ROUND, Momentum(0.0, 0.0, 1.0), 1.0, attempts=5)
+        for attempts in (5, True, 10.0):
+            with pytest.raises(ValueError):
+                shorter_path_search(ROUND, Momentum(0.0, 0.0, 1.0), 1.0, attempts=attempts)
 
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
             shorter_path_search(ROUND, Momentum(0.0, 0.0, 1.0), 0.0)
+
+    def test_rejects_infinite_time(self):
+        with pytest.raises(DomainError, match="t must be finite"):
+            shorter_path_search(ROUND, Momentum(0.0, 0.0, 1.0), math.inf)
+
+    def test_accepts_numpy_integer_attempts(self):
+        p0, t = Momentum(0.0, 0.0, 1.0), 3.0 * math.pi
+        hit = shorter_path_search(ROUND, p0, t, attempts=np.int64(10))
+        assert hit is not None
+        assert hit == shorter_path_search(ROUND, p0, t, attempts=10)

@@ -10,6 +10,7 @@ from bergersphere.model import (
     Momentum,
     ReducedMomentum,
     Regime,
+    _integer,
     classify_regime,
     momentum_norm,
 )
@@ -64,6 +65,22 @@ class TestBergerMetric:
             m.eta()
 
 
+class TestInteger:
+    @pytest.mark.parametrize("v", [3, np.int64(3), np.int32(7)])
+    def test_accepts_python_and_numpy_integers(self, v):
+        got = _integer("k", v, 3)
+        assert got == v and type(got) is int
+
+    @pytest.mark.parametrize("v", [True, np.bool_(True), 5.0, np.float64(5.0), "5", None])
+    def test_rejects_bool_and_non_integers(self, v):
+        with pytest.raises(DomainError, match="k must be an integer >= 0"):
+            _integer("k", v, 0)
+
+    def test_rejects_below_minimum(self):
+        with pytest.raises(DomainError, match="k must be an integer >= 3"):
+            _integer("k", np.int64(2), 3)
+
+
 class TestReducedMomentum:
     @pytest.mark.parametrize("pb", [-1.0, -0.5, 0.0, 0.5, 1.0])
     def test_accepts_range(self, pb):
@@ -106,10 +123,6 @@ class TestMomentumNorm:
         hi = math.sqrt(i1 / (1.0 + min(eta, 0.0)))
         v = momentum_norm(m, pb)
         assert lo * (1.0 - 1e-12) <= v <= hi * (1.0 + 1e-12)
-
-    def test_accepts_wrapped_momentum(self):
-        m = BergerMetric(2.0, 1.0)
-        assert momentum_norm(m, ReducedMomentum(0.5)) == momentum_norm(m, 0.5)
 
 
 class TestRegime:

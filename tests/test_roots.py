@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bergersphere.errors import DomainError, SingularDenominator
-from bergersphere.roots import Tau, tau3, tau3_derivative, tau_conj
+from bergersphere.roots import tau3, tau3_derivative, tau_conj
 
 # spot values frozen from a 40-digit bisection oracle
 TAU_CONJ_1_0 = 2.02875783811043422357697112473490345673
@@ -20,41 +20,30 @@ eta_strategy = st.floats(min_value=0.05, max_value=50.0,
                          allow_nan=False, allow_infinity=False)
 
 
-class TestTau:
-    def test_accepts_range(self):
-        assert Tau(math.pi).value == math.pi
-        assert Tau(1e-9).value == 1e-9
-
-    @pytest.mark.parametrize("v", [0.0, -1.0, math.pi + 1e-9, math.nan])
-    def test_rejects_out_of_range(self, v):
-        with pytest.raises(ValueError):
-            Tau(v)
-
-
 class TestTau3:
     def test_pole_values(self):
         # at pbar3 = 1 the equation collapses to sin((1+eta)*tau)
-        assert tau3(1.0, 1.0).value == pytest.approx(math.pi / 2, abs=1e-11)
-        assert tau3(0.5, 1.0).value == pytest.approx(2.0 * math.pi / 3, abs=1e-11)
+        assert tau3(1.0, 1.0) == pytest.approx(math.pi / 2, abs=1e-11)
+        assert tau3(0.5, 1.0) == pytest.approx(2.0 * math.pi / 3, abs=1e-11)
 
     @pytest.mark.parametrize("eta", [1.5, 2.0, 3.0, 5.0, 20.0])
     def test_critical_point_value(self, eta):
-        assert tau3(eta, 1.0 / eta).value == pytest.approx(math.pi / 2, abs=1e-11)
+        assert tau3(eta, 1.0 / eta) == pytest.approx(math.pi / 2, abs=1e-11)
 
     def test_zero_delegates_to_tau_conj(self):
-        assert tau3(1.0, 0.0).value == tau_conj(1.0, 0.0).value
-        assert tau3(1.0, 0.0).value == pytest.approx(TAU_CONJ_1_0, abs=1e-11)
+        assert tau3(1.0, 0.0) == tau_conj(1.0, 0.0)
+        assert tau3(1.0, 0.0) == pytest.approx(TAU_CONJ_1_0, abs=1e-11)
 
     def test_small_pbar3_limit(self):
-        assert tau3(1.0, 1e-4).value == pytest.approx(TAU3_1_TINY, abs=1e-11)
+        assert tau3(1.0, 1e-4) == pytest.approx(TAU3_1_TINY, abs=1e-11)
         for eta in ETA_GRID:
-            assert abs(tau3(eta, 1e-4).value - tau_conj(eta, 0.0).value) < 1e-3
+            assert abs(tau3(eta, 1e-4) - tau_conj(eta, 0.0)) < 1e-3
 
     def test_frozen_interior_value(self):
-        assert tau3(1.0, 0.5).value == pytest.approx(TAU3_1_HALF, abs=1e-11)
+        assert tau3(1.0, 0.5) == pytest.approx(TAU3_1_HALF, abs=1e-11)
 
     def test_accepts_numpy_scalars(self):
-        assert tau3(np.int64(2), np.float32(0.5)).value == tau3(2.0, 0.5).value
+        assert tau3(np.int64(2), np.float32(0.5)) == tau3(2.0, 0.5)
         with pytest.raises(DomainError):
             tau3(True, 0.5)
 
@@ -66,19 +55,19 @@ class TestTau3:
     @given(eta=eta_strategy, pb=st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=60)
     def test_evenness(self, eta, pb):
-        assert tau3(eta, pb).value == tau3(eta, -pb).value
+        assert tau3(eta, pb) == tau3(eta, -pb)
 
     @pytest.mark.parametrize("eta", ETA_GRID)
     def test_strictly_decreasing(self, eta):
         grid = [k / 200 for k in range(201)]
-        values = [tau3(eta, pb).value for pb in grid]
+        values = [tau3(eta, pb) for pb in grid]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("eta", ETA_GRID)
     def test_residual_of_defining_equation(self, eta):
         for k in range(1, 101):
             pb = k / 100
-            t = tau3(eta, pb).value
+            t = tau3(eta, pb)
             res = math.cos(t) * math.sin(t * eta * pb) + pb * math.sin(t) * math.cos(t * eta * pb)
             assert abs(res) < 1e-11
 
@@ -88,7 +77,7 @@ class TestTau3:
         grid = [1e-300, 1e-9, 1e-4, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
         grid += [w / eta for w in (1.0, 2.0) if w / eta <= 1.0]
         for pb in grid:
-            t = tau3(eta, pb).value
+            t = tau3(eta, pb)
             w = eta * pb
             res = math.cos(t) * math.sin(t * w) + pb * math.sin(t) * math.cos(t * w)
             assert abs(res) < 1e-11, (eta, pb, t, res)
@@ -98,38 +87,38 @@ class TestTau3:
 
     @pytest.mark.parametrize("eta", [0.5, 2.0, 1e4, 1e8])
     def test_continuous_down_to_subnormal_pbar3(self, eta):
-        limit = tau_conj(eta, 0.0).value
+        limit = tau_conj(eta, 0.0)
         for pb in (5e-324, 1e-310, 1e-100):
-            assert tau3(eta, pb).value == pytest.approx(limit, abs=1e-12)
+            assert tau3(eta, pb) == pytest.approx(limit, abs=1e-12)
 
     def test_result_in_tau_range(self):
         for eta in ETA_GRID:
             for pb in (0.0, 0.3, 1.0):
-                assert 0.0 < tau3(eta, pb).value <= math.pi
+                assert 0.0 < tau3(eta, pb) <= math.pi
 
 
 class TestTauConj:
     def test_frozen_values(self):
-        assert tau_conj(1.0, 0.0).value == pytest.approx(TAU_CONJ_1_0, abs=1e-11)
-        assert tau_conj(0.5, 0.5).value == pytest.approx(TAU_CONJ_HALF_HALF, abs=1e-11)
+        assert tau_conj(1.0, 0.0) == pytest.approx(TAU_CONJ_1_0, abs=1e-11)
+        assert tau_conj(0.5, 0.5) == pytest.approx(TAU_CONJ_HALF_HALF, abs=1e-11)
 
     @pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
     def test_exactly_pi_at_pole(self, eta):
         # c = 0 at pbar3 = +-1; the branch is exact, not a bisection result
-        assert tau_conj(eta, 1.0).value == math.pi
-        assert tau_conj(eta, -1.0).value == math.pi
+        assert tau_conj(eta, 1.0) == math.pi
+        assert tau_conj(eta, -1.0) == math.pi
 
     @given(eta=eta_strategy, pb=st.floats(min_value=-1.0, max_value=1.0))
     @settings(max_examples=60)
     def test_range(self, eta, pb):
-        v = tau_conj(eta, pb).value
+        v = tau_conj(eta, pb)
         assert math.pi / 2 < v <= math.pi
 
     @pytest.mark.parametrize("eta", ETA_GRID)
     def test_separation_from_tau3(self, eta):
         for k in range(1, 101):
             pb = k / 100
-            assert tau3(eta, pb).value < tau_conj(eta, pb).value
+            assert tau3(eta, pb) < tau_conj(eta, pb)
 
     def test_rejects_nonpositive_eta(self):
         with pytest.raises(DomainError):
@@ -150,7 +139,7 @@ class TestTau3Derivative:
         h = 1e-6
         for k in range(5, 100, 7):
             pb = k / 100
-            fd = (tau3(eta, pb + h).value - tau3(eta, pb - h).value) / (2.0 * h)
+            fd = (tau3(eta, pb + h) - tau3(eta, pb - h)) / (2.0 * h)
             assert tau3_derivative(eta, pb) == pytest.approx(fd, rel=1e-5)
 
     def test_rejects_zero_pbar3(self):
