@@ -41,7 +41,6 @@ from .geodesic import (
 from .model import (
     BergerMetric,
     Momentum,
-    ReducedMomentum,
     Regime,
     classify_regime,
     momentum_norm,
@@ -62,7 +61,6 @@ __all__ = [
     "NoConjugatePoint",
     "NormalizationError",
     "ProfileRow",
-    "ReducedMomentum",
     "Regime",
     "ShorterPath",
     "SingularDenominator",

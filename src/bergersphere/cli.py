@@ -15,7 +15,7 @@ from typing import Optional
 from .cutprofile import sample_profile
 from .diameter import diameter_report
 from .errors import NormalizationError
-from .geodesic import endpoint_state, initial_momentum
+from .geodesic import conservation_drift, endpoint_state, initial_momentum
 from .model import BergerMetric
 from .serialize import fmt17, json_text
 from .verify import run_checks
@@ -101,9 +101,6 @@ def _cmd_exp(metric: BergerMetric, args: argparse.Namespace) -> int:
     step = args.t / 2000.0 if args.step is None else args.step
     p0 = initial_momentum(metric, args.pbar3, args.phi)
     state = endpoint_state(metric, p0, args.t, step)
-
-    norm0 = p0.norm()
-    h_end = 0.5 * ((state.p.p1**2 + state.p.p2**2) / metric.i1 + state.p.p3**2 / metric.i3)
     payload = {
         "i1": metric.i1,
         "i3": metric.i3,
@@ -112,11 +109,7 @@ def _cmd_exp(metric: BergerMetric, args: argparse.Namespace) -> int:
         "t": args.t,
         "step": step,
         "endpoint": {"w": state.q.w, "x": state.q.x, "y": state.q.y, "z": state.q.z},
-        "drift": {
-            "hamiltonian_rel": abs(h_end - 0.5) / 0.5,
-            "momentum_norm_rel": abs(state.p.norm() - norm0) / norm0,
-            "axis_momentum_rel": abs(state.p.p3 - p0.p3) / norm0,
-        },
+        "drift": conservation_drift(metric, p0, state.p),
     }
     _emit(json_text(payload), args.output)
     return 0

@@ -42,10 +42,9 @@ for both.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .errors import DomainError, NoConjugatePoint, NormalizationError
 from .model import BergerMetric, Momentum, _integer, _pbar3, _real, momentum_norm
@@ -57,6 +56,7 @@ __all__ = [
     "initial_momentum",
     "exp_map",
     "endpoint_state",
+    "conservation_drift",
     "conjugate_time_numeric",
     "shorter_path_search",
 ]
@@ -129,7 +129,7 @@ def _rk4(y: tuple, a1: float, a3: float, h: float, n: int) -> tuple:
     return y
 
 
-def _flow(m: BergerMetric, p0, t: float) -> np.ndarray:
+def _flow(m: BergerMetric, p0, t: float) -> tuple:
     """Exact state at time ``t`` of the geodesic from the identity with momentum ``p0``.
 
     With ``i1 = i2`` the flow is the free symmetric top.  Writing
@@ -145,7 +145,7 @@ def _flow(m: BergerMetric, p0, t: float) -> np.ndarray:
     ca, f = math.cos(a), math.sin(a) / n  # exp(t*p0/(2*i1)) = (ca, f*p0)
     cb, sb = math.cos(0.5 * b * t), math.sin(0.5 * b * t)  # exp(t*b*e3/2) = (cb, sb*e3)
     c, s = math.cos(b * t), math.sin(b * t)
-    return np.array([
+    return (
         ca * cb - f * p3 * sb,
         f * (p1 * cb + p2 * sb),
         f * (p2 * cb - p1 * sb),
@@ -153,7 +153,7 @@ def _flow(m: BergerMetric, p0, t: float) -> np.ndarray:
         c * p1 + s * p2,
         c * p2 - s * p1,
         p3,
-    ])
+    )
 
 
 def _hamiltonian(i1: float, i3: float, p1: float, p2: float, p3: float) -> float:
@@ -192,8 +192,8 @@ def exp_map(m: BergerMetric, p0: Momentum, t: float, step: float) -> UnitQuatern
 def endpoint_state(m: BergerMetric, p0: Momentum, t: float, step: float) -> GeodesicState:
     """Like ``exp_map`` but also returns the transported momentum.
 
-    The momentum drift relative to the conserved quantities (energy,
-    momentum norm, axis component) is the integrator's error estimate.
+    The momentum drift relative to the conserved quantities
+    (``conservation_drift``) is the integrator's error estimate.
     """
     t = _real("t", t, finite=True)
     if t < 0.0:
@@ -218,17 +218,31 @@ def endpoint_state(m: BergerMetric, p0: Momentum, t: float, step: float) -> Geod
     )
 
 
-def _qlog(w: float, x: float, y: float, z: float) -> np.ndarray:
+def conservation_drift(m: BergerMetric, p0: Momentum, p: Momentum) -> "dict[str, float]":
+    """Relative drifts of energy, momentum norm and axis momentum from ``p0`` to ``p``.
+
+    The energy is compared with the unit-speed level 1/2, the other two
+    relative to ``|p0|``.
+    """
+    norm0 = p0.norm()
+    return {
+        "hamiltonian_rel": abs(_hamiltonian(m.i1, m.i3, p.p1, p.p2, p.p3) - 0.5) / 0.5,
+        "momentum_norm_rel": abs(p.norm() - norm0) / norm0,
+        "axis_momentum_rel": abs(p.p3 - p0.p3) / norm0,
+    }
+
+
+def _qlog(w: float, x: float, y: float, z: float) -> tuple:
     # group logarithm: rotation-vector coordinates, smooth away from -identity
     vn = math.sqrt(x * x + y * y + z * z)
     if vn < 1e-300:
-        return np.zeros(3)
+        return (0.0, 0.0, 0.0)
     s = 2.0 * math.atan2(vn, w) / vn
-    return np.array([s * x, s * y, s * z])
+    return (s * x, s * y, s * z)
 
 
-def _rel_log(base: np.ndarray, other: np.ndarray) -> np.ndarray:
-    # log(base^-1 * other) for unit quaternions stored as length-4 slices
+def _rel_log(base, other) -> tuple:
+    # log(base^-1 * other) for unit quaternions, the first four entries of flow states
     bw, bx, by, bz = base[0], -base[1], -base[2], -base[3]
     ow, ox, oy, oz = other[0], other[1], other[2], other[3]
     return _qlog(
@@ -239,16 +253,26 @@ def _rel_log(base: np.ndarray, other: np.ndarray) -> np.ndarray:
     )
 
 
-def _level_tangent_basis(m: BergerMetric, p0: Momentum) -> "tuple[np.ndarray, np.ndarray]":
+def _dot(u, v) -> float:
+    return sum(map(operator.mul, u, v))
+
+
+def _cross(u, v) -> tuple:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _unit(v) -> tuple:
+    n = math.sqrt(_dot(v, v))
+    return tuple(a / n for a in v)
+
+
+def _level_tangent_basis(m: BergerMetric, p0: Momentum) -> "tuple[tuple, tuple]":
     # two directions spanning the tangent space of {H = 1/2} at p0
-    grad = np.array([p0.p1 / m.i1, p0.p2 / m.i1, p0.p3 / m.i3])
-    grad /= np.linalg.norm(grad)
-    seed = np.zeros(3)
-    seed[int(np.argmin(np.abs(grad)))] = 1.0
-    v1 = np.cross(grad, seed)
-    v1 /= np.linalg.norm(v1)
-    v2 = np.cross(grad, v1)
-    return v1, v2
+    grad = _unit((p0.p1 / m.i1, p0.p2 / m.i1, p0.p3 / m.i3))
+    seed = [0.0, 0.0, 0.0]
+    seed[min(range(3), key=lambda j: abs(grad[j]))] = 1.0
+    v1 = _unit(_cross(grad, seed))
+    return v1, _cross(grad, v1)
 
 
 def conjugate_time_numeric(m: BergerMetric, pbar3: float, t_max: float) -> float:
@@ -275,21 +299,22 @@ def conjugate_time_numeric(m: BergerMetric, pbar3: float, t_max: float) -> float
     p0 = initial_momentum(m, pbar3, 0.0)
     v1, v2 = _level_tangent_basis(m, p0)
 
-    base = np.array([p0.p1, p0.p2, p0.p3])
+    base = (p0.p1, p0.p2, p0.p3)
     family = [base]
     for v in (v1, v2):
         for sign in (1.0, -1.0):
-            p = base + sign * _CONJ_DELTA * v
-            h = _hamiltonian(m.i1, m.i3, p[0], p[1], p[2])
-            family.append(p / math.sqrt(2.0 * h))  # back onto the level set
+            p = [b + sign * _CONJ_DELTA * c for b, c in zip(base, v)]
+            n = math.sqrt(2.0 * _hamiltonian(m.i1, m.i3, *p))
+            family.append(tuple(a / n for a in p))  # back onto the level set
 
     def det_at(t: float) -> float:
         rows = [_flow(m, p, t) for p in family]
         base_row = rows[0]
-        omega = np.array([base_row[4] / m.i1, base_row[5] / m.i1, base_row[6] / m.i3])
-        c1 = (_rel_log(base_row, rows[1]) - _rel_log(base_row, rows[2])) / (2.0 * _CONJ_DELTA)
-        c2 = (_rel_log(base_row, rows[3]) - _rel_log(base_row, rows[4])) / (2.0 * _CONJ_DELTA)
-        return float(np.linalg.det(np.column_stack((omega, c1, c2))))
+        omega = (base_row[4] / m.i1, base_row[5] / m.i1, base_row[6] / m.i3)
+        logs = [_rel_log(base_row, row) for row in rows[1:]]
+        c1 = [(a - b) / (2.0 * _CONJ_DELTA) for a, b in zip(logs[0], logs[1])]
+        c2 = [(a - b) / (2.0 * _CONJ_DELTA) for a, b in zip(logs[2], logs[3])]
+        return _dot(omega, _cross(c1, c2))
 
     dt = t_max / _CONJ_GRID_N
     times = [(k + 0.5) * dt for k in range(_CONJ_GRID_N)]
@@ -378,47 +403,46 @@ def shorter_path_search(
     target = _flow(m, (p0.p1, p0.p2, p0.p3), t)[:4]
     t_lo, t_hi = 0.02 * t, 1.2 * t
 
-    def residual(x: np.ndarray) -> np.ndarray:
+    def residual(x) -> list:
         p = initial_momentum(m, x[0], x[1])
-        return _flow(m, (p.p1, p.p2, p.p3), x[2])[:4] - target
+        return [a - b for a, b in zip(_flow(m, (p.p1, p.p2, p.p3), x[2]), target)]
 
-    def clamp(x: np.ndarray) -> np.ndarray:
-        return np.array([
-            min(1.0, max(-1.0, x[0])),
-            x[1],
-            min(t_hi, max(t_lo, x[2])),
-        ])
+    def clamp(x) -> tuple:
+        return (min(1.0, max(-1.0, x[0])), x[1], min(t_hi, max(t_lo, x[2])))
 
     best: Optional[ShorterPath] = None
     for k in range(attempts):
         pb_seed, phi_seed = _r2_seed(k)
-        x = np.array([pb_seed, phi_seed, 0.95 * t])
+        x = (pb_seed, phi_seed, 0.95 * t)
         r = residual(x)
-        cost = float(r @ r)
+        cost = _dot(r, r)
         lam = 1e-3
         for _ in range(30):
             if math.sqrt(cost) < _SHOOT_RESIDUAL:
                 break
-            jac = np.empty((4, 3))
+            jac = []  # the 4x3 Jacobian, one column per coordinate of x
             for j in range(3):
                 d = 1e-6 * (max(t, 1.0) if j == 2 else 1.0)
                 if j == 0 and x[0] + d > 1.0:
                     d = -d
-                xp = x.copy()
+                xp = list(x)
                 xp[j] += d
-                jac[:, j] = (residual(clamp(xp)) - r) / d
-            a_mat = jac.T @ jac
-            g_vec = jac.T @ r
+                jac.append([(a - b) / d for a, b in zip(residual(clamp(xp)), r)])
+            a_mat = [[_dot(u, v) for v in jac] for u in jac]
+            g_vec = [-_dot(u, r) for u in jac]
             accepted = False
             for _ in range(8):
-                try:
-                    delta = np.linalg.solve(a_mat + lam * np.eye(3), -g_vec)
-                except np.linalg.LinAlgError:
+                # Cramer's rule for (J^T J + lam*I) delta = -J^T r; the matrix is symmetric
+                c0, c1, c2 = ([a + (lam if i == j else 0.0) for j, a in enumerate(row)]
+                              for i, row in enumerate(a_mat))
+                minors = (_cross(c1, c2), _cross(c2, c0), _cross(c0, c1))
+                det = _dot(c0, minors[0])
+                if det == 0.0:
                     lam *= 4.0
                     continue
-                x_try = clamp(x + delta)
+                x_try = clamp([a + _dot(g_vec, mn) / det for a, mn in zip(x, minors)])
                 r_try = residual(x_try)
-                cost_try = float(r_try @ r_try)
+                cost_try = _dot(r_try, r_try)
                 if cost_try < cost:
                     x, r, cost = x_try, r_try, cost_try
                     lam = max(lam * 0.3, 1e-12)
@@ -431,6 +455,6 @@ def shorter_path_search(
             if best is None or x[2] < best.arrival_time:
                 best = ShorterPath(
                     momentum=initial_momentum(m, x[0], x[1]),
-                    arrival_time=float(x[2]),
+                    arrival_time=x[2],
                 )
     return best

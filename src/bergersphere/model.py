@@ -35,7 +35,6 @@ from .errors import DomainError
 
 __all__ = [
     "BergerMetric",
-    "ReducedMomentum",
     "Momentum",
     "Regime",
     "momentum_norm",
@@ -118,16 +117,6 @@ class BergerMetric:
 
 
 @dataclass(frozen=True)
-class ReducedMomentum:
-    """Axis fraction ``pbar3 = p3/|p|`` of a unit-speed momentum, in [-1, 1]."""
-
-    pbar3: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pbar3", _pbar3(self.pbar3))
-
-
-@dataclass(frozen=True)
 class Momentum:
     """Momentum covector ``(p1, p2, p3)`` in the frame of the metric."""
 
@@ -140,16 +129,16 @@ class Momentum:
             object.__setattr__(self, name, _real(name, getattr(self, name), finite=True))
 
     def norm(self) -> float:
-        """Euclidean norm ``sqrt(p1^2 + p2^2 + p3^2)``."""
-        return math.sqrt(self.p1 * self.p1 + self.p2 * self.p2 + self.p3 * self.p3)
+        """Euclidean norm ``sqrt(p1^2 + p2^2 + p3^2)``, without overflow or underflow."""
+        return math.hypot(self.p1, self.p2, self.p3)
 
-    def reduced(self) -> ReducedMomentum:
-        """Axis fraction of this covector.  Undefined for the zero covector."""
+    def reduced(self) -> float:
+        """Axis fraction ``pbar3 = p3/|p|``, in [-1, 1].  Undefined for the zero covector."""
         n = self.norm()
         if n == 0.0:
             raise ValueError("the zero momentum has no axis fraction")
         # roundoff can push the quotient a few ulp past 1
-        return ReducedMomentum(min(1.0, max(-1.0, self.p3 / n)))
+        return _pbar3(min(1.0, max(-1.0, self.p3 / n)))
 
 
 def momentum_norm(m: BergerMetric, pbar3: float) -> float:

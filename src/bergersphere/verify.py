@@ -16,6 +16,7 @@ from .cutprofile import t_cut, t_cut_derivative
 from .diameter import diameter_closed_form, diameter_report
 from .geodesic import (
     conjugate_time_numeric,
+    conservation_drift,
     endpoint_state,
     exp_map,
     initial_momentum,
@@ -221,13 +222,7 @@ def _check_conservation(m: BergerMetric) -> CheckResult:
     p0 = initial_momentum(m, 0.6, 0.8)
     t = 3.0 * t_cut(m, 0.6)
     state = endpoint_state(m, p0, t, t / 1e4)
-    norm0 = p0.norm()
-    h_end = 0.5 * ((state.p.p1**2 + state.p.p2**2) / m.i1 + state.p.p3**2 / m.i3)
-    drift = max(
-        abs(h_end - 0.5) / 0.5,
-        abs(state.p.norm() - norm0) / norm0,
-        abs(state.p.p3 - p0.p3) / norm0,
-    )
+    drift = max(conservation_drift(m, p0, state.p).values())
     return CheckResult("geodesic-conservation", drift < 1e-9, f"max rel drift {drift:.3e}")
 
 

@@ -37,7 +37,7 @@ TAKES_PBAR3 = {
 ROOTS = ("tau3", "tau_conj", "tau_cut[eta>0]", "tau_cut[eta<=0]")
 
 
-@pytest.mark.parametrize("bad", [1.5, math.nan, True])
+@pytest.mark.parametrize("bad", [1.5, math.nan, True, -1.0000001, 2.0])
 @pytest.mark.parametrize("name", sorted(TAKES_PBAR3))
 def test_rejects_bad_axis_fraction(name, bad):
     with pytest.raises(DomainError, match="pbar3"):
@@ -49,7 +49,7 @@ def test_accepts_numpy_float(name):
     assert TAKES_PBAR3[name](np.float32(0.5)) == TAKES_PBAR3[name](0.5)
 
 
-@pytest.mark.parametrize("pb", [-1.0, 0.0, 0.5, np.float32(0.5), 1.0])
+@pytest.mark.parametrize("pb", [-1.0, 0.0, 0.5, np.float32(0.5), 1.0, -0.5])
 @pytest.mark.parametrize("name", ROOTS)
 def test_roots_are_plain_floats(name, pb):
     assert type(TAKES_PBAR3[name](pb)) is float

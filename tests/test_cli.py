@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bergersphere
 from bergersphere.cli import build_parser, main
 from bergersphere.verify import CheckResult
 
@@ -171,3 +176,26 @@ class TestParsing:
         text = build_parser().format_help()
         for name in ("diameter", "profile", "exp", "verify"):
             assert name in text
+
+
+# A child interpreter in which every import of numpy raises ImportError.
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+import bergersphere
+from bergersphere import cli
+for argv in (["diameter"], ["profile", "-n", "5"], ["exp", "--pbar3", "0.5", "--t", "2"],
+             ["verify", "--level", "full"]):
+    code = cli.main(["--i1", "2", "--i3", "1", *argv])
+    if code != 0:
+        sys.exit(f"{argv} exited {code}")
+"""
+
+
+def test_runs_without_numpy():
+    src = str(Path(bergersphere.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr

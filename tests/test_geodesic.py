@@ -45,7 +45,7 @@ class TestInitialMomentum:
 
     def test_axis_fraction_recovered(self):
         p = initial_momentum(BergerMetric(2.0, 1.0), 0.6, 0.9)
-        assert p.reduced().pbar3 == pytest.approx(0.6, abs=1e-14)
+        assert p.reduced() == pytest.approx(0.6, abs=1e-14)
 
     def test_rejects_non_finite_phi(self):
         with pytest.raises(ValueError):
@@ -189,7 +189,7 @@ class TestShorterPathSearch:
         hit = shorter_path_search(ROUND, Momentum(0.0, 0.0, 1.0), t)
         assert hit is not None
         assert hit.arrival_time == pytest.approx(math.pi, abs=1e-3)
-        assert hit.momentum.reduced().pbar3 == pytest.approx(-1.0, abs=1e-6)
+        assert hit.momentum.reduced() == pytest.approx(-1.0, abs=1e-6)
 
     def test_rejects_few_attempts(self):
         for attempts in (5, True, 10.0):

@@ -8,7 +8,6 @@ from bergersphere.errors import DomainError
 from bergersphere.model import (
     BergerMetric,
     Momentum,
-    ReducedMomentum,
     Regime,
     _integer,
     classify_regime,
@@ -47,15 +46,12 @@ class TestBergerMetric:
         m = BergerMetric(make(3), make(1))
         assert (m.i1, m.i3) == (3.0, 1.0)
         assert type(m.i1) is float and type(m.i3) is float
-        assert ReducedMomentum(make(1)).pbar3 == 1.0
         assert Momentum(make(3), make(0), make(4)).norm() == 5.0
 
     @pytest.mark.parametrize("v", [True, False, np.bool_(True), "3", None])
     def test_rejects_non_real_and_bool(self, v):
         with pytest.raises(DomainError, match="real number"):
             BergerMetric(v, 1.0)
-        with pytest.raises(DomainError, match="real number"):
-            ReducedMomentum(v)
 
     @pytest.mark.parametrize("i1,i3", [(1e300, 1e-300), (1.0, 1e17)])
     def test_eta_names_the_ratio_limit(self, i1, i3):
@@ -81,22 +77,11 @@ class TestInteger:
             _integer("k", np.int64(2), 3)
 
 
-class TestReducedMomentum:
-    @pytest.mark.parametrize("pb", [-1.0, -0.5, 0.0, 0.5, 1.0])
-    def test_accepts_range(self, pb):
-        assert ReducedMomentum(pb).pbar3 == pb
-
-    @pytest.mark.parametrize("pb", [-1.0000001, 1.5, 2.0, math.nan])
-    def test_rejects_out_of_range(self, pb):
-        with pytest.raises(ValueError):
-            ReducedMomentum(pb)
-
-
 class TestMomentum:
     def test_norm_and_reduced(self):
         p = Momentum(3.0, 0.0, 4.0)
         assert p.norm() == pytest.approx(5.0)
-        assert p.reduced().pbar3 == pytest.approx(0.8)
+        assert p.reduced() == pytest.approx(0.8)
 
     def test_reduced_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -105,7 +90,15 @@ class TestMomentum:
     def test_reduced_clamps_rounding(self):
         # p3/|p| can land a few ulp past 1; reduced() must still validate
         p = Momentum(0.0, 0.0, 0.1 + 0.2)
-        assert abs(p.reduced().pbar3) <= 1.0
+        assert abs(p.reduced()) <= 1.0
+
+    def test_norm_does_not_overflow(self):
+        assert Momentum(1e200, 0.0, 1e200).norm() == pytest.approx(math.sqrt(2.0) * 1e200)
+
+    def test_reduced_of_a_tiny_covector(self):
+        # squaring 1e-200 underflows to 0, but the covector is not zero
+        assert Momentum(0.0, 0.0, 1e-200).reduced() == 1.0
+        assert Momentum(-3e-200, 0.0, 4e-200).reduced() == pytest.approx(0.8)
 
 
 class TestMomentumNorm:
