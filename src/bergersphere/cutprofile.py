@@ -159,12 +159,19 @@ def sample_profile(m: BergerMetric, n: int = 201) -> CutProfile:
     derivative column everywhere except ``pbar3 = 0``.  For ``eta <= 0``
     the cut time is the elementary branch and the root columns are empty.
     The grid is generated as ``(2k - (n-1))/(n-1)`` so that the endpoints
-    and, for odd ``n``, the midpoint 0 are exact.
+    and, for odd ``n``, the midpoint 0 are exact, and so that it is exactly
+    antisymmetric: row ``n-1-k`` holds ``-pbar3`` of row ``k``.
+
+    Only the rows with ``pbar3 >= 0`` are solved; each negative row
+    mirrors its positive twin.  ``tau3``, ``tau_conj`` and ``t_cut`` are
+    even and copied, ``dt_cut`` is odd and negated.  Each is even or odd
+    term by term in floating point, so the mirrored floats are the ones
+    solving the row would give.
     """
     n = _integer("n", n, 3)
     eta = m.eta()
-    rows = []
-    for k in range(n):
+    half = []  # the rows with pbar3 >= 0, in increasing order
+    for k in range(n // 2, n):
         pbar3 = (2 * k - (n - 1)) / (n - 1)
         if eta > 0.0:
             t3 = tau3(eta, pbar3)  # the row's one root solve
@@ -178,5 +185,10 @@ def sample_profile(m: BergerMetric, n: int = 201) -> CutProfile:
         else:
             row = ProfileRow(pbar3=pbar3, tau3=None, tau_conj=None,
                              t_cut=t_cut(m, pbar3), dt_cut=None)
-        rows.append(row)
-    return CutProfile(metric=m, rows=tuple(rows))
+        half.append(row)
+    mirrored = [
+        ProfileRow(pbar3=-r.pbar3, tau3=r.tau3, tau_conj=r.tau_conj, t_cut=r.t_cut,
+                   dt_cut=None if r.dt_cut is None else -r.dt_cut)
+        for r in reversed(half) if r.pbar3 > 0.0
+    ]
+    return CutProfile(metric=m, rows=tuple(mirrored + half))

@@ -133,12 +133,22 @@ class Momentum:
         return math.hypot(self.p1, self.p2, self.p3)
 
     def reduced(self) -> float:
-        """Axis fraction ``pbar3 = p3/|p|``, in [-1, 1].  Undefined for the zero covector."""
-        n = self.norm()
+        """Axis fraction ``pbar3 = p3/|p|``, in [-1, 1].  Undefined for the zero covector.
+
+        The components are first scaled by the power of two that puts the
+        largest in [2**1019, 2**1020), so the norm is neither subnormal nor
+        infinite.  ``hypot`` scales by the largest component internally, so
+        wherever ``norm()`` is finite and normal the result has the bits of
+        ``p3/norm()``.
+        """
+        big = max(abs(self.p1), abs(self.p2), abs(self.p3))
+        k = math.frexp(big)[1] - 1020
+        p1, p2, p3 = (math.ldexp(v, -k) for v in (self.p1, self.p2, self.p3))
+        n = math.hypot(p1, p2, p3)
         if n == 0.0:
             raise ValueError("the zero momentum has no axis fraction")
         # roundoff can push the quotient a few ulp past 1
-        return _pbar3(min(1.0, max(-1.0, self.p3 / n)))
+        return _pbar3(min(1.0, max(-1.0, p3 / n)))
 
 
 def momentum_norm(m: BergerMetric, pbar3: float) -> float:

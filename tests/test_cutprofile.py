@@ -15,7 +15,7 @@ from bergersphere.cutprofile import (
 )
 from bergersphere.errors import DomainError
 from bergersphere.model import BergerMetric
-from bergersphere.roots import tau3
+from bergersphere.roots import tau3, tau_conj
 
 
 class TestTauCut:
@@ -145,8 +145,37 @@ class TestSampleProfile:
             return tau3(eta, pb)
 
         monkeypatch.setattr(cutprofile_module, "tau3", counted)
+        # one solve per distinct |pbar3|: the negative rows are mirrored
         sample_profile(BergerMetric(3.0, 1.0), 21)
-        assert len(calls) == 21
+        assert len(calls) == 11
+        assert all(pb >= 0.0 for pb in calls)
+        calls.clear()
+        sample_profile(BergerMetric(3.0, 1.0), 20)
+        assert len(calls) == 10
+
+    @pytest.mark.parametrize("n", [21, 20, 3, 4])
+    @pytest.mark.parametrize("i1,i3", [(3.0, 1.0), (1.3, 1.0), (2.0e3, 0.5), (30.0, 1.0),
+                                       (1.0, 1.0), (1.0, 2.0)])
+    def test_negative_rows_mirror_positive_rows(self, i1, i3, n):
+        def bits(v):
+            return None if v is None else v.hex()
+
+        m = BergerMetric(i1, i3)
+        eta = m.eta()
+        rows = sample_profile(m, n).rows
+        for r, q in zip(rows, reversed(rows)):
+            assert r.pbar3 == -q.pbar3
+            assert (bits(r.tau3), bits(r.tau_conj), bits(r.t_cut)) == (
+                bits(q.tau3), bits(q.tau_conj), bits(q.t_cut))
+            assert bits(r.dt_cut) == bits(None if q.dt_cut is None else -q.dt_cut)
+        # a mirrored row holds the bits of solving that row
+        for r in rows:
+            assert bits(r.t_cut) == bits(t_cut(m, r.pbar3))
+            if eta > 0.0:
+                assert bits(r.tau3) == bits(tau3(eta, r.pbar3))
+                assert bits(r.tau_conj) == bits(tau_conj(eta, r.pbar3))
+                if r.pbar3 != 0.0:
+                    assert bits(r.dt_cut) == bits(t_cut_derivative(m, r.pbar3))
 
     def test_grid_is_exact(self):
         profile = sample_profile(BergerMetric(1.0, 2.0), 9)

@@ -100,6 +100,25 @@ class TestMomentum:
         assert Momentum(0.0, 0.0, 1e-200).reduced() == 1.0
         assert Momentum(-3e-200, 0.0, 4e-200).reduced() == pytest.approx(0.8)
 
+    def test_reduced_when_the_norm_overflows(self):
+        # norm() is inf here, and p3/inf would give 0.0
+        assert Momentum(1.7e308, 1.7e308, 1.7e308).reduced() == pytest.approx(
+            1.0 / math.sqrt(3.0), rel=1e-15)
+        assert Momentum(0.0, -1.7e308, -1.7e308).reduced() == pytest.approx(
+            -math.sqrt(0.5), rel=1e-15)
+
+    def test_reduced_of_a_subnormal_covector(self):
+        # hypot(5e-324, 0, 5e-324) rounds to 5e-324, which would give 1.0
+        assert Momentum(5e-324, 0.0, 5e-324).reduced() == pytest.approx(math.sqrt(0.5), rel=1e-15)
+
+    def test_reduced_keeps_the_bits_of_ordinary_covectors(self):
+        rng = np.random.default_rng(6)
+        signs = rng.choice((-1.0, 1.0), (2000, 3))
+        for row in signs * 10.0 ** rng.uniform(-150.0, 150.0, (2000, 3)):
+            p1, p2, p3 = (float(v) for v in row)
+            want = min(1.0, max(-1.0, p3 / math.hypot(p1, p2, p3)))
+            assert Momentum(p1, p2, p3).reduced().hex() == want.hex()
+
 
 class TestMomentumNorm:
     def test_examples(self):

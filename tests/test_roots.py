@@ -154,3 +154,73 @@ class TestTau3Derivative:
         for eta in ETA_GRID:
             for pb in (0.1, 0.5, 0.9):
                 assert tau3_derivative(eta, pb) < 0.0
+
+
+def _bisect_to_the_last_float(f, lo, hi):
+    # f(lo) > 0 >= f(hi); halve until the midpoint is no longer inside
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _cut_over_pbar3(eta, s, x):
+    # the cut function divided by s, which keeps its sign
+    w = eta * s
+    return np.cos(x) * np.sin(w * x) / s + np.sin(x) * np.cos(w * x)
+
+
+def _stress_cases():
+    rng = np.random.default_rng(20261018)
+    etas = 10.0 ** rng.uniform(-6.0, 8.0, 2000)
+    pbs = 10.0 ** rng.uniform(-300.0, 0.0, 2000)
+    pbs[1::3] = 10.0 ** rng.uniform(-6.0, 0.0, len(pbs[1::3]))
+    cases = [(float(e), float(p)) for e, p in zip(etas, pbs)]
+    # w = eta*pbar3 on and next to the bracket edges 1 and 2
+    for eta in (1.0, 2.0, 3.0, 1e3, 1e8):
+        for w in (1.0, 2.0):
+            pb = w / eta
+            cases += [(eta, v) for v in (math.nextafter(pb, 0.0), pb, math.nextafter(pb, 2.0))
+                      if v <= 1.0]
+    return cases
+
+
+class TestNewtonAgainstBisection:
+    """Both solvers agree with plain bisection, and tau3 is the first root."""
+
+    def test_agrees_with_bisection_and_finds_the_first_root(self, monkeypatch):
+        import bergersphere.roots as roots_module
+        counts = []  # (evaluations, evaluations of plain bisection) per solve
+
+        def counted(fg, a, b, tol):
+            def evaluate(x):
+                counts[-1][0] += 1
+                return fg(x)
+            counts.append([0, max(1, math.ceil(math.log2(max(1.0, (b - a) / tol))))])
+            return newton(evaluate, a, b, tol)
+
+        newton = roots_module._newton
+        monkeypatch.setattr(roots_module, "_newton", counted)
+        for eta, pb in _stress_cases():
+            t = tau3(eta, pb)
+            w = eta * pb
+            if w < 1.0:
+                lo, hi = 0.5 * math.pi, math.pi
+            else:
+                lo, hi = 0.5 * math.pi / w, min(0.5 * math.pi, math.pi / w)
+            want = _bisect_to_the_last_float(lambda x: _cut_over_pbar3(eta, pb, x), lo, hi)
+            assert t == pytest.approx(want, rel=1e-12, abs=0.0), (eta, pb)
+            before = _cut_over_pbar3(eta, pb, t * np.arange(1, 64) / 64)
+            assert (before > 0.0).all(), (eta, pb, t)
+
+            c = eta * (1.0 - pb * pb) / (1.0 + eta * pb * pb)
+            conj = _bisect_to_the_last_float(
+                lambda x: math.sin(x) + c * x * math.cos(x), 0.5 * math.pi, math.pi)
+            assert tau_conj(eta, pb) == pytest.approx(conj, rel=1e-12, abs=0.0), (eta, pb)
+        # the documented bound, and the derivatives doing their work
+        assert all(n <= 2 * bound for n, bound in counts)
+        assert sum(n for n, _ in counts) / len(counts) < 10.0
