@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
-from .model import BergerMetric, _integer, _pbar3, _real, momentum_norm
-# tau3_derivative is not called here; perfbench/tracing.py wraps it under this name
+# momentum_norm and tau3_derivative are not called here; perfbench/tracing.py wraps them
+from .model import BergerMetric, _integer, _pbar3, _real, momentum_norm  # noqa: F401
 from .roots import _tau3_slope, tau3, tau3_derivative, tau_conj  # noqa: F401
 from .serialize import fmt17, json_text
 
@@ -51,9 +51,15 @@ def tau_cut(eta: float, pbar3: float) -> float:
     return tau3(eta, pbar3)
 
 
+def _arc_length(m: BergerMetric, eta: float, pbar3: float, tau: float) -> float:
+    # 2*i1*tau/|p| as sqrt(i1) times a shape factor, which stays normal at every scale
+    return 2.0 * math.sqrt(m.i1) * (tau * math.sqrt(1.0 + eta * pbar3 * pbar3))
+
+
 def t_cut(m: BergerMetric, pbar3: float) -> float:
-    """Cut time ``2*i1*tau_cut/|p|`` of the geodesic with axis fraction ``pbar3``."""
-    return 2.0 * m.i1 * tau_cut(m.eta(), pbar3) / momentum_norm(m, pbar3)
+    """Cut time ``2*sqrt(i1)*tau_cut*sqrt(1 + eta*pbar3^2)`` at axis fraction ``pbar3``."""
+    eta, pbar3 = m.eta(), _pbar3(pbar3)
+    return _arc_length(m, eta, pbar3, tau_cut(eta, pbar3))
 
 
 def t_cut_derivative(m: BergerMetric, pbar3: float) -> float:
@@ -170,22 +176,18 @@ def sample_profile(m: BergerMetric, n: int = 201) -> CutProfile:
     """
     n = _integer("n", n, 3)
     eta = m.eta()
+    solve = eta > 0.0  # else tau = pi and the root columns stay empty
     half = []  # the rows with pbar3 >= 0, in increasing order
     for k in range(n // 2, n):
         pbar3 = (2 * k - (n - 1)) / (n - 1)
-        if eta > 0.0:
-            t3 = tau3(eta, pbar3)  # the row's one root solve
-            row = ProfileRow(
-                pbar3=pbar3,
-                tau3=t3,
-                tau_conj=tau_conj(eta, pbar3),
-                t_cut=2.0 * m.i1 * t3 / momentum_norm(m, pbar3),
-                dt_cut=None if pbar3 == 0.0 else _dt_cut(m, eta, pbar3, t3),
-            )
-        else:
-            row = ProfileRow(pbar3=pbar3, tau3=None, tau_conj=None,
-                             t_cut=t_cut(m, pbar3), dt_cut=None)
-        half.append(row)
+        tau = tau3(eta, pbar3) if solve else math.pi  # the row's one root solve
+        half.append(ProfileRow(
+            pbar3=pbar3,
+            tau3=tau if solve else None,
+            tau_conj=tau_conj(eta, pbar3) if solve else None,
+            t_cut=_arc_length(m, eta, pbar3, tau),
+            dt_cut=_dt_cut(m, eta, pbar3, tau) if solve and pbar3 != 0.0 else None,
+        ))
     mirrored = [
         ProfileRow(pbar3=-r.pbar3, tau3=r.tau3, tau_conj=r.tau_conj, t_cut=r.t_cut,
                    dt_cut=None if r.dt_cut is None else -r.dt_cut)

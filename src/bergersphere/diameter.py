@@ -4,9 +4,9 @@ The diameter is the maximum of the cut profile over axis fractions in
 [0, 1] (the profile is even).  The maximum sits at one of three places
 depending on the regime, which yields the closed form
 
-    ROUND_DOMINATED (i1 <= i3):       2*pi*sqrt(i1)     at pbar3 = 0
-    MIDDLE (i3 < i1 <= 2*i3):         2*pi*sqrt(i3)     at pbar3 = 1
-    PROLATE (2*i3 < i1):              pi*i1/sqrt(i1-i3) at pbar3 = i3/(i1-i3)
+    ROUND_DOMINATED (i1 <= i3):  2*pi*sqrt(i1)                at pbar3 = 0
+    MIDDLE (i3 < i1 <= 2*i3):    2*pi*sqrt(i3)                at pbar3 = 1
+    PROLATE (2*i3 < i1):         pi*sqrt(i1)/sqrt(1 - i3/i1)  at pbar3 = i3/(i1-i3)
 
 The expression is continuous across both regime boundaries and satisfies
 ``pi*sqrt(i1) <= diameter <= 2*pi*sqrt(i1)``.
@@ -46,7 +46,7 @@ def diameter_closed_form(m: BergerMetric) -> float:
         return 2.0 * math.pi * math.sqrt(m.i1)
     if regime is Regime.MIDDLE:
         return 2.0 * math.pi * math.sqrt(m.i3)
-    return math.pi * m.i1 / math.sqrt(m.i1 - m.i3)
+    return math.pi * math.sqrt(m.i1) / math.sqrt(1.0 - m.i3 / m.i1)
 
 
 def _golden_max(f, a: float, b: float, tol: float) -> float:

@@ -10,9 +10,10 @@ stable kebab-case name so failures can be cited precisely.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .cutprofile import t_cut, t_cut_derivative
+from .cutprofile import _arc_length, t_cut, t_cut_derivative
 from .diameter import diameter_closed_form, diameter_report
 from .geodesic import (
     conjugate_time_numeric,
@@ -43,10 +44,17 @@ def _metric_with_positive_eta(m: BergerMetric) -> BergerMetric:
     return m if m.eta() > 0.0 else BergerMetric(2.0, 1.0)
 
 
+def _scaled(m: BergerMetric, factors: "tuple[float, ...]"):
+    # (c, BergerMetric(c*i1, c*i3)) for each c that keeps both eigenvalues finite and normal
+    for c in factors:
+        i1, i3 = c * m.i1, c * m.i3
+        if sys.float_info.min <= min(i1, i3) and max(i1, i3) < math.inf:
+            yield c, BergerMetric(i1, i3)
+
+
 def _check_eta_scale_invariance(m: BergerMetric) -> CheckResult:
     worst = 0.0
-    for c in (1e-3, 0.5, 2.0, 7.3, 1e3):
-        scaled = BergerMetric(c * m.i1, c * m.i3)
+    for _, scaled in _scaled(m, (1e-3, 0.5, 2.0, 7.3, 1e3)):
         worst = max(worst, abs(scaled.eta() - m.eta()))
     return CheckResult("eta-scale-invariance", worst <= 1e-12 * (1.0 + abs(m.eta())),
                        f"max shift {worst:.3e}")
@@ -62,8 +70,8 @@ def _check_momentum_norm_bracket(m: BergerMetric) -> CheckResult:
 
 def _check_regime_scale_invariance(m: BergerMetric) -> CheckResult:
     base = classify_regime(m)
-    bad = [c for c in (1e-3, 0.5, 2.0, 1e3)
-           if classify_regime(BergerMetric(c * m.i1, c * m.i3)) is not base]
+    bad = [c for c, scaled in _scaled(m, (1e-3, 0.5, 2.0, 1e3))
+           if classify_regime(scaled) is not base]
     return CheckResult("regime-scale-invariance", not bad, f"regime {base.value}")
 
 
@@ -164,10 +172,8 @@ def _check_tcut_derivative_sign(m: BergerMetric) -> CheckResult:
 def _check_tcut_below_conjugate(m: BergerMetric) -> CheckResult:
     mm = _metric_with_positive_eta(m)
     eta = mm.eta()
-    margin = math.inf
-    for pb in _PB_GRID:
-        t_conj = 2.0 * mm.i1 * tau_conj(eta, pb) / momentum_norm(mm, pb)
-        margin = min(margin, t_conj - t_cut(mm, pb))
+    margin = min(_arc_length(mm, eta, pb, tau_conj(eta, pb)) - t_cut(mm, pb)
+                 for pb in _PB_GRID)
     return CheckResult("tcut-below-conjugate-time", margin > 0.0, f"min margin {margin:.3e}")
 
 
@@ -189,8 +195,8 @@ def _check_diameter_bounds(m: BergerMetric) -> CheckResult:
 def _check_diameter_scale_covariance(m: BergerMetric) -> CheckResult:
     base = diameter_closed_form(m)
     worst = 0.0
-    for c in (0.25, 4.0, 100.0):
-        scaled = diameter_closed_form(BergerMetric(c * m.i1, c * m.i3))
+    for c, scaled_metric in _scaled(m, (0.25, 4.0, 100.0)):
+        scaled = diameter_closed_form(scaled_metric)
         worst = max(worst, abs(scaled - math.sqrt(c) * base) / scaled)
     return CheckResult("diameter-scale-covariance", worst <= 1e-12, f"max rel dev {worst:.3e}")
 
@@ -208,7 +214,7 @@ def _check_diameter_boundary_continuity(m: BergerMetric) -> CheckResult:
 
 def _check_round_calibration(m: BergerMetric) -> CheckResult:
     worst = 0.0
-    for i in (1.0, math.sqrt(m.i1 * m.i3)):
+    for i in (1.0, math.sqrt(m.i1) * math.sqrt(m.i3)):
         metric = BergerMetric(i, i)
         t = 2.0 * math.pi * math.sqrt(i)
         for pb, phi in ((0.0, 0.4), (0.7, 2.1), (1.0, 0.0)):
@@ -231,10 +237,8 @@ def _check_conjugate_agreement(m: BergerMetric) -> CheckResult:
     eta = mm.eta()
     worst = 0.0
     for pb in (0.0, 0.5):
-        norm = momentum_norm(mm, pb)
-        expected = 2.0 * mm.i1 * tau_conj(eta, pb) / norm
-        horizon = 1.02 * 2.0 * mm.i1 * math.pi / norm
-        got = conjugate_time_numeric(mm, pb, horizon)
+        expected = _arc_length(mm, eta, pb, tau_conj(eta, pb))
+        got = conjugate_time_numeric(mm, pb, 1.02 * _arc_length(mm, eta, pb, math.pi))
         worst = max(worst, abs(got - expected) / expected)
     return CheckResult("geodesic-conjugate-agreement", worst < 1e-3, f"max rel dev {worst:.3e}")
 

@@ -161,6 +161,22 @@ class TestVerifyCommand:
         assert "rigged-red" in err
 
 
+class TestExtremeScales:
+    def test_huge_i1_diameter(self, capsys):
+        code, out, err = run(capsys, ["--i1", "1e308", "--i3", "1", "diameter"])
+        assert code == 0, err
+        assert '"closed_form": 3.141592653589793e+154' in out
+
+    def test_huge_i1_profile(self, capsys):
+        code, _, err = run(capsys, ["--i1", "1e308", "--i3", "1", "profile",
+                                    "-n", "5", "--format", "csv"])
+        assert code == 0, err
+
+    def test_subnormal_diameter(self, capsys):
+        code, _, err = run(capsys, ["--i1", "5e-324", "--i3", "5e-324", "diameter"])
+        assert code == 0, err
+
+
 class TestParsing:
     def test_missing_metric_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,13 +1,17 @@
 import json
 import math
+import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from bergersphere.cutprofile import sample_profile, t_cut
 from bergersphere.diameter import (
     diameter_closed_form,
     diameter_numeric,
     diameter_report,
 )
+from bergersphere.errors import DomainError
 from bergersphere.model import BergerMetric, Regime
 
 TWO_PI = 2.0 * math.pi
@@ -83,3 +87,42 @@ class TestReport:
                                 "numeric", "maximizer_pbar3", "abs_gap"]
         assert parsed["regime"] == "PROLATE"
         assert parsed["abs_gap"] <= 1e-8 * parsed["closed_form"]
+
+
+# log-uniform over every positive finite float, subnormals included
+_EIGENVALUE = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
+                        st.integers(-1074, 1023))
+
+
+@settings(max_examples=60, deadline=None)
+@given(i1=_EIGENVALUE, i3=_EIGENVALUE, k=st.integers(-1100, 1100))
+@example(i1=1e308, i3=1.0, k=-1)
+@example(i1=1.7e308, i3=1e308, k=-1)
+@example(i1=5e-324, i3=5e-324, k=600)
+@example(i1=1.6847295225511462e308, i3=1.1446284810977765e31, k=-300)
+@example(i1=2.172807184081562e-208, i3=1.507e-321, k=300)
+@example(i1=5e-16, i3=5e-324, k=0)  # sqrt(i1)*tau3 alone would be subnormal
+def test_whole_float_range(i1, i3, k):
+    """Right answer or a DomainError naming the limit, at every scale."""
+    m = BergerMetric(i1, i3)
+    try:
+        eta = m.eta()
+    except DomainError as exc:
+        assert "i1/i3" in str(exc)
+        return
+    closed = diameter_closed_form(m)
+    assert math.isfinite(closed)
+    assert math.pi * math.sqrt(i1) <= closed <= TWO_PI * math.sqrt(i1)
+    assert diameter_report(m).abs_gap <= 1e-8 * closed
+    tc = t_cut(m, 1.0)
+    want = TWO_PI * math.sqrt(i3) if eta > 0.0 else TWO_PI * math.sqrt(i1) * math.sqrt(1.0 + eta)
+    assert tc == pytest.approx(want, rel=1e-12, abs=0.0)
+    sample_profile(m, 5)
+    # lengths scale as sqrt(i1): exactly 2**k under i -> 4**k * i
+    e_lo, e_hi = (math.frexp(v)[1] + 2 * k for v in (min(i1, i3), max(i1, i3)))
+    if sys.float_info.min_exp <= e_lo and e_hi <= sys.float_info.max_exp:
+        s1, s3 = math.ldexp(i1, 2 * k), math.ldexp(i3, 2 * k)
+        scaled = BergerMetric(s1, s3)
+        assert t_cut(scaled, 1.0) == math.ldexp(tc, k)
+        assert t_cut(scaled, 0.5) == math.ldexp(t_cut(m, 0.5), k)
+        assert diameter_closed_form(scaled) == math.ldexp(closed, k)

@@ -33,3 +33,14 @@ class TestRunChecks:
     def test_rejects_unknown_level(self):
         with pytest.raises(ValueError):
             run_checks(BergerMetric(1.0, 1.0), "paranoid")
+
+
+class TestExtremeScales:
+    @pytest.mark.parametrize("i1,i3", [(1e200, 1e199), (1e-300, 1e-301)])
+    def test_round_calibration(self, i1, i3):
+        results = {r.name: r for r in run_checks(BergerMetric(i1, i3), "full")}
+        assert results["geodesic-round-calibration"].passed
+
+    def test_quick_near_float_max(self):
+        failing = [r.name for r in run_checks(BergerMetric(1.7e308, 1e308)) if not r.passed]
+        assert failing == []
