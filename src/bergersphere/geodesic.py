@@ -33,6 +33,10 @@ The oracles built on the flow:
 * ``shorter_path_search``: damped least-squares shooting that looks for a
   geodesic reaching a given endpoint strictly earlier.
 
+The RK4 steps and the shooting residual are written out on scalar locals
+for speed; a test pins the RK4 kernel, bit for bit, to the compact form
+that builds each stage as a list.
+
 Nothing here calls ``tau3``, ``tau_conj`` or ``t_cut``: both routes use
 only the geodesic equations, never the cut or conjugate root equations,
 so agreement with the transcendental root solvers is meaningful evidence
@@ -42,7 +46,6 @@ for both.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -101,32 +104,74 @@ class ShorterPath:
     arrival_time: float
 
 
-def _rhs(a1: float, a3: float, y) -> tuple:
-    # right-hand side of the joint flow; y = (qw, qx, qy, qz, p1, p2, p3)
-    qw, qx, qy, qz, p1, p2, p3 = y
-    w1 = p1 * a1; w2 = p2 * a1; w3 = p3 * a3
-    return (
-        -0.5 * (qx * w1 + qy * w2 + qz * w3),
-        0.5 * (qw * w1 + qy * w3 - qz * w2),
-        0.5 * (qw * w2 + qz * w1 - qx * w3),
-        0.5 * (qw * w3 + qx * w2 - qy * w1),
-        p2 * w3 - p3 * w2,
-        p3 * w1 - p1 * w3,
-        p1 * w2 - p2 * w1,
-    )
-
-
 def _rk4(y: tuple, a1: float, a3: float, h: float, n: int) -> tuple:
-    """n fixed classical RK4 steps of the joint flow, renormalizing q each step."""
+    """n fixed classical RK4 steps of the joint flow, renormalizing q each step.
+
+    ``y = (qw, qx, qy, qz, p1, p2, p3)``; ``a1 = 1/i1`` and ``a3 = 1/i3``.
+    Each stage evaluates the right-hand side
+
+        dq = (1/2) * q * (w1, w2, w3),   dp = p x (w1, w2, w3),
+        (w1, w2, w3) = (p1*a1, p2*a1, p3*a3)
+
+    on scalar locals.
+    """
+    qw, qx, qy, qz, p1, p2, p3 = y
+    hh = 0.5 * h
+    h6 = h / 6.0
     for _ in range(n):
-        k1 = _rhs(a1, a3, y)
-        k2 = _rhs(a1, a3, [u + 0.5 * h * k for u, k in zip(y, k1)])
-        k3 = _rhs(a1, a3, [u + 0.5 * h * k for u, k in zip(y, k2)])
-        k4 = _rhs(a1, a3, [u + h * k for u, k in zip(y, k3)])
-        y = [u + h / 6.0 * (a + 2.0 * (b + c) + d) for u, a, b, c, d in zip(y, k1, k2, k3, k4)]
-        r = 1.0 / math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2] + y[3] * y[3])
-        y = (y[0] * r, y[1] * r, y[2] * r, y[3] * r, y[4], y[5], y[6])
-    return y
+        # k1 at y
+        w1 = p1 * a1; w2 = p2 * a1; w3 = p3 * a3
+        aw = -0.5 * (qx * w1 + qy * w2 + qz * w3)
+        ax = 0.5 * (qw * w1 + qy * w3 - qz * w2)
+        ay = 0.5 * (qw * w2 + qz * w1 - qx * w3)
+        az = 0.5 * (qw * w3 + qx * w2 - qy * w1)
+        ap1 = p2 * w3 - p3 * w2
+        ap2 = p3 * w1 - p1 * w3
+        ap3 = p1 * w2 - p2 * w1
+        # k2 at y + h/2*k1
+        sw = qw + hh * aw; sx = qx + hh * ax; sy = qy + hh * ay; sz = qz + hh * az
+        s1 = p1 + hh * ap1; s2 = p2 + hh * ap2; s3 = p3 + hh * ap3
+        w1 = s1 * a1; w2 = s2 * a1; w3 = s3 * a3
+        bw = -0.5 * (sx * w1 + sy * w2 + sz * w3)
+        bx = 0.5 * (sw * w1 + sy * w3 - sz * w2)
+        by = 0.5 * (sw * w2 + sz * w1 - sx * w3)
+        bz = 0.5 * (sw * w3 + sx * w2 - sy * w1)
+        bp1 = s2 * w3 - s3 * w2
+        bp2 = s3 * w1 - s1 * w3
+        bp3 = s1 * w2 - s2 * w1
+        # k3 at y + h/2*k2
+        sw = qw + hh * bw; sx = qx + hh * bx; sy = qy + hh * by; sz = qz + hh * bz
+        s1 = p1 + hh * bp1; s2 = p2 + hh * bp2; s3 = p3 + hh * bp3
+        w1 = s1 * a1; w2 = s2 * a1; w3 = s3 * a3
+        cw = -0.5 * (sx * w1 + sy * w2 + sz * w3)
+        cx = 0.5 * (sw * w1 + sy * w3 - sz * w2)
+        cy = 0.5 * (sw * w2 + sz * w1 - sx * w3)
+        cz = 0.5 * (sw * w3 + sx * w2 - sy * w1)
+        cp1 = s2 * w3 - s3 * w2
+        cp2 = s3 * w1 - s1 * w3
+        cp3 = s1 * w2 - s2 * w1
+        # k4 at y + h*k3
+        sw = qw + h * cw; sx = qx + h * cx; sy = qy + h * cy; sz = qz + h * cz
+        s1 = p1 + h * cp1; s2 = p2 + h * cp2; s3 = p3 + h * cp3
+        w1 = s1 * a1; w2 = s2 * a1; w3 = s3 * a3
+        dw = -0.5 * (sx * w1 + sy * w2 + sz * w3)
+        dx = 0.5 * (sw * w1 + sy * w3 - sz * w2)
+        dy = 0.5 * (sw * w2 + sz * w1 - sx * w3)
+        dz = 0.5 * (sw * w3 + sx * w2 - sy * w1)
+        dp1 = s2 * w3 - s3 * w2
+        dp2 = s3 * w1 - s1 * w3
+        dp3 = s1 * w2 - s2 * w1
+        # y + h/6*(k1 + 2*(k2 + k3) + k4), then q renormalized
+        qw = qw + h6 * (aw + 2.0 * (bw + cw) + dw)
+        qx = qx + h6 * (ax + 2.0 * (bx + cx) + dx)
+        qy = qy + h6 * (ay + 2.0 * (by + cy) + dy)
+        qz = qz + h6 * (az + 2.0 * (bz + cz) + dz)
+        p1 = p1 + h6 * (ap1 + 2.0 * (bp1 + cp1) + dp1)
+        p2 = p2 + h6 * (ap2 + 2.0 * (bp2 + cp2) + dp2)
+        p3 = p3 + h6 * (ap3 + 2.0 * (bp3 + cp3) + dp3)
+        r = 1.0 / math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+        qw = qw * r; qx = qx * r; qy = qy * r; qz = qz * r
+    return (qw, qx, qy, qz, p1, p2, p3)
 
 
 def _flow(m: BergerMetric, p0, t: float) -> tuple:
@@ -253,8 +298,14 @@ def _rel_log(base, other) -> tuple:
     )
 
 
+# Dot products are written out left to right, so the rounding is the same on
+# every Python version (``sum`` of floats is compensated since 3.12).
 def _dot(u, v) -> float:
-    return sum(map(operator.mul, u, v))
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _dot4(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
 
 
 def _cross(u, v) -> tuple:
@@ -307,13 +358,15 @@ def conjugate_time_numeric(m: BergerMetric, pbar3: float, t_max: float) -> float
             n = math.sqrt(2.0 * _hamiltonian(m.i1, m.i3, *p))
             family.append(tuple(a / n for a in p))  # back onto the level set
 
+    w = 2.0 * _CONJ_DELTA  # width of the central differences
+
     def det_at(t: float) -> float:
         rows = [_flow(m, p, t) for p in family]
         base_row = rows[0]
         omega = (base_row[4] / m.i1, base_row[5] / m.i1, base_row[6] / m.i3)
-        logs = [_rel_log(base_row, row) for row in rows[1:]]
-        c1 = [(a - b) / (2.0 * _CONJ_DELTA) for a, b in zip(logs[0], logs[1])]
-        c2 = [(a - b) / (2.0 * _CONJ_DELTA) for a, b in zip(logs[2], logs[3])]
+        l0, l1, l2, l3 = [_rel_log(base_row, row) for row in rows[1:]]
+        c1 = ((l0[0] - l1[0]) / w, (l0[1] - l1[1]) / w, (l0[2] - l1[2]) / w)
+        c2 = ((l2[0] - l3[0]) / w, (l2[1] - l3[1]) / w, (l2[2] - l3[2]) / w)
         return _dot(omega, _cross(c1, c2))
 
     dt = t_max / _CONJ_GRID_N
@@ -395,17 +448,31 @@ def shorter_path_search(
     smallest arrival time (ties broken by seed order), or None.  Before
     the cut time of ``p0`` the search comes up empty; past it, it finds
     the competing geodesic.
+
+    A trial step can leave the floats at extreme scales, as at
+    ``BergerMetric(1.7e308, 1e308)``.  A trial point with a NaN
+    coordinate has a NaN cost, which never compares below the current
+    cost, so the step is rejected and the damping grows like any other
+    step that does not improve.
     """
     attempts = _integer("attempts", attempts, 10)
     t = _real("t", t, finite=True, positive=True)
     _check_level(m, p0)
 
-    target = _flow(m, (p0.p1, p0.p2, p0.p3), t)[:4]
+    tw, tx, ty, tz = _flow(m, (p0.p1, p0.p2, p0.p3), t)[:4]
     t_lo, t_hi = 0.02 * t, 1.2 * t
+    i1, eta = m.i1, m.eta()
 
-    def residual(x) -> list:
-        p = initial_momentum(m, x[0], x[1])
-        return [a - b for a, b in zip(_flow(m, (p.p1, p.p2, p.p3), x[2]), target)]
+    def residual(x) -> tuple:
+        # initial_momentum's arithmetic without its validation: x[0] is
+        # clamped to [-1, 1], and a NaN entry only makes the residual NaN
+        pbar3, phi, arrival = x
+        norm = math.sqrt(i1 / (1.0 + eta * pbar3 * pbar3))
+        s = math.sqrt(max(0.0, 1.0 - pbar3 * pbar3))
+        qw, qx, qy, qz = _flow(
+            m, (norm * s * math.cos(phi), norm * s * math.sin(phi), norm * pbar3), arrival
+        )[:4]
+        return (qw - tw, qx - tx, qy - ty, qz - tz)
 
     def clamp(x) -> tuple:
         return (min(1.0, max(-1.0, x[0])), x[1], min(t_hi, max(t_lo, x[2])))
@@ -415,7 +482,7 @@ def shorter_path_search(
         pb_seed, phi_seed = _r2_seed(k)
         x = (pb_seed, phi_seed, 0.95 * t)
         r = residual(x)
-        cost = _dot(r, r)
+        cost = _dot4(r, r)
         lam = 1e-3
         for _ in range(30):
             if math.sqrt(cost) < _SHOOT_RESIDUAL:
@@ -428,8 +495,8 @@ def shorter_path_search(
                 xp = list(x)
                 xp[j] += d
                 jac.append([(a - b) / d for a, b in zip(residual(clamp(xp)), r)])
-            a_mat = [[_dot(u, v) for v in jac] for u in jac]
-            g_vec = [-_dot(u, r) for u in jac]
+            a_mat = [[_dot4(u, v) for v in jac] for u in jac]
+            g_vec = [-_dot4(u, r) for u in jac]
             accepted = False
             for _ in range(8):
                 # Cramer's rule for (J^T J + lam*I) delta = -J^T r; the matrix is symmetric
@@ -442,7 +509,7 @@ def shorter_path_search(
                     continue
                 x_try = clamp([a + _dot(g_vec, mn) / det for a, mn in zip(x, minors)])
                 r_try = residual(x_try)
-                cost_try = _dot(r_try, r_try)
+                cost_try = _dot4(r_try, r_try)
                 if cost_try < cost:
                     x, r, cost = x_try, r_try, cost_try
                     lam = max(lam * 0.3, 1e-12)

@@ -176,6 +176,14 @@ class TestExtremeScales:
         code, _, err = run(capsys, ["--i1", "5e-324", "--i3", "5e-324", "diameter"])
         assert code == 0, err
 
+    def test_full_verify_near_float_max_is_not_invalid_input(self, capsys):
+        # a valid metric never exits 1; a shooting trial point that leaves
+        # the floats must not be reported as a bad angle
+        code, _, err = run(capsys, ["--i1", "1.7e308", "--i3", "1e308",
+                                    "verify", "--level", "full"])
+        assert code != 1, err
+        assert "phi" not in err
+
 
 class TestParsing:
     def test_missing_metric_exits_one(self, capsys):

@@ -8,6 +8,7 @@ from bergersphere.geodesic import (
     GeodesicState,
     UnitQuaternion,
     _flow,
+    _rk4,
     conjugate_time_numeric,
     endpoint_state,
     exp_map,
@@ -24,6 +25,34 @@ ETA_ONE = BergerMetric(1.0, 0.5)
 
 def quaternion_distance(q: UnitQuaternion, w, x, y, z) -> float:
     return max(abs(q.w - w), abs(q.x - x), abs(q.y - y), abs(q.z - z))
+
+
+def _rhs_reference(a1, a3, y):
+    qw, qx, qy, qz, p1, p2, p3 = y
+    w1 = p1 * a1; w2 = p2 * a1; w3 = p3 * a3
+    return (
+        -0.5 * (qx * w1 + qy * w2 + qz * w3),
+        0.5 * (qw * w1 + qy * w3 - qz * w2),
+        0.5 * (qw * w2 + qz * w1 - qx * w3),
+        0.5 * (qw * w3 + qx * w2 - qy * w1),
+        p2 * w3 - p3 * w2,
+        p3 * w1 - p1 * w3,
+        p1 * w2 - p2 * w1,
+    )
+
+
+def _rk4_reference(y, a1, a3, h, n):
+    # the compact form of the integrator, one list per stage; the written-out
+    # kernel must reproduce it bit for bit
+    for _ in range(n):
+        k1 = _rhs_reference(a1, a3, y)
+        k2 = _rhs_reference(a1, a3, [u + 0.5 * h * k for u, k in zip(y, k1)])
+        k3 = _rhs_reference(a1, a3, [u + 0.5 * h * k for u, k in zip(y, k2)])
+        k4 = _rhs_reference(a1, a3, [u + h * k for u, k in zip(y, k3)])
+        y = [u + h / 6.0 * (a + 2.0 * (b + c) + d) for u, a, b, c, d in zip(y, k1, k2, k3, k4)]
+        r = 1.0 / math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2] + y[3] * y[3])
+        y = (y[0] * r, y[1] * r, y[2] * r, y[3] * r, y[4], y[5], y[6])
+    return y
 
 
 class TestUnitQuaternion:
@@ -115,6 +144,19 @@ class TestExpMap:
                 assert np.abs(exact[:4] - q).max() < 1e-9
                 assert np.abs(exact[4:] - p).max() < 1e-9
 
+    @pytest.mark.parametrize("eta_range", [(-0.9, -0.1), (0.0, 0.0), (0.05, 1.0), (5.0, 49.0)])
+    def test_rk4_kernel_keeps_the_bits_of_the_compact_form(self, eta_range):
+        rng = np.random.default_rng(17)
+        i3 = float(rng.uniform(0.5, 3.0))
+        m = BergerMetric((1.0 + float(rng.uniform(*eta_range))) * i3, i3)
+        for pb in (-1.0, 0.0, 1.0, float(rng.uniform(-1.0, 1.0))):
+            p0 = initial_momentum(m, pb, float(rng.uniform(0.0, 2.0 * math.pi)))
+            y = (1.0, 0.0, 0.0, 0.0, p0.p1, p0.p2, p0.p3)
+            for n in (1, 7, 2000):
+                h = float(rng.uniform(6.0, 12.0)) / n
+                args = (1.0 / m.i1, 1.0 / m.i3, h, n)
+                assert _rk4(y, *args) == _rk4_reference(y, *args)
+
     def test_rejects_momentum_off_level(self):
         with pytest.raises(DomainError):
             exp_map(ROUND, Momentum(0.0, 0.0, 2.0), 1.0, 1e-4)
@@ -203,6 +245,15 @@ class TestShorterPathSearch:
     def test_rejects_infinite_time(self):
         with pytest.raises(DomainError, match="t must be finite"):
             shorter_path_search(ROUND, Momentum(0.0, 0.0, 1.0), math.inf)
+
+    @pytest.mark.parametrize("factor", [0.9, 1.1])
+    def test_non_finite_trial_point_is_rejected_not_raised(self, factor):
+        # near float max an LM trial angle becomes NaN; the step must be
+        # rejected, not reported as invalid input
+        m = BergerMetric(1.7e308, 1e308)
+        t = factor * t_cut(m, 0.6)
+        hit = shorter_path_search(m, initial_momentum(m, 0.6, 0.0), t, attempts=10)
+        assert hit is None or hit.arrival_time < t
 
     def test_accepts_numpy_integer_attempts(self):
         p0, t = Momentum(0.0, 0.0, 1.0), 3.0 * math.pi
