@@ -33,9 +33,9 @@ The oracles built on the flow:
 * ``shorter_path_search``: damped least-squares shooting that looks for a
   geodesic reaching a given endpoint strictly earlier.
 
-The RK4 steps and the shooting residual are written out on scalar locals
-for speed; a test pins the RK4 kernel, bit for bit, to the compact form
-that builds each stage as a list.
+The RK4 steps and the shooting loop (residual, Jacobian, normal equations
+and their Cramer solve) are written out on scalar locals for speed; tests
+pin both, bit for bit, to compact forms that build lists and matrices.
 
 Nothing here calls ``tau3``, ``tau_conj`` or ``t_cut``: both routes use
 only the geodesic equations, never the cut or conjugate root equations,
@@ -252,7 +252,7 @@ def endpoint_state(m: BergerMetric, p0: Momentum, t: float, step: float) -> Geod
     n = math.ceil(t / step)
     y = _rk4((1.0, 0.0, 0.0, 0.0, p0.p1, p0.p2, p0.p3), 1.0 / m.i1, 1.0 / m.i3, t / n, n)
     h_end = _hamiltonian(m.i1, m.i3, y[4], y[5], y[6])
-    if abs(h_end - 0.5) > _H_DRIFT_TOL * 0.5:
+    if not abs(h_end - 0.5) <= _H_DRIFT_TOL * 0.5:  # a diverged run gives NaN
         raise NormalizationError(
             f"Hamiltonian drifted to {h_end!r} over t={t!r} with {n} steps"
         )
@@ -304,10 +304,6 @@ def _dot(u, v) -> float:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _dot4(u, v) -> float:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
-
-
 def _cross(u, v) -> tuple:
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
@@ -336,7 +332,9 @@ def conjugate_time_numeric(m: BergerMetric, pbar3: float, t_max: float) -> float
     running endpoint, and locates the first vanishing of its determinant
     on a 400-point time grid.  The grid is offset by half a step so that
     samples avoid landing exactly on antipodal points, where the chart
-    would degenerate.  A sign change
+    would degenerate.  The scan evaluates each grid determinant when it
+    reaches it and stops at the first crossing or accepted tangency, so
+    the grid past the event is never computed.  A sign change
     is refined by bisection; a deep tangency of ``|det|`` (an even-order
     zero, which the axis geodesics produce because their conjugate points
     have multiplicity two) is refined by golden-section minimization.
@@ -371,7 +369,7 @@ def conjugate_time_numeric(m: BergerMetric, pbar3: float, t_max: float) -> float
 
     dt = t_max / _CONJ_GRID_N
     times = [(k + 0.5) * dt for k in range(_CONJ_GRID_N)]
-    dets = [det_at(t) for t in times]
+    dets = [det_at(times[0])]  # filled as the scan reaches each time
     tol = 1e-6 * t_max
 
     def refine_crossing(k: int) -> float:
@@ -416,6 +414,7 @@ def conjugate_time_numeric(m: BergerMetric, pbar3: float, t_max: float) -> float
         return None
 
     for k in range(1, _CONJ_GRID_N):
+        dets.append(det_at(times[k]))
         if dets[k] == 0.0:
             return times[k]
         if (dets[k] > 0.0) != (dets[k - 1] > 0.0):
@@ -463,65 +462,90 @@ def shorter_path_search(
     t_lo, t_hi = 0.02 * t, 1.2 * t
     i1, eta = m.i1, m.eta()
 
-    def residual(x) -> tuple:
-        # initial_momentum's arithmetic without its validation: x[0] is
+    def residual(pbar3: float, phi: float, arrival: float) -> tuple:
+        # initial_momentum's arithmetic without its validation: pbar3 is
         # clamped to [-1, 1], and a NaN entry only makes the residual NaN
-        pbar3, phi, arrival = x
         norm = math.sqrt(i1 / (1.0 + eta * pbar3 * pbar3))
         s = math.sqrt(max(0.0, 1.0 - pbar3 * pbar3))
-        qw, qx, qy, qz = _flow(
+        qw, qx, qy, qz, _, _, _ = _flow(
             m, (norm * s * math.cos(phi), norm * s * math.sin(phi), norm * pbar3), arrival
-        )[:4]
+        )
         return (qw - tw, qx - tx, qy - ty, qz - tz)
 
-    def clamp(x) -> tuple:
-        return (min(1.0, max(-1.0, x[0])), x[1], min(t_hi, max(t_lo, x[2])))
-
+    # A point is clamped by min(hi, max(lo, v)) written as comparisons, so a
+    # NaN maps to lo; the current point is clamped, so only moved coordinates are.
+    d_time = 1e-6 * max(t, 1.0)  # difference step in the arrival time
     best: Optional[ShorterPath] = None
     for k in range(attempts):
-        pb_seed, phi_seed = _r2_seed(k)
-        x = (pb_seed, phi_seed, 0.95 * t)
-        r = residual(x)
-        cost = _dot4(r, r)
+        pbar3, phi = _r2_seed(k)
+        arrival = 0.95 * t
+        r0, r1, r2, r3 = residual(pbar3, phi, arrival)
+        cost = r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3
         lam = 1e-3
         for _ in range(30):
             if math.sqrt(cost) < _SHOOT_RESIDUAL:
                 break
-            jac = []  # the 4x3 Jacobian, one column per coordinate of x
-            for j in range(3):
-                d = 1e-6 * (max(t, 1.0) if j == 2 else 1.0)
-                if j == 0 and x[0] + d > 1.0:
-                    d = -d
-                xp = list(x)
-                xp[j] += d
-                jac.append([(a - b) / d for a, b in zip(residual(clamp(xp)), r)])
-            a_mat = [[_dot4(u, v) for v in jac] for u in jac]
-            g_vec = [-_dot4(u, r) for u in jac]
+            # the 4x3 Jacobian by forward differences, one column per coordinate
+            d = -1e-6 if pbar3 + 1e-6 > 1.0 else 1e-6
+            v = pbar3 + d
+            v = v if v > -1.0 else -1.0
+            e0, e1, e2, e3 = residual(v if v < 1.0 else 1.0, phi, arrival)
+            j00 = (e0 - r0) / d; j01 = (e1 - r1) / d; j02 = (e2 - r2) / d; j03 = (e3 - r3) / d
+            e0, e1, e2, e3 = residual(pbar3, phi + 1e-6, arrival)
+            j10 = (e0 - r0) / 1e-6; j11 = (e1 - r1) / 1e-6
+            j12 = (e2 - r2) / 1e-6; j13 = (e3 - r3) / 1e-6
+            v = arrival + d_time
+            v = v if v > t_lo else t_lo
+            e0, e1, e2, e3 = residual(pbar3, phi, v if v < t_hi else t_hi)
+            j20 = (e0 - r0) / d_time; j21 = (e1 - r1) / d_time
+            j22 = (e2 - r2) / d_time; j23 = (e3 - r3) / d_time
+            # J^T J (symmetric: u_k*v_k == v_k*u_k exactly) and g = -J^T r;
+            # "+ 0.0" turns an off-diagonal -0.0 into 0.0, as adding the
+            # damping's zero entries did in the matrix form
+            a00 = j00 * j00 + j01 * j01 + j02 * j02 + j03 * j03
+            a11 = j10 * j10 + j11 * j11 + j12 * j12 + j13 * j13
+            a22 = j20 * j20 + j21 * j21 + j22 * j22 + j23 * j23
+            a01 = (j00 * j10 + j01 * j11 + j02 * j12 + j03 * j13) + 0.0
+            a02 = (j00 * j20 + j01 * j21 + j02 * j22 + j03 * j23) + 0.0
+            a12 = (j10 * j20 + j11 * j21 + j12 * j22 + j13 * j23) + 0.0
+            g0 = -(j00 * r0 + j01 * r1 + j02 * r2 + j03 * r3)
+            g1 = -(j10 * r0 + j11 * r1 + j12 * r2 + j13 * r3)
+            g2 = -(j20 * r0 + j21 * r1 + j22 * r2 + j23 * r3)
             accepted = False
             for _ in range(8):
-                # Cramer's rule for (J^T J + lam*I) delta = -J^T r; the matrix is symmetric
-                c0, c1, c2 = ([a + (lam if i == j else 0.0) for j, a in enumerate(row)]
-                              for i, row in enumerate(a_mat))
-                minors = (_cross(c1, c2), _cross(c2, c0), _cross(c0, c1))
-                det = _dot(c0, minors[0])
+                # Cramer's rule for (J^T J + lam*I) delta = g with columns
+                # c0 = (b0, a01, a02), c1 = (a01, b1, a12), c2 = (a02, a12, b2);
+                # the minors are _cross(c1, c2), _cross(c2, c0), _cross(c0, c1)
+                b0 = a00 + lam; b1 = a11 + lam; b2 = a22 + lam
+                m00 = b1 * b2 - a12 * a12; m01 = a12 * a02 - a01 * b2; m02 = a01 * a12 - b1 * a02
+                m10 = a12 * a02 - b2 * a01; m11 = b2 * b0 - a02 * a02; m12 = a02 * a01 - a12 * b0
+                m20 = a01 * a12 - a02 * b1; m21 = a02 * a01 - b0 * a12; m22 = b0 * b1 - a01 * a01
+                det = b0 * m00 + a01 * m01 + a02 * m02
                 if det == 0.0:
                     lam *= 4.0
                     continue
-                x_try = clamp([a + _dot(g_vec, mn) / det for a, mn in zip(x, minors)])
-                r_try = residual(x_try)
-                cost_try = _dot4(r_try, r_try)
+                pb_try = pbar3 + (g0 * m00 + g1 * m01 + g2 * m02) / det
+                pb_try = pb_try if pb_try > -1.0 else -1.0
+                pb_try = pb_try if pb_try < 1.0 else 1.0
+                phi_try = phi + (g0 * m10 + g1 * m11 + g2 * m12) / det
+                t_try = arrival + (g0 * m20 + g1 * m21 + g2 * m22) / det
+                t_try = t_try if t_try > t_lo else t_lo
+                t_try = t_try if t_try < t_hi else t_hi
+                e0, e1, e2, e3 = residual(pb_try, phi_try, t_try)
+                cost_try = e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3
                 if cost_try < cost:
-                    x, r, cost = x_try, r_try, cost_try
+                    pbar3, phi, arrival = pb_try, phi_try, t_try
+                    r0, r1, r2, r3, cost = e0, e1, e2, e3, cost_try
                     lam = max(lam * 0.3, 1e-12)
                     accepted = True
                     break
                 lam *= 4.0
             if not accepted or lam > 1e10:
                 break
-        if math.sqrt(cost) < _SHOOT_RESIDUAL and x[2] < t - _SHOOT_MARGIN:
-            if best is None or x[2] < best.arrival_time:
+        if math.sqrt(cost) < _SHOOT_RESIDUAL and arrival < t - _SHOOT_MARGIN:
+            if best is None or arrival < best.arrival_time:
                 best = ShorterPath(
-                    momentum=initial_momentum(m, x[0], x[1]),
-                    arrival_time=x[2],
+                    momentum=initial_momentum(m, pbar3, phi),
+                    arrival_time=arrival,
                 )
     return best

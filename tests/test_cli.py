@@ -134,6 +134,13 @@ class TestExpCommand:
         assert code == 1
         assert "error" in err
 
+    def test_diverged_integration_exits_two(self, capsys):
+        # the integrator diverges to NaN: a numerical failure, not invalid input
+        code, _, err = run(capsys, ["--i1", "3", "--i3", "1", "exp",
+                                    "--pbar3", "0.5", "--t", "1e5"])
+        assert code == 2
+        assert "quaternion" not in err
+
 
 class TestVerifyCommand:
     def test_quick_suite_passes(self, capsys):

@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from bergersphere.errors import DomainError, NoConjugatePoint
+from bergersphere import geodesic
+from bergersphere.errors import DomainError, NoConjugatePoint, NormalizationError
 from bergersphere.geodesic import (
     GeodesicState,
+    ShorterPath,
     UnitQuaternion,
+    _cross,
+    _dot,
     _flow,
+    _r2_seed,
     _rk4,
     conjugate_time_numeric,
     endpoint_state,
@@ -53,6 +58,75 @@ def _rk4_reference(y, a1, a3, h, n):
         r = 1.0 / math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2] + y[3] * y[3])
         y = (y[0] * r, y[1] * r, y[2] * r, y[3] * r, y[4], y[5], y[6])
     return y
+
+
+def _dot4_reference(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
+
+
+def _shorter_path_search_reference(m, p0, t, attempts=12):
+    # the matrix form of the shooting loop, with lists for x, the Jacobian and
+    # J^T J; the scalar loop of shorter_path_search must reproduce it bit for bit
+    tw, tx, ty, tz = _flow(m, (p0.p1, p0.p2, p0.p3), t)[:4]
+    t_lo, t_hi = 0.02 * t, 1.2 * t
+    i1, eta = m.i1, m.eta()
+
+    def residual(x):
+        pbar3, phi, arrival = x
+        norm = math.sqrt(i1 / (1.0 + eta * pbar3 * pbar3))
+        s = math.sqrt(max(0.0, 1.0 - pbar3 * pbar3))
+        qw, qx, qy, qz = _flow(
+            m, (norm * s * math.cos(phi), norm * s * math.sin(phi), norm * pbar3), arrival
+        )[:4]
+        return (qw - tw, qx - tx, qy - ty, qz - tz)
+
+    def clamp(x):
+        return (min(1.0, max(-1.0, x[0])), x[1], min(t_hi, max(t_lo, x[2])))
+
+    best = None
+    for k in range(attempts):
+        pb_seed, phi_seed = _r2_seed(k)
+        x = (pb_seed, phi_seed, 0.95 * t)
+        r = residual(x)
+        cost = _dot4_reference(r, r)
+        lam = 1e-3
+        for _ in range(30):
+            if math.sqrt(cost) < 1e-7:
+                break
+            jac = []
+            for j in range(3):
+                d = 1e-6 * (max(t, 1.0) if j == 2 else 1.0)
+                if j == 0 and x[0] + d > 1.0:
+                    d = -d
+                xp = list(x)
+                xp[j] += d
+                jac.append([(a - b) / d for a, b in zip(residual(clamp(xp)), r)])
+            a_mat = [[_dot4_reference(u, v) for v in jac] for u in jac]
+            g_vec = [-_dot4_reference(u, r) for u in jac]
+            accepted = False
+            for _ in range(8):
+                c0, c1, c2 = ([a + (lam if i == j else 0.0) for j, a in enumerate(row)]
+                              for i, row in enumerate(a_mat))
+                minors = (_cross(c1, c2), _cross(c2, c0), _cross(c0, c1))
+                det = _dot(c0, minors[0])
+                if det == 0.0:
+                    lam *= 4.0
+                    continue
+                x_try = clamp([a + _dot(g_vec, mn) / det for a, mn in zip(x, minors)])
+                r_try = residual(x_try)
+                cost_try = _dot4_reference(r_try, r_try)
+                if cost_try < cost:
+                    x, r, cost = x_try, r_try, cost_try
+                    lam = max(lam * 0.3, 1e-12)
+                    accepted = True
+                    break
+                lam *= 4.0
+            if not accepted or lam > 1e10:
+                break
+        if math.sqrt(cost) < 1e-7 and x[2] < t - 1e-4:
+            if best is None or x[2] < best.arrival_time:
+                best = ShorterPath(initial_momentum(m, x[0], x[1]), x[2])
+    return best
 
 
 class TestUnitQuaternion:
@@ -157,6 +231,14 @@ class TestExpMap:
                 args = (1.0 / m.i1, 1.0 / m.i3, h, n)
                 assert _rk4(y, *args) == _rk4_reference(y, *args)
 
+    def test_diverged_run_is_a_normalization_error(self):
+        # RK4 at step 50 diverges to NaN; a NaN energy must fail the drift
+        # test rather than reach UnitQuaternion's validation
+        m = BergerMetric(3.0, 1.0)
+        t = 1e5
+        with pytest.raises(NormalizationError):
+            endpoint_state(m, initial_momentum(m, 0.5, 0.0), t, t / 2000.0)
+
     def test_rejects_momentum_off_level(self):
         with pytest.raises(DomainError):
             exp_map(ROUND, Momentum(0.0, 0.0, 2.0), 1.0, 1e-4)
@@ -196,6 +278,22 @@ class TestConjugateTime:
     def test_axis_geodesic_within_horizon(self):
         got = conjugate_time_numeric(ETA_ONE, 1.0, 9.0)
         assert got == pytest.approx(2.0 * math.pi * math.sqrt(2.0), rel=1e-3)
+
+    def test_scan_stops_at_the_first_event(self, monkeypatch):
+        # each grid determinant costs 5 flows; the event lies well inside
+        # the horizon, so the scan must not evaluate all 400 of them
+        calls = []
+        flow = geodesic._flow
+
+        def counted(*args):
+            calls.append(None)
+            return flow(*args)
+
+        monkeypatch.setattr(geodesic, "_flow", counted)
+        norm = momentum_norm(ETA_ONE, 0.5)
+        got = conjugate_time_numeric(ETA_ONE, 0.5, 1.02 * 2.0 * math.pi * ETA_ONE.i1 / norm)
+        assert got == 4.954471014924213
+        assert len(calls) < 5 * 400
 
     def test_rejects_nonpositive_eta(self):
         with pytest.raises(DomainError):
@@ -252,8 +350,24 @@ class TestShorterPathSearch:
         # rejected, not reported as invalid input
         m = BergerMetric(1.7e308, 1e308)
         t = factor * t_cut(m, 0.6)
-        hit = shorter_path_search(m, initial_momentum(m, 0.6, 0.0), t, attempts=10)
+        p0 = initial_momentum(m, 0.6, 0.0)
+        hit = shorter_path_search(m, p0, t, attempts=10)
         assert hit is None or hit.arrival_time < t
+        assert hit == _shorter_path_search_reference(m, p0, t, attempts=10)
+
+    @pytest.mark.parametrize("eta", [-0.5, 0.3, 1.0, 3.0, 20.0, 49.0])
+    def test_scalar_loop_keeps_the_bits_of_the_matrix_form(self, eta):
+        rng = np.random.default_rng(29)
+        i3 = float(rng.uniform(0.5, 3.0))
+        m = BergerMetric((1.0 + eta) * i3, i3)
+        # +-1 and just below 1 make the pbar3 difference step flip its sign
+        for pb in (-1.0, 1.0, 1.0 - 4e-7, float(rng.uniform(-1.0, 1.0))):
+            p0 = initial_momentum(m, pb, float(rng.uniform(0.0, 2.0 * math.pi)))
+            tc = t_cut(m, pb)
+            for factor in (0.5, 0.9, 1.1, 1.5):
+                t = factor * tc
+                got = shorter_path_search(m, p0, t, attempts=10)
+                assert got == _shorter_path_search_reference(m, p0, t, attempts=10)
 
     def test_accepts_numpy_integer_attempts(self):
         p0, t = Momentum(0.0, 0.0, 1.0), 3.0 * math.pi
