@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
-from .errors import DomainError
+from .errors import DomainError, SingularDenominator
 # momentum_norm and tau3_derivative are not called here; perfbench/tracing.py wraps them
 from .model import BergerMetric, _integer, _pbar3, _real, momentum_norm  # noqa: F401
-from .roots import _tau3_slope, tau3, tau3_derivative, tau_conj  # noqa: F401
+from .roots import _DENOM_TINY, _tau3_value, tau3, tau3_derivative, tau_conj  # noqa: F401
 from .serialize import fmt17, json_text
 
 __all__ = [
@@ -70,8 +70,9 @@ def t_cut_derivative(m: BergerMetric, pbar3: float) -> float:
         2*sqrt(i1) * (tau3'*sqrt(1 + eta*pbar3^2)
                       + tau3*eta*pbar3/sqrt(1 + eta*pbar3^2)).
 
-    Odd in ``pbar3`` and undefined at ``pbar3 = 0``, like ``tau3'``.
-    For ``eta > 1`` it is positive on (0, 1/eta) and negative on
+    It is evaluated in an equal form without that sum, which cancels at
+    huge ``eta``.  Odd in ``pbar3`` and undefined at ``pbar3 = 0``, like
+    ``tau3'``.  For ``eta > 1`` it is positive on (0, 1/eta) and negative on
     (1/eta, 1]; for ``0 < eta <= 1`` it is positive on (0, 1).
     """
     eta = m.eta()
@@ -84,9 +85,47 @@ def t_cut_derivative(m: BergerMetric, pbar3: float) -> float:
 
 
 def _dt_cut(m: BergerMetric, eta: float, pbar3: float, t3: float) -> float:
-    # t_cut_derivative at the root t3 = tau3(eta, pbar3) already solved
-    root = math.sqrt(1.0 + eta * pbar3 * pbar3)
-    return 2.0 * math.sqrt(m.i1) * (_tau3_slope(eta, pbar3, t3) * root + t3 * eta * pbar3 / root)
+    # t_cut_derivative at the root t3 = tau3(eta, pbar3) already solved.  Implicit
+    # differentiation of the cut equation gives
+    #   -2*(sqrt(i1)/sqrt(q)) * cos(w*t3) * (sin(t3) + c*t3*cos(t3)) / D
+    # with q = 1 + eta*pbar3^2, c = eta*(1 - pbar3^2)/q, w = eta*pbar3 and D the
+    # cut equation's t3-derivative over q.  The sin*sin terms of the two summands
+    # cancel exactly here, not in floating point; the factors are ordered so that
+    # no partial product overflows or underflows at any scale.
+    q = 1.0 + eta * pbar3 * pbar3
+    c = eta * (1.0 - pbar3 * pbar3) / q
+    u = eta * pbar3 * t3
+    ct, st, cw, sw = math.cos(t3), math.sin(t3), math.cos(u), math.sin(u)
+    d = pbar3 * ((1.0 + eta) / q) * ct * cw - st * sw
+    if abs(q * d) < _DENOM_TINY:
+        raise SingularDenominator(
+            f"denominator {q * d!r} below {_DENOM_TINY} at eta={eta}, pbar3={pbar3}"
+        )
+    return -2.0 * (math.sqrt(m.i1) / math.sqrt(q)) * cw * (st + c * t3 * ct) / d
+
+
+def _warm_t_cut(m: BergerMetric) -> Callable[[float], float]:
+    # t_cut(m, .) on pbar3 in [0, 1] for a caller that moves along the profile in
+    # small steps: the metric is validated once, and each tau3 solve starts at the
+    # secant through the two most recent (pbar3, tau3) pairs, (0, tau_conj(eta, 0))
+    # being the first.  The bracket still moves only by evaluated signs, so every
+    # root is the first one.
+    eta = m.eta()
+    if eta <= 0.0:
+        return lambda x: _arc_length(m, eta, x, math.pi)
+    tau0 = tau_conj(eta, 0.0)
+    xp, tp = 0.0, tau0  # the most recent pair
+    slope = 0.0  # of the secant through the two most recent pairs
+
+    def f(x: float) -> float:
+        nonlocal xp, tp, slope
+        tau = _tau3_value(eta, x, tp + slope * (x - xp)) if x != 0.0 else tau0
+        if x != xp:
+            slope = (tau - tp) / (x - xp)
+        xp, tp = x, tau
+        return _arc_length(m, eta, x, tau)
+
+    return f
 
 
 @dataclass(frozen=True)

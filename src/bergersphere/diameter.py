@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cutprofile import t_cut
+# t_cut is not called here; perfbench/tracing.py wraps it
+from .cutprofile import _warm_t_cut, t_cut  # noqa: F401
 from .model import BergerMetric, Regime, classify_regime
 from .serialize import json_text
 
@@ -76,15 +77,16 @@ def diameter_numeric(m: BergerMetric) -> "tuple[float, float]":
     """Maximize the cut profile on [0, 1] numerically.
 
     Returns ``(value, maximizer)``.  A grid of 513 points locates the
-    best cell and golden-section search refines it to width 1e-12.  When
+    best cell and golden-section search refines it to width 1e-12.  Each
+    value is ``t_cut(m, x)``, with its ``tau3`` solve warm-started from
+    the previous root: Newton starts at the secant prediction through
+    the two most recent roots, inside the same bracket.  When
     the refined point does not beat the best grid point the grid point
     wins, so flat profiles (the round case) and boundary maxima report
     their maximizer exactly; exact ties are broken toward the smaller
     axis fraction.
     """
-    def f(x: float) -> float:
-        return t_cut(m, x)
-
+    f = _warm_t_cut(m)
     best_i = 0
     best_x = 0.0
     best_v = f(0.0)

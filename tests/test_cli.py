@@ -179,6 +179,10 @@ class TestExtremeScales:
                                     "-n", "5", "--format", "csv"])
         assert code == 0, err
 
+    def test_huge_eta_quick_verify(self, capsys):
+        code, out, err = run(capsys, ["--i1", "1e150", "--i3", "1", "verify"])
+        assert code == 0, out + err
+
     def test_subnormal_diameter(self, capsys):
         code, _, err = run(capsys, ["--i1", "5e-324", "--i3", "5e-324", "diameter"])
         assert code == 0, err

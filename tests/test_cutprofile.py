@@ -16,6 +16,7 @@ from bergersphere.cutprofile import (
 from bergersphere.errors import DomainError
 from bergersphere.model import BergerMetric
 from bergersphere.roots import tau3, tau_conj
+from bergersphere.verify import _PB_GRID
 
 
 class TestTauCut:
@@ -94,6 +95,14 @@ class TestTCutDerivative:
     def test_odd(self):
         m = BergerMetric(3.0, 1.0)
         assert t_cut_derivative(m, -0.3) == pytest.approx(-t_cut_derivative(m, 0.3))
+
+    @pytest.mark.parametrize("eta", [1e8, 1e50, 1e150, 1e308])
+    def test_sign_at_huge_eta(self, eta):
+        # the maximum sits at 1/eta, below the whole grid, so the profile falls there;
+        # the two terms of the direct derivative cancel to noise at these scales
+        m = BergerMetric(1.0 + eta, 1.0)
+        for pb in _PB_GRID:
+            assert t_cut_derivative(m, pb) < 0.0, (eta, pb)
 
     def test_rejects_zero_and_nonpositive_eta(self):
         with pytest.raises(DomainError):

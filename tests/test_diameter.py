@@ -64,6 +64,21 @@ class TestNumeric:
         assert value == pytest.approx(TWO_PI, abs=1e-9)
         assert maximizer == pytest.approx(1.0, abs=1e-6)
 
+    @settings(max_examples=40, deadline=None)
+    @given(log_ratio=st.floats(-1.0, 8.0))
+    @example(log_ratio=-1.0)          # eta = -0.9
+    @example(log_ratio=0.0)           # eta = 0
+    @example(log_ratio=math.log10(1.5))
+    @example(log_ratio=math.log10(3.0))
+    @example(log_ratio=3.0)
+    @example(log_ratio=8.0)           # eta about 1e8
+    def test_value_is_the_cut_time_at_the_maximizer(self, log_ratio):
+        # the warm-started solves give t_cut's roots up to the solver tolerance
+        m = BergerMetric(10.0 ** log_ratio, 1.0)
+        value, maximizer = diameter_numeric(m)
+        assert abs(value - t_cut(m, maximizer)) <= 4 * math.ulp(value)
+        assert abs(value - diameter_closed_form(m)) <= 1e-8 * value
+
 
 class TestReport:
     def test_round_agreement(self):

@@ -1,11 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import bergersphere.roots as roots_module
+from bergersphere.diameter import diameter_numeric
 from bergersphere.errors import DomainError, SingularDenominator
-from bergersphere.roots import tau3, tau3_derivative, tau_conj
+from bergersphere.model import BergerMetric
+from bergersphere.roots import BISECT_TOL, tau3, tau3_derivative, tau_conj
 
 # spot values frozen from a 40-digit bisection oracle
 TAU_CONJ_1_0 = 2.02875783811043422357697112473490345673
@@ -224,3 +228,64 @@ class TestNewtonAgainstBisection:
         # the documented bound, and the derivatives doing their work
         assert all(n <= 2 * bound for n, bound in counts)
         assert sum(n for n, _ in counts) / len(counts) < 10.0
+
+
+def _counting_newton(counts):
+    # _newton that appends [evaluations, evaluations of plain bisection] per solve
+    newton = roots_module._newton
+
+    def counted(fg, a, b, tol, *start):
+        def evaluate(x):
+            counts[-1][0] += 1
+            return fg(x)
+        counts.append([0, max(1, math.ceil(math.log2(max(1.0, (b - a) / tol))))])
+        return newton(evaluate, a, b, tol, *start)
+    return counted
+
+
+def _tau3_bracket(eta, s):
+    w = eta * s
+    if w < 1.0:
+        return 0.5 * math.pi, math.pi
+    return 0.5 * math.pi / w, min(0.5 * math.pi, math.pi / w)
+
+
+class TestWarmStart:
+    """A start point moves where Newton begins, never which root it finds."""
+
+    # r places the start at a + r*(b - a): 0 and 1 are the bracket's ends
+    @given(log_eta=st.floats(-6.0, 8.0), log_pb=st.floats(-300.0, 0.0),
+           r=st.one_of(st.floats(0.0, 1.0), st.floats(allow_nan=True, allow_infinity=True)))
+    @settings(max_examples=300, deadline=None)
+    @example(log_eta=0.5, log_pb=-0.5, r=0.5)
+    @example(log_eta=0.5, log_pb=-0.5, r=0.0)
+    @example(log_eta=0.5, log_pb=-0.5, r=1.0)
+    @example(log_eta=3.0, log_pb=-2.0, r=0.0)
+    @example(log_eta=3.0, log_pb=-2.0, r=1.0)
+    @example(log_eta=0.5, log_pb=-0.5, r=-0.5)
+    @example(log_eta=0.5, log_pb=-0.5, r=1.5)
+    @example(log_eta=8.0, log_pb=-4.0, r=-1e300)
+    @example(log_eta=0.5, log_pb=-0.5, r=math.nan)
+    @example(log_eta=0.5, log_pb=-0.5, r=math.inf)
+    @example(log_eta=0.5, log_pb=-0.5, r=-math.inf)
+    def test_any_start_gives_the_cold_root(self, log_eta, log_pb, r):
+        eta, s = 10.0 ** log_eta, 10.0 ** log_pb
+        a, b = _tau3_bracket(eta, s)
+        start = a if r == 0.0 else b if r == 1.0 else a + r * (b - a)
+        cold = tau3(eta, s)
+        counts = []
+        with mock.patch.object(roots_module, "_newton", _counting_newton(counts)):
+            warm = roots_module._tau3_value(eta, s, start)
+        assert abs(warm - cold) <= 2.0 * BISECT_TOL * min(1.0, b), (eta, s, start)
+        [(n, bound)] = counts
+        assert n <= 2 * bound + 1, (eta, s, start)
+
+    @pytest.mark.parametrize("eta", [0.5, 3.0, 1e3, 1e8])
+    def test_diameter_scan_evaluations_per_solve(self, eta, monkeypatch):
+        # a start from the midpoint takes about 5.3 on average
+        counts = []
+        monkeypatch.setattr(roots_module, "_newton", _counting_newton(counts))
+        diameter_numeric(BergerMetric(1.0 + eta, 1.0))
+        assert len(counts) > 500
+        assert sum(n for n, _ in counts) / len(counts) <= 3.5
+        assert all(n <= 2 * bound + 1 for n, bound in counts)
