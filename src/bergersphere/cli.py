@@ -72,7 +72,10 @@ def _emit(text: str, output: Optional[str]) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text, encoding="utf-8")
+        try:
+            Path(output).write_text(text, encoding="utf-8")
+        except OSError as exc:  # an unwritable path is invalid input: exit 1
+            raise ValueError(f"cannot write {output}: {exc.strerror or exc}") from None
 
 
 def _cmd_diameter(metric: BergerMetric, args: argparse.Namespace) -> int:

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .errors import DomainError, SingularDenominator
-# momentum_norm and tau3_derivative are not called here; perfbench/tracing.py wraps them
+# momentum_norm, tau3_derivative and json_text are not called here; perfbench/tracing.py wraps them
 from .model import BergerMetric, _integer, _pbar3, _real, momentum_norm  # noqa: F401
 from .roots import _DENOM_TINY, _tau3_value, tau3, tau3_derivative, tau_conj  # noqa: F401
-from .serialize import fmt17, json_text
+from .serialize import fmt17, json_text  # noqa: F401
 
 __all__ = [
     "tau_cut",
@@ -38,6 +39,9 @@ __all__ = [
 ]
 
 CSV_HEADER = "pbar3,tau3,tau_conj,t_cut,dt_cut"
+
+_CELLS = tuple(CSV_HEADER.split(","))
+_JSON_ROW = "    {{\n" + ",\n".join(f'      "{c}": {{}}' for c in _CELLS) + "\n    }}"
 
 
 def tau_cut(eta: float, pbar3: float) -> float:
@@ -159,41 +163,51 @@ class CutProfile:
         if rows[0].pbar3 != -1.0 or rows[-1].pbar3 != 1.0:
             raise ValueError("profile rows must cover [-1, 1]")
         upper = 2.0 * math.pi * math.sqrt(self.metric.i1) * (1.0 + 1e-12)
-        prev = None
+        prev, isfinite = None, math.isfinite
         for row in rows:
             if prev is not None and not row.pbar3 > prev:
                 raise ValueError("profile rows must be strictly increasing in pbar3")
             prev = row.pbar3
             if not 0.0 < row.t_cut <= upper:
                 raise ValueError(f"cut time {row.t_cut!r} outside (0, 2*pi*sqrt(i1)]")
+            for v in (row.tau3, row.tau_conj, row.dt_cut):
+                if v is not None and not isfinite(v):
+                    raise ValueError(f"profile cell {v!r} is not finite")
+
+    def _table(self, row: str, absent: str, sep: str) -> str:
+        # The rows joined by sep, each through the %-template of its shape (which
+        # root cells are None) made from row's {} slots.  '%.17g' % x is fmt17(x)
+        # for every finite float, and __post_init__ has refused the others.
+        shapes: dict = {}
+        out = []
+        for r in self.rows:
+            key = (r.tau3 is None, r.tau_conj is None, r.dt_cut is None)
+            if key not in shapes:
+                present = [c for c in _CELLS if getattr(r, c) is not None]
+                slots = ("%.17g" if c in present else absent for c in _CELLS)
+                shapes[key] = (row.format(*slots), attrgetter(*present))
+            template, cells = shapes[key]
+            out.append(template % cells(r))
+        return sep.join(out)
 
     def to_csv(self) -> str:
-        """CSV text with header ``pbar3,tau3,tau_conj,t_cut,dt_cut``."""
-        def cell(v: Optional[float]) -> str:
-            return "" if v is None else fmt17(v)
-        lines = [CSV_HEADER]
-        for r in self.rows:
-            lines.append(",".join(
-                (fmt17(r.pbar3), cell(r.tau3), cell(r.tau_conj), fmt17(r.t_cut), cell(r.dt_cut))
-            ))
-        return "\n".join(lines) + "\n"
+        """CSV text with header ``pbar3,tau3,tau_conj,t_cut,dt_cut``, absent cells empty.
+
+        Cells are written as ``fmt17`` writes them; non-finite ones are refused
+        at construction.
+        """
+        return CSV_HEADER + "\n" + self._table("{},{},{},{},{}", "", "\n") + "\n"
 
     def to_json(self) -> str:
-        """JSON text with the metric header and one object per row."""
-        payload = {
-            "metric": {"i1": self.metric.i1, "i3": self.metric.i3, "eta": self.metric.eta()},
-            "rows": [
-                {
-                    "pbar3": r.pbar3,
-                    "tau3": r.tau3,
-                    "tau_conj": r.tau_conj,
-                    "t_cut": r.t_cut,
-                    "dt_cut": r.dt_cut,
-                }
-                for r in self.rows
-            ],
-        }
-        return json_text(payload)
+        """JSON text with the metric header and one object per row.
+
+        The bytes of ``json_text`` on the dict of the metric and the list of
+        row dicts; non-finite cells are refused at construction.
+        """
+        m = self.metric
+        head = '{\n  "metric": {\n    "i1": %s,\n    "i3": %s,\n    "eta": %s\n  },\n  "rows": [\n'
+        return (head % (fmt17(m.i1), fmt17(m.i3), fmt17(m.eta()))
+                + self._table(_JSON_ROW, "null", ",\n") + "\n  ]\n}\n")
 
 
 def sample_profile(m: BergerMetric, n: int = 201) -> CutProfile:

@@ -4,6 +4,9 @@ Floats are printed with 17 significant digits so that every value
 round-trips exactly and repeated runs produce byte-identical files.
 The JSON writer is a small recursive renderer rather than ``json.dumps``
 because the stdlib encoder offers no hook to control float formatting.
+It serves the small payloads (the diameter report, ``exp``).  Profile
+tables, thousands of cells each, are written by ``CutProfile`` through
+one ``%.17g`` row template per row shape, to the same bytes.
 """
 
 from __future__ import annotations

@@ -168,6 +168,23 @@ class TestVerifyCommand:
         assert "rigged-red" in err
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", [
+        ["profile", "-n", "3"],
+        ["profile", "-n", "3", "--format", "csv"],
+        ["diameter"],
+        ["exp", "--pbar3", "0.5", "--t", "1"],
+    ])
+    def test_missing_directory_exits_one(self, capsys, tmp_path, command):
+        path = tmp_path / "missing" / "out.json"
+        code, out, err = run(capsys, ["--i1", "2", "--i3", "1", *command, "-o", str(path)])
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert not path.exists()
+
+
 class TestExtremeScales:
     def test_huge_i1_diameter(self, capsys):
         code, out, err = run(capsys, ["--i1", "1e308", "--i3", "1", "diameter"])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -16,6 +17,7 @@ from bergersphere.cutprofile import (
 from bergersphere.errors import DomainError
 from bergersphere.model import BergerMetric
 from bergersphere.roots import tau3, tau_conj
+from bergersphere.serialize import fmt17, json_text
 from bergersphere.verify import _PB_GRID
 
 
@@ -234,3 +236,70 @@ class TestCutProfileSerialization:
             CutProfile(metric=m, rows=(good,))  # does not cover [-1, 1]
         with pytest.raises(ValueError):
             CutProfile(metric=m, rows=(good, ProfileRow(1.0, None, None, 100.0, None)))
+
+
+def _reference_csv(profile):
+    # the CSV writer as it was before row templates: one fmt17 call per cell
+    def cell(v):
+        return "" if v is None else fmt17(v)
+    lines = [CSV_HEADER]
+    for r in profile.rows:
+        lines.append(",".join(
+            (fmt17(r.pbar3), cell(r.tau3), cell(r.tau_conj), fmt17(r.t_cut), cell(r.dt_cut))
+        ))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json(profile):
+    # the JSON writer as it was before row templates: json_text of a dict of lists
+    m = profile.metric
+    return json_text({
+        "metric": {"i1": m.i1, "i3": m.i3, "eta": m.eta()},
+        "rows": [
+            {"pbar3": r.pbar3, "tau3": r.tau3, "tau_conj": r.tau_conj,
+             "t_cut": r.t_cut, "dt_cut": r.dt_cut}
+            for r in profile.rows
+        ],
+    })
+
+
+def _assert_same_text(got, want):
+    # == on the whole text; a failure names the first line that differs, since
+    # pytest's own diff of two 1201-row tables takes minutes
+    if got != want:
+        g, w = got.split("\n"), want.split("\n")
+        i = next((i for i, (a, b) in enumerate(zip(g, w)) if a != b), min(len(g), len(w)))
+        pytest.fail(f"texts differ, first at line {i}: {g[i:i + 1]!r} != {w[i:i + 1]!r}")
+
+
+class TestTableBytes:
+    @pytest.mark.parametrize("n", [3, 4, 20, 21, 1201])
+    @pytest.mark.parametrize("i1,i3", [(1.0, 2.0), (1.0, 1.0), (3.0, 1.0), (2e3, 0.5),
+                                       (1e308, 1.0), (5e-324, 5e-324)])
+    def test_same_bytes_as_reference_writers(self, i1, i3, n):
+        profile = sample_profile(BergerMetric(i1, i3), n)
+        _assert_same_text(profile.to_csv(), _reference_csv(profile))
+        _assert_same_text(profile.to_json(), _reference_json(profile))
+
+    def test_hand_built_rows_of_mixed_types(self):
+        # numpy floats, ints, a signed zero and every root cell absent somewhere
+        rows = (
+            ProfileRow(-1, np.float64(1.25), 2, np.float64(6.0), np.float64(-0.0)),
+            ProfileRow(np.float64(-0.5), None, np.float64(3.5), 5, None),
+            ProfileRow(0.0, 3, None, np.float64(0.1), 7),
+            ProfileRow(np.float64(1.0), None, None, 1, np.float64(-2.5e-310)),
+        )
+        profile = CutProfile(metric=BergerMetric(1, 1), rows=rows)
+        _assert_same_text(profile.to_csv(), _reference_csv(profile))
+        _assert_same_text(profile.to_json(), _reference_json(profile))
+
+
+class TestNonFiniteCellsRefused:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+    @pytest.mark.parametrize("cell", ["tau3", "tau_conj", "dt_cut"])
+    def test_refused_at_construction(self, cell, value):
+        profile = sample_profile(BergerMetric(3.0, 1.0), 5)
+        rows = list(profile.rows)
+        rows[1] = dataclasses.replace(rows[1], **{cell: value})
+        with pytest.raises(ValueError, match="not finite"):
+            CutProfile(metric=profile.metric, rows=rows)
