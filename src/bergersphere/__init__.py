@@ -26,7 +26,6 @@ from .errors import (
     DomainError,
     NoConjugatePoint,
     NormalizationError,
-    SingularDenominator,
 )
 from .geodesic import (
     GeodesicState,
@@ -63,7 +62,6 @@ __all__ = [
     "ProfileRow",
     "Regime",
     "ShorterPath",
-    "SingularDenominator",
     "UnitQuaternion",
     "classify_regime",
     "conjugate_time_numeric",

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Optional
 
-from .errors import DomainError, SingularDenominator
-# momentum_norm, tau3_derivative and json_text are not called here; perfbench/tracing.py wraps them
+from .errors import DomainError
+# not called here; perfbench/tracing.py wraps momentum_norm, tau_conj, tau3_derivative, json_text
 from .model import BergerMetric, _integer, _pbar3, _real, momentum_norm  # noqa: F401
-from .roots import _DENOM_TINY, _tau3_value, tau3, tau3_derivative, tau_conj  # noqa: F401
+from .roots import _slopes, _tau3_value, _tau_conj_value, tau3, tau3_derivative, tau_conj  # noqa: F401
 from .serialize import fmt17, json_text  # noqa: F401
 
 __all__ = [
@@ -74,10 +74,11 @@ def t_cut_derivative(m: BergerMetric, pbar3: float) -> float:
         2*sqrt(i1) * (tau3'*sqrt(1 + eta*pbar3^2)
                       + tau3*eta*pbar3/sqrt(1 + eta*pbar3^2)).
 
-    It is evaluated in an equal form without that sum, which cancels at
-    huge ``eta``.  Odd in ``pbar3`` and undefined at ``pbar3 = 0``, like
-    ``tau3'``.  For ``eta > 1`` it is positive on (0, 1/eta) and negative on
-    (1/eta, 1]; for ``0 < eta <= 1`` it is positive on (0, 1).
+    It is evaluated in equal forms without that sum, which cancels at huge
+    ``eta``, and without cancelling as ``pbar3 -> 0`` (``tau3_derivative``).
+    Odd in ``pbar3`` and undefined at ``pbar3 = 0``, like ``tau3'``.  For
+    ``eta > 1`` it is positive on (0, 1/eta) and negative on (1/eta, 1];
+    for ``0 < eta <= 1`` it is positive on (0, 1).
     """
     eta = m.eta()
     if eta <= 0.0:
@@ -89,47 +90,36 @@ def t_cut_derivative(m: BergerMetric, pbar3: float) -> float:
 
 
 def _dt_cut(m: BergerMetric, eta: float, pbar3: float, t3: float) -> float:
-    # t_cut_derivative at the root t3 = tau3(eta, pbar3) already solved.  Implicit
-    # differentiation of the cut equation gives
-    #   -2*(sqrt(i1)/sqrt(q)) * cos(w*t3) * (sin(t3) + c*t3*cos(t3)) / D
-    # with q = 1 + eta*pbar3^2, c = eta*(1 - pbar3^2)/q, w = eta*pbar3 and D the
-    # cut equation's t3-derivative over q.  The sin*sin terms of the two summands
-    # cancel exactly here, not in floating point; the factors are ordered so that
-    # no partial product overflows or underflows at any scale.
-    q = 1.0 + eta * pbar3 * pbar3
-    c = eta * (1.0 - pbar3 * pbar3) / q
-    u = eta * pbar3 * t3
-    ct, st, cw, sw = math.cos(t3), math.sin(t3), math.cos(u), math.sin(u)
-    d = pbar3 * ((1.0 + eta) / q) * ct * cw - st * sw
-    if abs(q * d) < _DENOM_TINY:
-        raise SingularDenominator(
-            f"denominator {q * d!r} below {_DENOM_TINY} at eta={eta}, pbar3={pbar3}"
-        )
-    return -2.0 * (math.sqrt(m.i1) / math.sqrt(q)) * cw * (st + c * t3 * ct) / d
+    # t_cut_derivative at the root t3 = tau3(eta, pbar3) already solved; odd.  The
+    # factors are ordered so that no partial product overflows or underflows.
+    d = _slopes(eta, abs(pbar3), t3)[1]
+    return 2.0 * (math.sqrt(m.i1) / math.sqrt(1.0 + eta * pbar3 * pbar3)) * (d if pbar3 > 0.0 else -d)
 
 
-def _warm_t_cut(m: BergerMetric) -> Callable[[float], float]:
-    # t_cut(m, .) on pbar3 in [0, 1] for a caller that moves along the profile in
-    # small steps: the metric is validated once, and each tau3 solve starts at the
-    # secant through the two most recent (pbar3, tau3) pairs, (0, tau_conj(eta, 0))
-    # being the first.  The bracket still moves only by evaluated signs, so every
-    # root is the first one.
+def _warm_roots(m: BergerMetric) -> tuple:
+    # eta, then tau3(eta, .) and tau_conj(eta, .), unchecked, on pbar3 = x in [0, 1]
+    # for a caller that moves along increasing x in small steps; pi when eta <= 0.
+    # Each solve starts at the secant through the two most recent (x, root) pairs
+    # of its root, (0, tau_conj(eta, 0)) being the first for both.  The bracket
+    # still moves only by evaluated signs, so every root is the first one.
     eta = m.eta()
     if eta <= 0.0:
-        return lambda x: _arc_length(m, eta, x, math.pi)
-    tau0 = tau_conj(eta, 0.0)
-    xp, tp = 0.0, tau0  # the most recent pair
-    slope = 0.0  # of the secant through the two most recent pairs
+        return (eta,) + (lambda x: math.pi,) * 2
+    tau0 = _tau_conj_value(eta, 0.0)
 
-    def f(x: float) -> float:
-        nonlocal xp, tp, slope
-        tau = _tau3_value(eta, x, tp + slope * (x - xp)) if x != 0.0 else tau0
-        if x != xp:
-            slope = (tau - tp) / (x - xp)
-        xp, tp = x, tau
-        return _arc_length(m, eta, x, tau)
+    def secant(value: Callable[..., float]) -> Callable[[float], float]:
+        xp, tp, slope = 0.0, tau0, 0.0  # the most recent pair; the secant's slope
 
-    return f
+        def root(x: float) -> float:
+            nonlocal xp, tp, slope
+            tau = value(eta, x, tp + slope * (x - xp)) if x != 0.0 else tau0
+            if x != xp:
+                slope = (tau - tp) / (x - xp)
+            xp, tp = x, tau
+            return tau
+        return root
+
+    return eta, secant(_tau3_value), secant(_tau_conj_value)
 
 
 @dataclass(frozen=True)
@@ -221,23 +211,23 @@ def sample_profile(m: BergerMetric, n: int = 201) -> CutProfile:
     and, for odd ``n``, the midpoint 0 are exact, and so that it is exactly
     antisymmetric: row ``n-1-k`` holds ``-pbar3`` of row ``k``.
 
-    Only the rows with ``pbar3 >= 0`` are solved; each negative row
-    mirrors its positive twin.  ``tau3``, ``tau_conj`` and ``t_cut`` are
-    even and copied, ``dt_cut`` is odd and negated.  Each is even or odd
-    term by term in floating point, so the mirrored floats are the ones
-    solving the row would give.
+    Only the rows with ``pbar3 >= 0`` are solved, in increasing order, each
+    root warm-started from the rows before; each negative row mirrors its
+    positive twin: ``tau3``, ``tau_conj`` and ``t_cut`` are even and copied,
+    ``dt_cut`` is odd and negated.  The roots are those of ``tau3`` and
+    ``tau_conj`` to a few ulp, and the other cells are computed from them.
     """
     n = _integer("n", n, 3)
-    eta = m.eta()
+    eta, tau3_at, tau_conj_at = _warm_roots(m)
     solve = eta > 0.0  # else tau = pi and the root columns stay empty
     half = []  # the rows with pbar3 >= 0, in increasing order
     for k in range(n // 2, n):
         pbar3 = (2 * k - (n - 1)) / (n - 1)
-        tau = tau3(eta, pbar3) if solve else math.pi  # the row's one root solve
+        tau = tau3_at(pbar3)  # the row's one tau3 solve
         half.append(ProfileRow(
             pbar3=pbar3,
             tau3=tau if solve else None,
-            tau_conj=tau_conj(eta, pbar3) if solve else None,
+            tau_conj=tau_conj_at(pbar3) if solve else None,
             t_cut=_arc_length(m, eta, pbar3, tau),
             dt_cut=_dt_cut(m, eta, pbar3, tau) if solve and pbar3 != 0.0 else None,
         ))

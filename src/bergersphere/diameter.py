@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 # t_cut is not called here; perfbench/tracing.py wraps it
-from .cutprofile import _warm_t_cut, t_cut  # noqa: F401
+from .cutprofile import _arc_length, _warm_roots, t_cut  # noqa: F401
 from .model import BergerMetric, Regime, classify_regime
 from .serialize import json_text
 
@@ -86,13 +86,17 @@ def diameter_numeric(m: BergerMetric) -> "tuple[float, float]":
     their maximizer exactly; exact ties are broken toward the smaller
     axis fraction.
     """
-    f = _warm_t_cut(m)
+    eta, tau, _ = _warm_roots(m)
+
+    def f(x: float) -> float:
+        return _arc_length(m, eta, x, tau(x))
+
     best_i = 0
     best_x = 0.0
     best_v = f(0.0)
     for k in range(1, _GRID_N):
         x = k / (_GRID_N - 1)
-        v = f(x)
+        v = _arc_length(m, eta, x, tau(x))  # f(x), one call less in the hot loop
         if v > best_v:
             best_i, best_x, best_v = k, x, v
 

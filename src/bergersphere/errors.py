@@ -11,10 +11,6 @@ class DomainError(ValueError):
     """
 
 
-class SingularDenominator(ArithmeticError):
-    """A closed-form quotient was evaluated too close to a zero denominator."""
-
-
 class NormalizationError(RuntimeError):
     """A conserved quantity drifted beyond tolerance during integration."""
 

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bergersphere.cutprofile import (
     CSV_HEADER,
+    _arc_length,
+    _dt_cut,
     CutProfile,
     ProfileRow,
     sample_profile,
@@ -16,7 +19,7 @@ from bergersphere.cutprofile import (
 )
 from bergersphere.errors import DomainError
 from bergersphere.model import BergerMetric
-from bergersphere.roots import tau3, tau_conj
+from bergersphere.roots import tau3, tau3_derivative, tau_conj
 from bergersphere.serialize import fmt17, json_text
 from bergersphere.verify import _PB_GRID
 
@@ -106,6 +109,51 @@ class TestTCutDerivative:
         for pb in _PB_GRID:
             assert t_cut_derivative(m, pb) < 0.0, (eta, pb)
 
+    # central differences of t_cut in mpmath at 60 digits
+    @pytest.mark.parametrize("i1,pb,want", [
+        (2.0, 1e-10, 3.1637289628395873e-10),
+        (2.0, 1e-6, 3.1637289628331083e-06),
+        (30.0, 1e-10, 1.7330735532447964e-08),
+        (1.5, 1e-10, 1.932157933642176e-10),
+    ])
+    def test_values_near_zero(self, i1, pb, want):
+        assert t_cut_derivative(BergerMetric(i1, 1.0), pb) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("i1,i3", [(2.0, 1.0), (30.0, 1.0), (1.5, 1.0), (2e200, 1e200)])
+    @given(log_s=st.floats(-300.0, -8.0))
+    @settings(max_examples=100, deadline=None)
+    def test_linear_near_zero(self, i1, i3, log_s):
+        # t_cut is even and smooth, so t_cut' = a*s + O(s^3) with (eta*s)^2 < 1e-12 here
+        m = BergerMetric(i1, i3)
+        s = 10.0 ** log_s
+        slope = t_cut_derivative(m, 1e-150) / 1e-150
+        assert t_cut_derivative(m, s) / s == pytest.approx(slope, rel=1e-12, abs=0.0)
+
+    def test_finite_and_signed_at_tiny_pbar3(self):
+        # a 13 x 13 grid of metrics from 5e-324 to 1.7e308; an underflow may give a
+        # zero, but one of the right sign
+        lo, hi = math.log(5e-324), math.log(1.7e308)
+        scales = [5e-324] + [math.exp(lo + (hi - lo) * k / 12) for k in range(1, 12)] + [1.7e308]
+        checked = 0
+        for i1 in scales:
+            for i3 in scales:
+                m = BergerMetric(i1, i3)
+                try:
+                    eta = m.eta()
+                except DomainError:
+                    continue  # i1/i3 overflows
+                if eta <= 0.0:
+                    continue
+                for pb in (5e-324, 1e-300, 1e-15, -1e-15, -1e-300, -5e-324):
+                    d3, dt = tau3_derivative(eta, pb), t_cut_derivative(m, pb)
+                    sign = math.copysign(1.0, pb)
+                    assert math.isfinite(d3) and math.copysign(1.0, d3) == -sign, (i1, i3, pb, d3)
+                    rising = eta * abs(pb) < 1.0  # below the maximum at 1/eta
+                    assert math.isfinite(dt) and math.copysign(1.0, dt) == (
+                        sign if rising else -sign), (i1, i3, pb, dt)
+                    checked += 1
+        assert checked == 300  # 50 metrics with eta > 0
+
     def test_rejects_zero_and_nonpositive_eta(self):
         with pytest.raises(DomainError):
             t_cut_derivative(BergerMetric(3.0, 1.0), 0.0)
@@ -148,18 +196,20 @@ class TestSampleProfile:
                 assert r.dt_cut == pytest.approx(t_cut_derivative(m, r.pbar3), rel=1e-15, abs=0.0)
 
     def test_one_tau3_solve_per_row(self, monkeypatch):
+        # counted at the warm stepper's solve; the pbar3 = 0 row takes tau_conj(eta, 0)
         import bergersphere.cutprofile as cutprofile_module
         calls = []
+        value = cutprofile_module._tau3_value
 
-        def counted(eta, pb):
+        def counted(eta, pb, start):
             calls.append(pb)
-            return tau3(eta, pb)
+            return value(eta, pb, start)
 
-        monkeypatch.setattr(cutprofile_module, "tau3", counted)
-        # one solve per distinct |pbar3|: the negative rows are mirrored
+        monkeypatch.setattr(cutprofile_module, "_tau3_value", counted)
+        # one solve per distinct |pbar3| > 0: the negative rows are mirrored
         sample_profile(BergerMetric(3.0, 1.0), 21)
-        assert len(calls) == 11
-        assert all(pb >= 0.0 for pb in calls)
+        assert len(calls) == 10
+        assert all(pb > 0.0 for pb in calls)
         calls.clear()
         sample_profile(BergerMetric(3.0, 1.0), 20)
         assert len(calls) == 10
@@ -179,14 +229,16 @@ class TestSampleProfile:
             assert (bits(r.tau3), bits(r.tau_conj), bits(r.t_cut)) == (
                 bits(q.tau3), bits(q.tau_conj), bits(q.t_cut))
             assert bits(r.dt_cut) == bits(None if q.dt_cut is None else -q.dt_cut)
-        # a mirrored row holds the bits of solving that row
+        # a mirrored row holds the bits of the cut time and its derivative at the
+        # row's own tau3, and roots within a few ulp of the cold public solves
         for r in rows:
-            assert bits(r.t_cut) == bits(t_cut(m, r.pbar3))
+            tau = r.tau3 if eta > 0.0 else math.pi
+            assert bits(r.t_cut) == bits(_arc_length(m, eta, r.pbar3, tau))
             if eta > 0.0:
-                assert bits(r.tau3) == bits(tau3(eta, r.pbar3))
-                assert bits(r.tau_conj) == bits(tau_conj(eta, r.pbar3))
+                assert abs(r.tau3 - tau3(eta, r.pbar3)) <= 4 * math.ulp(r.tau3)
+                assert abs(r.tau_conj - tau_conj(eta, r.pbar3)) <= 4 * math.ulp(r.tau_conj)
                 if r.pbar3 != 0.0:
-                    assert bits(r.dt_cut) == bits(t_cut_derivative(m, r.pbar3))
+                    assert bits(r.dt_cut) == bits(_dt_cut(m, eta, r.pbar3, tau))
 
     def test_grid_is_exact(self):
         profile = sample_profile(BergerMetric(1.0, 2.0), 9)

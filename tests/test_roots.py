@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import bergersphere.cutprofile as cutprofile_module
 import bergersphere.roots as roots_module
+from bergersphere.cutprofile import sample_profile
 from bergersphere.diameter import diameter_numeric
-from bergersphere.errors import DomainError, SingularDenominator
+from bergersphere.errors import DomainError
 from bergersphere.model import BergerMetric
 from bergersphere.roots import BISECT_TOL, tau3, tau3_derivative, tau_conj
 
@@ -145,6 +147,11 @@ class TestTau3Derivative:
             pb = k / 100
             fd = (tau3(eta, pb + h) - tau3(eta, pb - h)) / (2.0 * h)
             assert tau3_derivative(eta, pb) == pytest.approx(fd, rel=1e-5)
+
+    def test_values_near_zero(self):
+        # central differences of tau3 in mpmath at 60 digits
+        assert tau3_derivative(1.0, 1e-9) == pytest.approx(-9.1021073638035675e-10, rel=1e-12, abs=0.0)
+        assert tau3_derivative(2.0, 1e-12) == pytest.approx(-2.0033542550709653e-12, rel=1e-12, abs=0.0)
 
     def test_rejects_zero_pbar3(self):
         with pytest.raises(DomainError):
@@ -289,3 +296,23 @@ class TestWarmStart:
         assert len(counts) > 500
         assert sum(n for n, _ in counts) / len(counts) <= 3.5
         assert all(n <= 2 * bound + 1 for n, bound in counts)
+
+    @pytest.mark.parametrize("eta", [0.5, 3.0, 1e3, 1e8])
+    def test_profile_evaluations_per_solve(self, eta, monkeypatch):
+        # the same bound for each of the profile's two roots, counted apart
+        counts = []
+        monkeypatch.setattr(roots_module, "_newton", _counting_newton(counts))
+        per_root = {}
+        for name in ("_tau3_value", "_tau_conj_value"):
+            def solve(*args, value=getattr(cutprofile_module, name),
+                      mine=per_root.setdefault(name, [])):
+                before = len(counts)
+                root = value(*args)
+                mine.extend(counts[before:])
+                return root
+            monkeypatch.setattr(cutprofile_module, name, solve)
+        sample_profile(BergerMetric(1.0 + eta, 1.0), 1201)
+        for name, mine in per_root.items():
+            assert len(mine) > 500, name
+            assert sum(n for n, _ in mine) / len(mine) <= 3.5, name
+            assert all(n <= 2 * bound + 1 for n, bound in mine), name
