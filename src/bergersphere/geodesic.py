@@ -19,17 +19,20 @@ The module solves this system two ways:
   step, renormalizing the quaternion after every step.  This is the
   reference integrator; its drift in the conserved quantities is its
   error estimate.
-* ``conjugate_time_numeric`` and ``shorter_path_search`` evaluate the
-  exact flow.  With ``i1 = i2`` the system is the free symmetric top,
-  whose solution is a product of two one-parameter subgroups (see
-  ``_flow``); a test checks it against the integrator.
+* ``conjugate_time_numeric`` and ``shorter_path_search`` use the exact
+  flow.  With ``i1 = i2`` the system is the free symmetric top, whose
+  solution is a product of two one-parameter subgroups (see ``_flow``);
+  a test checks it against the integrator.  The conjugate oracle
+  differentiates that product in closed form; a test checks the
+  derivative against central differences of ``_flow``.
 
 The oracles built on the flow:
 
 * ``exp_map``: endpoint of the geodesic with a given unit-speed momentum;
-* ``conjugate_time_numeric``: first sign change of the determinant of the
+* ``conjugate_time_numeric``: first vanishing of the determinant of the
   differential of the endpoint map, assembled from the endpoint velocity
-  and central-difference derivatives in two level-set directions;
+  and the flow's exact derivatives in two level-set directions, found by
+  a numerical scan;
 * ``shorter_path_search``: damped least-squares shooting that looks for a
   geodesic reaching a given endpoint strictly earlier.
 
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import DomainError, NoConjugatePoint, NormalizationError
 from .model import BergerMetric, Momentum, _integer, _pbar3, _real, momentum_norm
@@ -67,7 +70,6 @@ __all__ = [
 _H_LEVEL_TOL = 1e-10     # admissible deviation of H(p0) from 1/2
 _H_DRIFT_TOL = 1e-6      # relative drift of H that aborts an integration
 _CONJ_GRID_N = 400       # sign-scan resolution for the determinant
-_CONJ_DELTA = 1e-6       # momentum perturbation for the difference quotients
 _SHOOT_MARGIN = 1e-4     # required arrival-time advantage
 _SHOOT_RESIDUAL = 1e-7   # endpoint mismatch accepted as a hit
 
@@ -277,27 +279,6 @@ def conservation_drift(m: BergerMetric, p0: Momentum, p: Momentum) -> "dict[str,
     }
 
 
-def _qlog(w: float, x: float, y: float, z: float) -> tuple:
-    # group logarithm: rotation-vector coordinates, smooth away from -identity
-    vn = math.sqrt(x * x + y * y + z * z)
-    if vn < 1e-300:
-        return (0.0, 0.0, 0.0)
-    s = 2.0 * math.atan2(vn, w) / vn
-    return (s * x, s * y, s * z)
-
-
-def _rel_log(base, other) -> tuple:
-    # log(base^-1 * other) for unit quaternions, the first four entries of flow states
-    bw, bx, by, bz = base[0], -base[1], -base[2], -base[3]
-    ow, ox, oy, oz = other[0], other[1], other[2], other[3]
-    return _qlog(
-        bw * ow - bx * ox - by * oy - bz * oz,
-        bw * ox + bx * ow + by * oz - bz * oy,
-        bw * oy - bx * oz + by * ow + bz * ox,
-        bw * oz + bx * oy - by * ox + bz * ow,
-    )
-
-
 # Dot products are written out left to right, so the rounding is the same on
 # every Python version (``sum`` of floats is compensated since 3.12).
 def _dot(u, v) -> float:
@@ -308,73 +289,83 @@ def _cross(u, v) -> tuple:
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
-def _unit(v) -> tuple:
-    n = math.sqrt(_dot(v, v))
-    return tuple(a / n for a in v)
+def _conjugate_determinant(m: BergerMetric, pbar3: float) -> Callable[[float], float]:
+    """``det(t)`` of the endpoint map's differential along the geodesic with ``pbar3``.
 
+    ``_flow`` at ``phi = 0`` is ``q(t) = exp(a*e) * exp(a*eta*pbar3*e3)``,
+    with ``e = p0/|p0| = (sqrt(1 - pbar3^2), 0, pbar3)`` and
+    ``a = t*|p0|/(2*i1) = t*rate``.  Its left-trivialized derivative along
+    a momentum direction ``v``, times ``|p0|``, is (up to the rotation
+    ``exp(-a*eta*pbar3*e3)``, which leaves the triple product unchanged)
 
-def _level_tangent_basis(m: BergerMetric, p0: Momentum) -> "tuple[tuple, tuple]":
-    # two directions spanning the tangent space of {H = 1/2} at p0
-    grad = _unit((p0.p1 / m.i1, p0.p2 / m.i1, p0.p3 / m.i3))
-    seed = [0.0, 0.0, 0.0]
-    seed[min(range(3), key=lambda j: abs(grad[j]))] = 1.0
-    v1 = _unit(_cross(grad, seed))
-    return v1, _cross(grad, v1)
+        c(v) = a*((e.v)*e + eta*v3*e3)
+               + sin(a)*(cos(a)*(v - (e.v)*e) - sin(a)*(e x v)).
+
+    ``u`` is the direction of both ``omega`` and ``grad H`` at ``p0``, and
+    ``v1, v2`` span the level set's tangent plane with ``v1 x v2 = u``, so
+    ``det(t) = u . (c(v1) x c(v2))`` is the determinant of the columns
+    ``omega``, ``c(v1)``, ``c(v2)`` up to a positive factor that does not
+    depend on ``t``.  Times are in units of ``sqrt(i1)`` through ``rate``,
+    so the columns are the same at every scale.  The determinant is left
+    as a triple product and its zeros to the scan, so the oracle never
+    uses the conjugate equation.
+    """
+    eta = m.eta()
+    e = (math.sqrt(max(0.0, 1.0 - pbar3 * pbar3)), 0.0, pbar3)
+    rate = 0.5 / (math.sqrt(m.i1) * math.sqrt(1.0 + eta * pbar3 * pbar3))
+    n = math.hypot(e[0], (1.0 + eta) * pbar3)
+    u = (e[0] / n, 0.0, (1.0 + eta) * pbar3 / n)
+    columns = []  # per direction: the parts of c(v) multiplied by a, sin*cos and sin^2
+    for v in ((0.0, 1.0, 0.0), (-u[2], 0.0, u[0])):
+        ev = _dot(e, v)
+        along = (ev * e[0], ev * e[1], ev * e[2] + eta * v[2])
+        across = (v[0] - ev * e[0], v[1] - ev * e[1], v[2] - ev * e[2])
+        columns.append(tuple(zip(along, across, _cross(e, v))))
+
+    def det(t: float) -> float:
+        a = t * rate
+        ca, sa = math.cos(a), math.sin(a)
+        c1, c2 = ([a * g + sa * (ca * h - sa * k) for g, h, k in col] for col in columns)
+        return _dot(u, _cross(c1, c2))
+
+    return det
 
 
 def conjugate_time_numeric(m: BergerMetric, pbar3: float, t_max: float) -> float:
     """First conjugate time along the geodesic with axis fraction ``pbar3``.
 
-    Follows the exact flow of the base geodesic and four level-set
-    perturbations of the initial momentum (two directions, central
-    differences with step 1e-6), assembles the differential of the
-    endpoint map in the chart of group-logarithm coordinates at the
-    running endpoint, and locates the first vanishing of its determinant
-    on a 400-point time grid.  The grid is offset by half a step so that
-    samples avoid landing exactly on antipodal points, where the chart
-    would degenerate.  The scan evaluates each grid determinant when it
-    reaches it and stops at the first crossing or accepted tangency, so
-    the grid past the event is never computed.  A sign change
-    is refined by bisection; a deep tangency of ``|det|`` (an even-order
-    zero, which the axis geodesics produce because their conjugate points
-    have multiplicity two) is refined by golden-section minimization.
-    Defined for ``eta > 0``; raises NoConjugatePoint when the determinant
-    neither crosses nor touches zero up to ``t_max``.
+    Differentiates the exact flow in closed form: the determinant of the
+    endpoint map's differential, assembled from the endpoint velocity and
+    the derivatives in two level-set directions (``_conjugate_determinant``),
+    is scanned for its first vanishing on a 400-point time grid.  The grid
+    is offset by half a step because ``det(0) = 0``: every geodesic starts
+    at a degenerate point of the exponential map.  The scan evaluates each
+    grid determinant when it reaches it and stops at the first crossing or
+    accepted tangency, so the grid past the event is never computed.  A
+    sign change is refined by bisection; a deep tangency of ``|det|`` (an
+    even-order zero, which the axis geodesics produce because their
+    conjugate points have multiplicity two) is refined by golden-section
+    minimization.  Two simple zeros in one grid cell also show as a dip
+    without a sign change; when the accepted tangency has the other sign
+    just before it, the earlier zero is found by bisection.  Defined for
+    ``eta > 0``; raises NoConjugatePoint when the determinant neither
+    crosses nor touches zero up to ``t_max``.
     """
     eta = m.eta()
     if eta <= 0.0:
         raise DomainError(f"conjugate times require eta > 0, got eta={eta!r}")
     t_max = _real("t_max", t_max, finite=True, positive=True)
-    p0 = initial_momentum(m, pbar3, 0.0)
-    v1, v2 = _level_tangent_basis(m, p0)
-
-    base = (p0.p1, p0.p2, p0.p3)
-    family = [base]
-    for v in (v1, v2):
-        for sign in (1.0, -1.0):
-            p = [b + sign * _CONJ_DELTA * c for b, c in zip(base, v)]
-            n = math.sqrt(2.0 * _hamiltonian(m.i1, m.i3, *p))
-            family.append(tuple(a / n for a in p))  # back onto the level set
-
-    w = 2.0 * _CONJ_DELTA  # width of the central differences
-
-    def det_at(t: float) -> float:
-        rows = [_flow(m, p, t) for p in family]
-        base_row = rows[0]
-        omega = (base_row[4] / m.i1, base_row[5] / m.i1, base_row[6] / m.i3)
-        l0, l1, l2, l3 = [_rel_log(base_row, row) for row in rows[1:]]
-        c1 = ((l0[0] - l1[0]) / w, (l0[1] - l1[1]) / w, (l0[2] - l1[2]) / w)
-        c2 = ((l2[0] - l3[0]) / w, (l2[1] - l3[1]) / w, (l2[2] - l3[2]) / w)
-        return _dot(omega, _cross(c1, c2))
+    det_at = _conjugate_determinant(m, _pbar3(pbar3))
 
     dt = t_max / _CONJ_GRID_N
     times = [(k + 0.5) * dt for k in range(_CONJ_GRID_N)]
     dets = [det_at(times[0])]  # filled as the scan reaches each time
     tol = 1e-6 * t_max
 
-    def refine_crossing(k: int) -> float:
+    def refine_crossing(k: int, hi: float) -> float:
+        # det changes sign on [times[k - 1], hi]
         fa_sign = dets[k - 1] > 0.0
-        lo, hi = times[k - 1], times[k]
+        lo = times[k - 1]
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
             fm = det_at(mid)
@@ -418,10 +409,13 @@ def conjugate_time_numeric(m: BergerMetric, pbar3: float, t_max: float) -> float
         if dets[k] == 0.0:
             return times[k]
         if (dets[k] > 0.0) != (dets[k - 1] > 0.0):
-            return refine_crossing(k)
+            return refine_crossing(k, times[k])
         if k >= 2 and abs(dets[k - 1]) < abs(dets[k - 2]) and abs(dets[k - 1]) < abs(dets[k]):
             t_star = refine_tangency(k - 1)
             if t_star is not None:
+                # the dip may hold two simple zeros, and the minimization the later one
+                if (det_at(t_star - tol) > 0.0) != (dets[k - 2] > 0.0):
+                    return refine_crossing(k - 1, t_star - tol)
                 return t_star
     raise NoConjugatePoint(f"determinant kept its sign on (0, {t_max}]")
 

@@ -84,7 +84,7 @@ returned as a plain float.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import DomainError
 from .model import _pbar3, _real
@@ -127,10 +127,9 @@ def _newton(fg: Callable[[float], tuple[float, float]], a: float, b: float, tol:
             return x
 
 
-def _tau3_value(eta: float, s: float, start: Optional[float] = None) -> float:
+def _tau3_value(eta: float, s: float, start: float = math.nan) -> float:
     # s = |pbar3| > 0; the bracket, scaling and derivative are the module docstring's.
-    # start, when given, is where Newton begins if it lies inside the bracket;
-    # without it the call is _newton(fg, a, b, tol), the signature tests wrap.
+    # start is where Newton begins if it lies inside the bracket; NaN means the midpoint.
     w = eta * s
     if w < 1.0:
         a, b = 0.5 * math.pi, math.pi
@@ -149,10 +148,7 @@ def _tau3_value(eta: float, s: float, start: Optional[float] = None) -> float:
         cx, sx = math.cos(x), math.sin(x)
         return cx * so + sx * cu, cx * (dso + cu) - sx * so * (1.0 + w * s)
 
-    tol = BISECT_TOL * min(1.0, b)
-    if start is None:
-        return _newton(fg, a, b, tol)
-    return _newton(fg, a, b, tol, start)
+    return _newton(fg, a, b, BISECT_TOL * min(1.0, b), start)
 
 
 def tau3(eta: float, pbar3: float) -> float:
@@ -170,7 +166,7 @@ def tau3(eta: float, pbar3: float) -> float:
     return _tau3_value(eta, s)
 
 
-def _tau_conj_value(eta: float, pbar3: float, start: Optional[float] = None) -> float:
+def _tau_conj_value(eta: float, pbar3: float, start: float = math.nan) -> float:
     # tau_conj for a checked eta > 0 and pbar3; start as for _tau3_value.  c*pi <= sin(pi)
     # is fg(pi)[0] >= 0, as cos(pi) is -1: c == 0, or the root within an ulp of pi.
     c = eta * (1.0 - pbar3 * pbar3) / (1.0 + eta * pbar3 * pbar3)
@@ -181,8 +177,6 @@ def _tau_conj_value(eta: float, pbar3: float, start: Optional[float] = None) -> 
         cx, sx = math.cos(x), math.sin(x)
         return sx + c * x * cx, (1.0 + c) * cx - c * x * sx
 
-    if start is None:
-        return _newton(fg, 0.5 * math.pi, math.pi, BISECT_TOL)
     return _newton(fg, 0.5 * math.pi, math.pi, BISECT_TOL, start)
 
 

@@ -212,6 +212,13 @@ class TestExtremeScales:
         assert code != 1, err
         assert "phi" not in err
 
+    def test_full_verify_with_two_conjugate_zeros_in_one_grid_cell(self, capsys):
+        # near the round metric tau_conj and tau = pi fall in one cell of the
+        # conjugate scan; the oracle must report the first of the two zeros
+        code, out, err = run(capsys, ["--i1", "1.0016710069985971", "--i3", "1",
+                                      "verify", "--level", "full"])
+        assert code == 0, out + err
+
 
 class TestParsing:
     def test_missing_metric_exits_one(self, capsys):

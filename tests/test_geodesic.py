@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bergersphere import geodesic
 from bergersphere.errors import DomainError, NoConjugatePoint, NormalizationError
@@ -20,7 +21,7 @@ from bergersphere.geodesic import (
     initial_momentum,
     shorter_path_search,
 )
-from bergersphere.cutprofile import t_cut
+from bergersphere.cutprofile import _arc_length, t_cut
 from bergersphere.model import BergerMetric, Momentum, momentum_norm
 from bergersphere.roots import tau_conj
 
@@ -127,6 +128,63 @@ def _shorter_path_search_reference(m, p0, t, attempts=12):
             if best is None or x[2] < best.arrival_time:
                 best = ShorterPath(initial_momentum(m, x[0], x[1]), x[2])
     return best
+
+
+def _rel_log_reference(base, other):
+    # log(base^-1 * other) in rotation-vector coordinates, for unit quaternions
+    bw, bx, by, bz = base[0], -base[1], -base[2], -base[3]
+    ow, ox, oy, oz = other[:4]
+    w = bw * ow - bx * ox - by * oy - bz * oz
+    v = np.array([bw * ox + bx * ow + by * oz - bz * oy,
+                  bw * oy - bx * oz + by * ow + bz * ox,
+                  bw * oz + bx * oy - by * ox + bz * ow])
+    vn = np.linalg.norm(v)
+    return v if vn < 1e-300 else 2.0 * math.atan2(vn, w) / vn * v
+
+
+def _determinant_by_differences(m, pbar3, delta=1e-6):
+    # the determinant from _flow alone: the base geodesic and four momenta
+    # perturbed by +-delta along two directions tangent to {H = 1/2}, pulled
+    # back onto the level set; central differences of their group logs
+    # relative to the base endpoint give the two level-set columns
+    p0 = initial_momentum(m, pbar3, 0.0)
+    base = np.array([p0.p1, p0.p2, p0.p3])
+    grad = base / np.array([m.i1, m.i1, m.i3])
+    grad /= np.linalg.norm(grad)
+    seed = np.zeros(3)
+    seed[np.argmin(np.abs(grad))] = 1.0
+    v1 = np.cross(grad, seed)
+    v1 /= np.linalg.norm(v1)
+    family = []
+    for v in (v1, np.cross(grad, v1)):
+        for sign in (1.0, -1.0):
+            p = base + sign * delta * v
+            family.append(p / math.sqrt(p[0] ** 2 / m.i1 + p[1] ** 2 / m.i1 + p[2] ** 2 / m.i3))
+
+    def det(t):
+        row = _flow(m, tuple(base), t)
+        omega = np.array([row[4] / m.i1, row[5] / m.i1, row[6] / m.i3])
+        l0, l1, l2, l3 = (_rel_log_reference(row, _flow(m, tuple(p), t)) for p in family)
+        return float(np.dot(omega, np.cross(l0 - l1, l2 - l3))) / (2.0 * delta) ** 2
+
+    return det
+
+
+# (i1, i3) at which the conjugate agreement check once failed: differences with
+# an absolute step at extreme scales (the first six) and at huge eta (the next
+# two), and two zeros of det in one grid cell (the last)
+_HARD_METRICS = [(1e-150, 1e-151), (1e200, 1e199), (1e-300, 1e-301), (1.7e308, 1e308),
+                 (2e-323, 1e-323), (1e-310, 1e-311), (1e100, 1.0), (1e300, 1.0),
+                 (1.0016710069985971, 1.0)]
+
+
+def _conjugate_deviation(m, pbar3):
+    # relative deviation of the oracle from the conjugate equation's root,
+    # on the horizon of verify's geodesic-conjugate-agreement
+    eta = m.eta()
+    expected = _arc_length(m, eta, pbar3, tau_conj(eta, pbar3))
+    got = conjugate_time_numeric(m, pbar3, 1.02 * _arc_length(m, eta, pbar3, math.pi))
+    return abs(got - expected) / expected
 
 
 class TestUnitQuaternion:
@@ -280,20 +338,65 @@ class TestConjugateTime:
         assert got == pytest.approx(2.0 * math.pi * math.sqrt(2.0), rel=1e-3)
 
     def test_scan_stops_at_the_first_event(self, monkeypatch):
-        # each grid determinant costs 5 flows; the event lies well inside
-        # the horizon, so the scan must not evaluate all 400 of them
+        # the event lies well inside the horizon, so the scan and its
+        # refinement together evaluate fewer determinants than the 400-point grid
         calls = []
-        flow = geodesic._flow
+        factory = geodesic._conjugate_determinant
 
-        def counted(*args):
-            calls.append(None)
-            return flow(*args)
+        def counted_factory(*args):
+            det = factory(*args)
 
-        monkeypatch.setattr(geodesic, "_flow", counted)
+            def counted(t):
+                calls.append(t)
+                return det(t)
+            return counted
+
+        monkeypatch.setattr(geodesic, "_conjugate_determinant", counted_factory)
         norm = momentum_norm(ETA_ONE, 0.5)
         got = conjugate_time_numeric(ETA_ONE, 0.5, 1.02 * 2.0 * math.pi * ETA_ONE.i1 / norm)
         assert got == 4.954471014924213
-        assert len(calls) < 5 * 400
+        assert 0 < len(calls) < 400
+
+    @pytest.mark.parametrize("eta", [0.05, 0.5, 1.0, 5.0, 49.0])
+    @pytest.mark.parametrize("pb", [-1.0, 0.0, 0.3, 1.0])
+    def test_closed_form_is_a_constant_multiple_of_differences(self, eta, pb):
+        # differences of _flow approximate the same determinant up to a positive
+        # factor |omega|*(2/|p0|)^2 that does not depend on t
+        m = BergerMetric(1.3 * (1.0 + eta), 1.3)
+        exact = geodesic._conjugate_determinant(m, pb)
+        by_differences = _determinant_by_differences(m, pb)
+        horizon = 2.0 * math.sqrt(m.i1) * 2.0 * math.pi * math.sqrt(1.0 + eta * pb * pb)
+        times = [horizon * (k + 0.5) / 97 for k in range(97)]
+        dets = [exact(t) for t in times]
+        big = max(abs(d) for d in dets)
+        # away from the zeros of det, where the quotient is ill-conditioned
+        ratios = [by_differences(t) / d for t, d in zip(times, dets) if abs(d) > 1e-2 * big]
+        assert len(ratios) > 50
+        assert min(ratios) > 0.0
+        assert max(ratios) / min(ratios) - 1.0 < 1e-6
+
+    @pytest.mark.parametrize("i1,i3,pb", [
+        (1.0016710069985971, 1.0, 0.0),
+        (1.1508008516160818, 1.0, 0.9968260965283151),
+    ])
+    def test_two_zeros_in_one_cell(self, i1, i3, pb):
+        # det has two simple zeros in one grid cell, so the scan sees a dip
+        # without a sign change; the first zero is the conjugate time
+        assert _conjugate_deviation(BergerMetric(i1, i3), pb) < 1e-5
+
+    @settings(max_examples=40, deadline=None)
+    @given(mantissa=st.floats(1.0, 2.0, exclude_max=True), exponent=st.integers(-1074, 1019))
+    def test_agreement_at_every_scale(self, mantissa, exponent):
+        # i1 = 10*i3 with i3 log-uniform over the positive floats, subnormals included
+        i3 = math.ldexp(mantissa, exponent)
+        m = BergerMetric(10.0 * i3, i3)
+        for pb in (0.0, 0.5):
+            assert _conjugate_deviation(m, pb) < 1e-3, (m, pb)
+
+    @pytest.mark.parametrize("i1,i3", _HARD_METRICS)
+    def test_agreement_at_hard_metrics(self, i1, i3):
+        for pb in (0.0, 0.5):
+            assert _conjugate_deviation(BergerMetric(i1, i3), pb) < 1e-3, pb
 
     def test_rejects_nonpositive_eta(self):
         with pytest.raises(DomainError):

@@ -207,12 +207,12 @@ class TestNewtonAgainstBisection:
         import bergersphere.roots as roots_module
         counts = []  # (evaluations, evaluations of plain bisection) per solve
 
-        def counted(fg, a, b, tol):
+        def counted(fg, a, b, tol, *start):
             def evaluate(x):
                 counts[-1][0] += 1
                 return fg(x)
             counts.append([0, max(1, math.ceil(math.log2(max(1.0, (b - a) / tol))))])
-            return newton(evaluate, a, b, tol)
+            return newton(evaluate, a, b, tol, *start)
 
         newton = roots_module._newton
         monkeypatch.setattr(roots_module, "_newton", counted)
