@@ -14,17 +14,17 @@ the round-case calibration: for ``i1 = i3 = I`` the flow must reach
 
 The module solves this system two ways:
 
-* ``exp_map`` and ``endpoint_state`` integrate the joint 7-dimensional
-  system with a fixed-step classical 4th-order scheme at the caller's
-  step, renormalizing the quaternion after every step.  This is the
-  reference integrator; its drift in the conserved quantities is its
-  error estimate.
+* ``exp_map`` and ``endpoint_state`` integrate the joint system with a
+  fixed-step classical 4th-order scheme for ``i1 = i2``, holding ``p3``
+  because the momentum equation itself gives ``dp3/dt = 0``.  They
+  renormalize the quaternion every step; the drift in the conserved
+  quantities is this reference integrator's error estimate.
 * ``conjugate_time_numeric`` and ``shorter_path_search`` use the exact
   flow.  With ``i1 = i2`` the system is the free symmetric top, whose
   solution is a product of two one-parameter subgroups (see ``_flow``);
-  a test checks it against the integrator.  The conjugate oracle
-  differentiates that product in closed form; a test checks the
-  derivative against central differences of ``_flow``.
+  a test checks it against the integrator.  Both oracles differentiate
+  the flow in closed form where they can; tests check the derivatives
+  against central differences of ``_flow``.
 
 The oracles built on the flow:
 
@@ -110,68 +110,62 @@ def _rk4(y: tuple, a1: float, a3: float, h: float, n: int) -> tuple:
     """n fixed classical RK4 steps of the joint flow, renormalizing q each step.
 
     ``y = (qw, qx, qy, qz, p1, p2, p3)``; ``a1 = 1/i1`` and ``a3 = 1/i3``.
-    Each stage evaluates the right-hand side
+    With ``i1 = i2``, ``dp3/dt = 0``: each stage evaluates the right-hand side
 
-        dq = (1/2) * q * (w1, w2, w3),   dp = p x (w1, w2, w3),
-        (w1, w2, w3) = (p1*a1, p2*a1, p3*a3)
+        dq = q * (p1*c1, p2*c1, w3),   dp = (b*p2, -b*p1, 0),
+        c1 = a1/2,   w3 = a3*p3/2,   b = (a3 - a1)*p3
 
-    on scalar locals.
+    on scalar locals; folding the 1/2 of ``q*Omega/2`` into ``c1, w3`` is exact.
     """
     qw, qx, qy, qz, p1, p2, p3 = y
     hh = 0.5 * h
     h6 = h / 6.0
+    c1 = 0.5 * a1
+    w3 = 0.5 * a3 * p3
+    b = (a3 - a1) * p3
     for _ in range(n):
         # k1 at y
-        w1 = p1 * a1; w2 = p2 * a1; w3 = p3 * a3
-        aw = -0.5 * (qx * w1 + qy * w2 + qz * w3)
-        ax = 0.5 * (qw * w1 + qy * w3 - qz * w2)
-        ay = 0.5 * (qw * w2 + qz * w1 - qx * w3)
-        az = 0.5 * (qw * w3 + qx * w2 - qy * w1)
-        ap1 = p2 * w3 - p3 * w2
-        ap2 = p3 * w1 - p1 * w3
-        ap3 = p1 * w2 - p2 * w1
+        u1 = p1 * c1; u2 = p2 * c1
+        aw = -(qx * u1 + qy * u2 + qz * w3)
+        ax = qw * u1 + qy * w3 - qz * u2
+        ay = qw * u2 + qz * u1 - qx * w3
+        az = qw * w3 + qx * u2 - qy * u1
+        ap1 = b * p2; ap2 = -b * p1
         # k2 at y + h/2*k1
         sw = qw + hh * aw; sx = qx + hh * ax; sy = qy + hh * ay; sz = qz + hh * az
-        s1 = p1 + hh * ap1; s2 = p2 + hh * ap2; s3 = p3 + hh * ap3
-        w1 = s1 * a1; w2 = s2 * a1; w3 = s3 * a3
-        bw = -0.5 * (sx * w1 + sy * w2 + sz * w3)
-        bx = 0.5 * (sw * w1 + sy * w3 - sz * w2)
-        by = 0.5 * (sw * w2 + sz * w1 - sx * w3)
-        bz = 0.5 * (sw * w3 + sx * w2 - sy * w1)
-        bp1 = s2 * w3 - s3 * w2
-        bp2 = s3 * w1 - s1 * w3
-        bp3 = s1 * w2 - s2 * w1
+        s1 = p1 + hh * ap1; s2 = p2 + hh * ap2
+        u1 = s1 * c1; u2 = s2 * c1
+        bw = -(sx * u1 + sy * u2 + sz * w3)
+        bx = sw * u1 + sy * w3 - sz * u2
+        by = sw * u2 + sz * u1 - sx * w3
+        bz = sw * w3 + sx * u2 - sy * u1
+        bp1 = b * s2; bp2 = -b * s1
         # k3 at y + h/2*k2
         sw = qw + hh * bw; sx = qx + hh * bx; sy = qy + hh * by; sz = qz + hh * bz
-        s1 = p1 + hh * bp1; s2 = p2 + hh * bp2; s3 = p3 + hh * bp3
-        w1 = s1 * a1; w2 = s2 * a1; w3 = s3 * a3
-        cw = -0.5 * (sx * w1 + sy * w2 + sz * w3)
-        cx = 0.5 * (sw * w1 + sy * w3 - sz * w2)
-        cy = 0.5 * (sw * w2 + sz * w1 - sx * w3)
-        cz = 0.5 * (sw * w3 + sx * w2 - sy * w1)
-        cp1 = s2 * w3 - s3 * w2
-        cp2 = s3 * w1 - s1 * w3
-        cp3 = s1 * w2 - s2 * w1
+        s1 = p1 + hh * bp1; s2 = p2 + hh * bp2
+        u1 = s1 * c1; u2 = s2 * c1
+        cw = -(sx * u1 + sy * u2 + sz * w3)
+        cx = sw * u1 + sy * w3 - sz * u2
+        cy = sw * u2 + sz * u1 - sx * w3
+        cz = sw * w3 + sx * u2 - sy * u1
+        cp1 = b * s2; cp2 = -b * s1
         # k4 at y + h*k3
         sw = qw + h * cw; sx = qx + h * cx; sy = qy + h * cy; sz = qz + h * cz
-        s1 = p1 + h * cp1; s2 = p2 + h * cp2; s3 = p3 + h * cp3
-        w1 = s1 * a1; w2 = s2 * a1; w3 = s3 * a3
-        dw = -0.5 * (sx * w1 + sy * w2 + sz * w3)
-        dx = 0.5 * (sw * w1 + sy * w3 - sz * w2)
-        dy = 0.5 * (sw * w2 + sz * w1 - sx * w3)
-        dz = 0.5 * (sw * w3 + sx * w2 - sy * w1)
-        dp1 = s2 * w3 - s3 * w2
-        dp2 = s3 * w1 - s1 * w3
-        dp3 = s1 * w2 - s2 * w1
-        # y + h/6*(k1 + 2*(k2 + k3) + k4), then q renormalized
+        s1 = p1 + h * cp1; s2 = p2 + h * cp2
+        u1 = s1 * c1; u2 = s2 * c1
+        dw = -(sx * u1 + sy * u2 + sz * w3)
+        dx = sw * u1 + sy * w3 - sz * u2
+        dy = sw * u2 + sz * u1 - sx * w3
+        dz = sw * w3 + sx * u2 - sy * u1
+        dp1 = b * s2; dp2 = -b * s1
+        # y + h/6*(k1 + 2*(k2 + k3) + k4); hypot cannot overflow, so divergence gives NaN
         qw = qw + h6 * (aw + 2.0 * (bw + cw) + dw)
         qx = qx + h6 * (ax + 2.0 * (bx + cx) + dx)
         qy = qy + h6 * (ay + 2.0 * (by + cy) + dy)
         qz = qz + h6 * (az + 2.0 * (bz + cz) + dz)
         p1 = p1 + h6 * (ap1 + 2.0 * (bp1 + cp1) + dp1)
         p2 = p2 + h6 * (ap2 + 2.0 * (bp2 + cp2) + dp2)
-        p3 = p3 + h6 * (ap3 + 2.0 * (bp3 + cp3) + dp3)
-        r = 1.0 / math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+        r = 1.0 / math.hypot(qw, qx, qy, qz)
         qw = qw * r; qx = qx * r; qy = qy * r; qz = qz * r
     return (qw, qx, qy, qz, p1, p2, p3)
 
@@ -254,9 +248,10 @@ def endpoint_state(m: BergerMetric, p0: Momentum, t: float, step: float) -> Geod
     n = math.ceil(t / step)
     y = _rk4((1.0, 0.0, 0.0, 0.0, p0.p1, p0.p2, p0.p3), 1.0 / m.i1, 1.0 / m.i3, t / n, n)
     h_end = _hamiltonian(m.i1, m.i3, y[4], y[5], y[6])
-    if not abs(h_end - 0.5) <= _H_DRIFT_TOL * 0.5:  # a diverged run gives NaN
+    # a diverged run gives NaN, in q alone where p is conserved exactly
+    if not abs(h_end - 0.5) <= _H_DRIFT_TOL * 0.5 or math.isnan(y[0] + y[1] + y[2] + y[3]):
         raise NormalizationError(
-            f"Hamiltonian drifted to {h_end!r} over t={t!r} with {n} steps"
+            f"Hamiltonian drifted to {h_end!r}, q to {y[:4]!r} over t={t!r} with {n} steps"
         )
     return GeodesicState(
         q=UnitQuaternion(y[0], y[1], y[2], y[3]),
@@ -302,13 +297,15 @@ def _conjugate_determinant(m: BergerMetric, pbar3: float) -> Callable[[float], f
                + sin(a)*(cos(a)*(v - (e.v)*e) - sin(a)*(e x v)).
 
     ``u`` is the direction of both ``omega`` and ``grad H`` at ``p0``, and
-    ``v1, v2`` span the level set's tangent plane with ``v1 x v2 = u``, so
+    ``v1, v2`` span the level set's tangent plane with ``v1 x v2 = s*u``, so
     ``det(t) = u . (c(v1) x c(v2))`` is the determinant of the columns
     ``omega``, ``c(v1)``, ``c(v2)`` up to a positive factor that does not
-    depend on ``t``.  Times are in units of ``sqrt(i1)`` through ``rate``,
-    so the columns are the same at every scale.  The determinant is left
-    as a triple product and its zeros to the scan, so the oracle never
-    uses the conjugate equation.
+    depend on ``t``.  The power of two ``s``, 1 below ``eta = 2**1000``,
+    keeps ``a*eta*v3`` finite up to the float maximum; it scales ``c(v2)``
+    exactly.  Times are in units of ``sqrt(i1)`` through ``rate``, so the
+    columns are the same at every scale.  The determinant is left as a
+    triple product and its zeros to the scan, so the oracle never uses
+    the conjugate equation.
     """
     eta = m.eta()
     e = (math.sqrt(max(0.0, 1.0 - pbar3 * pbar3)), 0.0, pbar3)
@@ -316,7 +313,8 @@ def _conjugate_determinant(m: BergerMetric, pbar3: float) -> Callable[[float], f
     n = math.hypot(e[0], (1.0 + eta) * pbar3)
     u = (e[0] / n, 0.0, (1.0 + eta) * pbar3 / n)
     columns = []  # per direction: the parts of c(v) multiplied by a, sin*cos and sin^2
-    for v in ((0.0, 1.0, 0.0), (-u[2], 0.0, u[0])):
+    s = math.ldexp(1.0, min(0, 1000 - math.frexp(eta)[1]))
+    for v in ((0.0, 1.0, 0.0), (-u[2] * s, 0.0, u[0] * s)):
         ev = _dot(e, v)
         along = (ev * e[0], ev * e[1], ev * e[2] + eta * v[2])
         across = (v[0] - ev * e[0], v[1] - ev * e[1], v[2] - ev * e[2])
@@ -442,6 +440,11 @@ def shorter_path_search(
     the cut time of ``p0`` the search comes up empty; past it, it finds
     the competing geodesic.
 
+    The Jacobian's ``phi`` column is ``e3 x q``, because rotating the
+    momentum about ``e3`` conjugates the flow, and its arrival column is
+    ``dq/dt = q*Omega/2``; only the ``pbar3`` column, singular at
+    ``|pbar3| = 1``, is a one-sided difference.
+
     A trial step can leave the floats at extreme scales, as at
     ``BergerMetric(1.7e308, 1e308)``.  A trial point with a NaN
     coordinate has a NaN cost, which never compares below the current
@@ -454,56 +457,49 @@ def shorter_path_search(
 
     tw, tx, ty, tz = _flow(m, (p0.p1, p0.p2, p0.p3), t)[:4]
     t_lo, t_hi = 0.02 * t, 1.2 * t
-    i1, eta = m.i1, m.eta()
+    i1, i3, eta = m.i1, m.i3, m.eta()
 
-    def residual(pbar3: float, phi: float, arrival: float) -> tuple:
+    def flow_at(pbar3: float, phi: float, arrival: float) -> tuple:
         # initial_momentum's arithmetic without its validation: pbar3 is
-        # clamped to [-1, 1], and a NaN entry only makes the residual NaN
+        # clamped to [-1, 1], and a NaN entry only makes the row NaN
         norm = math.sqrt(i1 / (1.0 + eta * pbar3 * pbar3))
-        s = math.sqrt(max(0.0, 1.0 - pbar3 * pbar3))
-        qw, qx, qy, qz, _, _, _ = _flow(
-            m, (norm * s * math.cos(phi), norm * s * math.sin(phi), norm * pbar3), arrival
-        )
-        return (qw - tw, qx - tx, qy - ty, qz - tz)
+        eq = norm * math.sqrt(max(0.0, 1.0 - pbar3 * pbar3))
+        return _flow(m, (eq * math.cos(phi), eq * math.sin(phi), norm * pbar3), arrival)
 
     # A point is clamped by min(hi, max(lo, v)) written as comparisons, so a
     # NaN maps to lo; the current point is clamped, so only moved coordinates are.
-    d_time = 1e-6 * max(t, 1.0)  # difference step in the arrival time
     best: Optional[ShorterPath] = None
     for k in range(attempts):
         pbar3, phi = _r2_seed(k)
         arrival = 0.95 * t
-        r0, r1, r2, r3 = residual(pbar3, phi, arrival)
+        qw, qx, qy, qz, p1, p2, p3 = flow_at(pbar3, phi, arrival)
+        r0 = qw - tw; r1 = qx - tx; r2 = qy - ty; r3 = qz - tz
         cost = r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3
         lam = 1e-3
         for _ in range(30):
             if math.sqrt(cost) < _SHOOT_RESIDUAL:
                 break
-            # the 4x3 Jacobian by forward differences, one column per coordinate
+            # the 4x3 Jacobian at the current row; j10 = j13 = 0
             d = -1e-6 if pbar3 + 1e-6 > 1.0 else 1e-6
             v = pbar3 + d
             v = v if v > -1.0 else -1.0
-            e0, e1, e2, e3 = residual(v if v < 1.0 else 1.0, phi, arrival)
-            j00 = (e0 - r0) / d; j01 = (e1 - r1) / d; j02 = (e2 - r2) / d; j03 = (e3 - r3) / d
-            e0, e1, e2, e3 = residual(pbar3, phi + 1e-6, arrival)
-            j10 = (e0 - r0) / 1e-6; j11 = (e1 - r1) / 1e-6
-            j12 = (e2 - r2) / 1e-6; j13 = (e3 - r3) / 1e-6
-            v = arrival + d_time
-            v = v if v > t_lo else t_lo
-            e0, e1, e2, e3 = residual(pbar3, phi, v if v < t_hi else t_hi)
-            j20 = (e0 - r0) / d_time; j21 = (e1 - r1) / d_time
-            j22 = (e2 - r2) / d_time; j23 = (e3 - r3) / d_time
+            e0, e1, e2, e3 = flow_at(v if v < 1.0 else 1.0, phi, arrival)[:4]
+            j00 = (e0 - qw) / d; j01 = (e1 - qx) / d; j02 = (e2 - qy) / d; j03 = (e3 - qz) / d
+            j11 = -qy; j12 = qx
+            o1 = 0.5 * p1 / i1; o2 = 0.5 * p2 / i1; o3 = 0.5 * p3 / i3
+            j20 = -(qx * o1 + qy * o2 + qz * o3); j21 = qw * o1 + qy * o3 - qz * o2
+            j22 = qw * o2 + qz * o1 - qx * o3; j23 = qw * o3 + qx * o2 - qy * o1
             # J^T J (symmetric: u_k*v_k == v_k*u_k exactly) and g = -J^T r;
             # "+ 0.0" turns an off-diagonal -0.0 into 0.0, as adding the
             # damping's zero entries did in the matrix form
             a00 = j00 * j00 + j01 * j01 + j02 * j02 + j03 * j03
-            a11 = j10 * j10 + j11 * j11 + j12 * j12 + j13 * j13
+            a11 = j11 * j11 + j12 * j12
             a22 = j20 * j20 + j21 * j21 + j22 * j22 + j23 * j23
-            a01 = (j00 * j10 + j01 * j11 + j02 * j12 + j03 * j13) + 0.0
+            a01 = (j01 * j11 + j02 * j12) + 0.0
             a02 = (j00 * j20 + j01 * j21 + j02 * j22 + j03 * j23) + 0.0
-            a12 = (j10 * j20 + j11 * j21 + j12 * j22 + j13 * j23) + 0.0
+            a12 = (j11 * j21 + j12 * j22) + 0.0
             g0 = -(j00 * r0 + j01 * r1 + j02 * r2 + j03 * r3)
-            g1 = -(j10 * r0 + j11 * r1 + j12 * r2 + j13 * r3)
+            g1 = -(j11 * r1 + j12 * r2)
             g2 = -(j20 * r0 + j21 * r1 + j22 * r2 + j23 * r3)
             accepted = False
             for _ in range(8):
@@ -525,10 +521,12 @@ def shorter_path_search(
                 t_try = arrival + (g0 * m20 + g1 * m21 + g2 * m22) / det
                 t_try = t_try if t_try > t_lo else t_lo
                 t_try = t_try if t_try < t_hi else t_hi
-                e0, e1, e2, e3 = residual(pb_try, phi_try, t_try)
+                row = flow_at(pb_try, phi_try, t_try)
+                e0 = row[0] - tw; e1 = row[1] - tx; e2 = row[2] - ty; e3 = row[3] - tz
                 cost_try = e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3
                 if cost_try < cost:
                     pbar3, phi, arrival = pb_try, phi_try, t_try
+                    qw, qx, qy, qz, p1, p2, p3 = row
                     r0, r1, r2, r3, cost = e0, e1, e2, e3, cost_try
                     lam = max(lam * 0.3, 1e-12)
                     accepted = True

@@ -33,18 +33,24 @@ def quaternion_distance(q: UnitQuaternion, w, x, y, z) -> float:
     return max(abs(q.w - w), abs(q.x - x), abs(q.y - y), abs(q.z - z))
 
 
-def _rhs_reference(a1, a3, y):
-    qw, qx, qy, qz, p1, p2, p3 = y
-    w1 = p1 * a1; w2 = p2 * a1; w3 = p3 * a3
+def _q_times_vector_reference(q, v):
+    # the quaternion product q * (0, v)
+    qw, qx, qy, qz = q[:4]
     return (
-        -0.5 * (qx * w1 + qy * w2 + qz * w3),
-        0.5 * (qw * w1 + qy * w3 - qz * w2),
-        0.5 * (qw * w2 + qz * w1 - qx * w3),
-        0.5 * (qw * w3 + qx * w2 - qy * w1),
-        p2 * w3 - p3 * w2,
-        p3 * w1 - p1 * w3,
-        p1 * w2 - p2 * w1,
+        -(qx * v[0] + qy * v[1] + qz * v[2]),
+        qw * v[0] + qy * v[2] - qz * v[1],
+        qw * v[1] + qz * v[0] - qx * v[2],
+        qw * v[2] + qx * v[1] - qy * v[0],
     )
+
+
+def _rhs_reference(a1, a3, y):
+    # the right-hand side for i1 = i2, where dp3/dt = 0 and the momentum turns
+    # about e3; the 1/2 of dq = q*Omega/2 is folded into Omega
+    p1, p2, p3 = y[4:]
+    b = (a3 - a1) * p3
+    return (*_q_times_vector_reference(y, (p1 * (0.5 * a1), p2 * (0.5 * a1), 0.5 * a3 * p3)),
+            b * p2, -b * p1, 0.0)
 
 
 def _rk4_reference(y, a1, a3, h, n):
@@ -56,13 +62,20 @@ def _rk4_reference(y, a1, a3, h, n):
         k3 = _rhs_reference(a1, a3, [u + 0.5 * h * k for u, k in zip(y, k2)])
         k4 = _rhs_reference(a1, a3, [u + h * k for u, k in zip(y, k3)])
         y = [u + h / 6.0 * (a + 2.0 * (b + c) + d) for u, a, b, c, d in zip(y, k1, k2, k3, k4)]
-        r = 1.0 / math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2] + y[3] * y[3])
+        r = 1.0 / math.hypot(*y[:4])
         y = (y[0] * r, y[1] * r, y[2] * r, y[3] * r, y[4], y[5], y[6])
     return y
 
 
 def _dot4_reference(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
+
+
+def _closed_form_columns_reference(m, row):
+    # the shooting Jacobian's phi and arrival columns at a _flow row:
+    # dq/dphi = e3 x q and dq/dt = q*Omega/2
+    omega = (0.5 * row[4] / m.i1, 0.5 * row[5] / m.i1, 0.5 * row[6] / m.i3)
+    return [0.0, -row[2], row[1], 0.0], _q_times_vector_reference(row, omega)
 
 
 def _shorter_path_search_reference(m, p0, t, attempts=12):
@@ -72,14 +85,16 @@ def _shorter_path_search_reference(m, p0, t, attempts=12):
     t_lo, t_hi = 0.02 * t, 1.2 * t
     i1, eta = m.i1, m.eta()
 
-    def residual(x):
+    def flow_at(x):
         pbar3, phi, arrival = x
         norm = math.sqrt(i1 / (1.0 + eta * pbar3 * pbar3))
         s = math.sqrt(max(0.0, 1.0 - pbar3 * pbar3))
-        qw, qx, qy, qz = _flow(
+        return _flow(
             m, (norm * s * math.cos(phi), norm * s * math.sin(phi), norm * pbar3), arrival
-        )[:4]
-        return (qw - tw, qx - tx, qy - ty, qz - tz)
+        )
+
+    def residual(row):
+        return (row[0] - tw, row[1] - tx, row[2] - ty, row[3] - tz)
 
     def clamp(x):
         return (min(1.0, max(-1.0, x[0])), x[1], min(t_hi, max(t_lo, x[2])))
@@ -88,36 +103,34 @@ def _shorter_path_search_reference(m, p0, t, attempts=12):
     for k in range(attempts):
         pb_seed, phi_seed = _r2_seed(k)
         x = (pb_seed, phi_seed, 0.95 * t)
-        r = residual(x)
+        row = flow_at(x)
+        r = residual(row)
         cost = _dot4_reference(r, r)
         lam = 1e-3
         for _ in range(30):
             if math.sqrt(cost) < 1e-7:
                 break
-            jac = []
-            for j in range(3):
-                d = 1e-6 * (max(t, 1.0) if j == 2 else 1.0)
-                if j == 0 and x[0] + d > 1.0:
-                    d = -d
-                xp = list(x)
-                xp[j] += d
-                jac.append([(a - b) / d for a, b in zip(residual(clamp(xp)), r)])
+            d = -1e-6 if x[0] + 1e-6 > 1.0 else 1e-6
+            moved = flow_at(clamp((x[0] + d, x[1], x[2])))
+            by_pbar3 = [(a - b) / d for a, b in zip(moved, row[:4])]
+            jac = [by_pbar3, *_closed_form_columns_reference(m, row)]
             a_mat = [[_dot4_reference(u, v) for v in jac] for u in jac]
             g_vec = [-_dot4_reference(u, r) for u in jac]
             accepted = False
             for _ in range(8):
-                c0, c1, c2 = ([a + (lam if i == j else 0.0) for j, a in enumerate(row)]
-                              for i, row in enumerate(a_mat))
+                c0, c1, c2 = ([a + (lam if i == j else 0.0) for j, a in enumerate(row_a)]
+                              for i, row_a in enumerate(a_mat))
                 minors = (_cross(c1, c2), _cross(c2, c0), _cross(c0, c1))
                 det = _dot(c0, minors[0])
                 if det == 0.0:
                     lam *= 4.0
                     continue
                 x_try = clamp([a + _dot(g_vec, mn) / det for a, mn in zip(x, minors)])
-                r_try = residual(x_try)
+                row_try = flow_at(x_try)
+                r_try = residual(row_try)
                 cost_try = _dot4_reference(r_try, r_try)
                 if cost_try < cost:
-                    x, r, cost = x_try, r_try, cost_try
+                    x, row, r, cost = x_try, row_try, r_try, cost_try
                     lam = max(lam * 0.3, 1e-12)
                     accepted = True
                     break
@@ -297,6 +310,15 @@ class TestExpMap:
         with pytest.raises(NormalizationError):
             endpoint_state(m, initial_momentum(m, 0.5, 0.0), t, t / 2000.0)
 
+    @pytest.mark.parametrize("pb", [-1.0, 0.0, 1.0])
+    def test_diverged_quaternion_is_a_normalization_error(self, pb):
+        # these momenta are conserved exactly, so only q shows the divergence;
+        # it must not reach UnitQuaternion's validation as invalid input
+        m = BergerMetric(2.0, 1.0)
+        t = 1e300
+        with pytest.raises(NormalizationError):
+            endpoint_state(m, initial_momentum(m, pb, 0.7), t, t / 1000.0)
+
     def test_rejects_momentum_off_level(self):
         with pytest.raises(DomainError):
             exp_map(ROUND, Momentum(0.0, 0.0, 2.0), 1.0, 1e-4)
@@ -398,6 +420,12 @@ class TestConjugateTime:
         for pb in (0.0, 0.5):
             assert _conjugate_deviation(BergerMetric(i1, i3), pb) < 1e-3, pb
 
+    def test_agreement_near_the_float_maximum(self):
+        # past eta = 5e307 the term a*eta*v3 of the determinant overflows
+        # unless its column is scaled; pbar3 = 0.5 is left out because its
+        # conjugate time is itself past the float maximum at this metric
+        assert _conjugate_deviation(BergerMetric(1.7e308, 1.0), 0.0) < 1e-3
+
     def test_rejects_nonpositive_eta(self):
         with pytest.raises(DomainError):
             conjugate_time_numeric(BergerMetric(1.0, 2.0), 0.5, 10.0)
@@ -471,6 +499,46 @@ class TestShorterPathSearch:
                 t = factor * tc
                 got = shorter_path_search(m, p0, t, attempts=10)
                 assert got == _shorter_path_search_reference(m, p0, t, attempts=10)
+
+    @pytest.mark.parametrize("eta", [-0.5, 0.3, 3.0, 49.0])
+    def test_closed_form_columns_match_differences(self, eta):
+        m = BergerMetric(1.3 * (1.0 + eta), 1.3)
+
+        def q_at(pbar3, phi, arrival):
+            p = initial_momentum(m, pbar3, phi)
+            return np.array(_flow(m, (p.p1, p.p2, p.p3), arrival)[:4])
+
+        for pbar3, phi, arrival in [(-0.7, 0.4, 2.0), (0.0, 2.5, 7.0), (0.3, 4.0, 11.0),
+                                    (0.95, 5.9, 23.0)]:
+            p = initial_momentum(m, pbar3, phi)
+            row = _flow(m, (p.p1, p.p2, p.p3), arrival)
+            h = 1e-5
+            by_differences = (
+                (q_at(pbar3, phi + h, arrival) - q_at(pbar3, phi - h, arrival)) / (2.0 * h),
+                (q_at(pbar3, phi, arrival + h) - q_at(pbar3, phi, arrival - h)) / (2.0 * h),
+            )
+            for exact, approx in zip(_closed_form_columns_reference(m, row), by_differences):
+                exact = np.array(exact)
+                assert np.abs(exact - approx).max() <= 1e-6 * np.abs(exact).max()
+
+    def test_benchmark_like_draws_hit_only_past_the_cut(self):
+        # eta log-uniform in [0.2, 1e3] and pbar3 >= 0.25 past eta = 10, where
+        # the search is known not to miss
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            eta = float(np.exp(rng.uniform(math.log(0.2), math.log(1e3))))
+            pb = float(rng.uniform(0.0, 1.0)) if eta <= 10.0 else float(rng.uniform(0.25, 1.0))
+            i3 = float(np.exp(rng.uniform(math.log(0.5), math.log(2.0))))
+            m = BergerMetric((1.0 + eta) * i3, i3)
+            p0 = initial_momentum(m, pb, float(rng.uniform(0.0, 2.0 * math.pi)))
+            tc = t_cut(m, pb)
+            assert shorter_path_search(m, p0, 0.9 * tc) is None, (m, pb)
+            hit = shorter_path_search(m, p0, 1.1 * tc)
+            assert hit is not None, (m, pb)
+            target = _flow(m, (p0.p1, p0.p2, p0.p3), 1.1 * tc)[:4]
+            p = hit.momentum
+            reached = _flow(m, (p.p1, p.p2, p.p3), hit.arrival_time)[:4]
+            assert max(abs(a - b) for a, b in zip(target, reached)) < 1e-6
 
     def test_accepts_numpy_integer_attempts(self):
         p0, t = Momentum(0.0, 0.0, 1.0), 3.0 * math.pi
