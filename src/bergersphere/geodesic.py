@@ -14,11 +14,11 @@ the round-case calibration: for ``i1 = i3 = I`` the flow must reach
 
 The module solves this system two ways:
 
-* ``exp_map`` and ``endpoint_state`` integrate the joint system with a
-  fixed-step classical 4th-order scheme for ``i1 = i2``, holding ``p3``
-  because the momentum equation itself gives ``dp3/dt = 0``.  They
-  renormalize the quaternion every step; the drift in the conserved
-  quantities is this reference integrator's error estimate.
+* ``exp_map`` and ``endpoint_state`` integrate the joint system with
+  fixed-step classical RK4, taking each step for ``i1 = i2`` as one
+  quaternion product (see ``_rk4``) and renormalizing the quaternion; the
+  drift in the conserved quantities is this reference integrator's error
+  estimate.
 * ``conjugate_time_numeric`` and ``shorter_path_search`` use the exact
   flow.  With ``i1 = i2`` the system is the free symmetric top, whose
   solution is a product of two one-parameter subgroups (see ``_flow``);
@@ -36,9 +36,9 @@ The oracles built on the flow:
 * ``shorter_path_search``: damped least-squares shooting that looks for a
   geodesic reaching a given endpoint strictly earlier.
 
-The RK4 steps and the shooting loop (residual, Jacobian, normal equations
-and their Cramer solve) are written out on scalar locals for speed; tests
-pin both, bit for bit, to compact forms that build lists and matrices.
+The RK4 loop, the conjugate determinant and the shooting loop (residual,
+Jacobian, normal equations and their Cramer solve) are written out on
+scalar locals for speed; tests pin them, bit for bit, to compact forms.
 
 Nothing here calls ``tau3``, ``tau_conj`` or ``t_cut``: both routes use
 only the geodesic equations, never the cut or conjugate root equations,
@@ -106,68 +106,61 @@ class ShorterPath:
     arrival_time: float
 
 
+def _identity_step(c1s: float, w3: float, b: float, h: float, k: float) -> tuple:
+    """Increments ``(D, du)`` of ``_rk4``'s textbook step from ``q = 1``, ``u = (k, 0)``."""
+    stages, (kw, kx, ky, kz), g1, g2 = [], (0.0, 0.0, 0.0, 0.0), 0.0, 0.0
+    for c in (0.0, 0.5 * h, 0.5 * h, h):
+        s1, s2 = k + c * g1, c * g2; w1, w2 = c1s * s1, c1s * s2
+        # the stage at q = 1 + c*K is (1 + c*K)*W, taken as W + c*(K*W): nothing rounds at 1
+        kw, kx, ky, kz = (c * -(kx * w1 + ky * w2 + kz * w3),
+                          w1 + c * (kw * w1 + ky * w3 - kz * w2),
+                          w2 + c * (kw * w2 + kz * w1 - kx * w3),
+                          w3 + c * (kw * w3 + kx * w2 - ky * w1))
+        g1, g2 = b * s2, -b * s1
+        stages.append((kw, kx, ky, kz, g1, g2))
+    return tuple(h / 6.0 * (a + 2.0 * (b2 + c3) + d) for a, b2, c3, d in zip(*stages))
+
+
 def _rk4(y: tuple, a1: float, a3: float, h: float, n: int) -> tuple:
     """n fixed classical RK4 steps of the joint flow, renormalizing q each step.
 
-    ``y = (qw, qx, qy, qz, p1, p2, p3)``; ``a1 = 1/i1`` and ``a3 = 1/i3``.
-    With ``i1 = i2``, ``dp3/dt = 0``: each stage evaluates the right-hand side
-
-        dq = q * (p1*c1, p2*c1, w3),   dp = (b*p2, -b*p1, 0),
-        c1 = a1/2,   w3 = a3*p3/2,   b = (a3 - a1)*p3
-
-    on scalar locals; folding the 1/2 of ``q*Omega/2`` into ``c1, w3`` is exact.
+    ``y = (qw, qx, qy, qz, p1, p2, p3)``, ``a1 = 1/i1``, ``a3 = 1/i3``.  For
+    ``i1 = i2`` and ``u = (p1, p2)/|p0|``, ``dq = q*(0, c1s*u1, c1s*u2, w3)``
+    and ``du = (b*u2, -b*u1)`` with ``c1s = a1*|p0|/2``, ``w3 = a3*p3/2`` and
+    ``b = (a3 - a1)*p3``; ``p3`` is constant.  Each stage of ``dq`` is ``q``
+    times a quaternion, so a textbook step maps ``q`` to ``q + q*D(u)``, with
+    ``D`` its q-increment from ``q = 1``.  RK4 commutes with the field's
+    rotations about ``e3``, so in ``m = |u|^2`` the step has ``D0, Dz``
+    quadratic, ``(Dx, Dy) = alpha*u + beta*(e3 x u)`` with ``alpha, beta``
+    linear, and ``du = r0*u + r1*(e3 x u)``.  The coefficients come from the
+    textbook step at ``u = 0, e1, 2*e1`` (``_identity_step``), never from
+    the exact flow.
     """
     qw, qx, qy, qz, p1, p2, p3 = y
-    hh = 0.5 * h
-    h6 = h / 6.0
-    c1 = 0.5 * a1
-    w3 = 0.5 * a3 * p3
-    b = (a3 - a1) * p3
+    s = math.hypot(p1, p2, p3)
+    u1 = p1 / s; u2 = p2 / s
+    at0, at1, at2 = (_identity_step(0.5 * a1 * s, 0.5 * a3 * p3, (a3 - a1) * p3, h, k)
+                     for k in (0.0, 1.0, 2.0))
+    # D0, Dz through their values at m = 0, 1, 4; alpha, beta through m = 1, 4
+    r0, r1 = at1[4:]; e0, z0 = at0[0], at0[3]
+    e2 = (at2[0] - e0 - 4.0 * (at1[0] - e0)) / 12.0; e1 = at1[0] - e0 - e2
+    z2 = (at2[3] - z0 - 4.0 * (at1[3] - z0)) / 12.0; z1 = at1[3] - z0 - z2
+    al1 = (0.5 * at2[1] - at1[1]) / 3.0; al0 = at1[1] - al1
+    be1 = (0.5 * at2[2] - at1[2]) / 3.0; be0 = at1[2] - be1
     for _ in range(n):
-        # k1 at y
-        u1 = p1 * c1; u2 = p2 * c1
-        aw = -(qx * u1 + qy * u2 + qz * w3)
-        ax = qw * u1 + qy * w3 - qz * u2
-        ay = qw * u2 + qz * u1 - qx * w3
-        az = qw * w3 + qx * u2 - qy * u1
-        ap1 = b * p2; ap2 = -b * p1
-        # k2 at y + h/2*k1
-        sw = qw + hh * aw; sx = qx + hh * ax; sy = qy + hh * ay; sz = qz + hh * az
-        s1 = p1 + hh * ap1; s2 = p2 + hh * ap2
-        u1 = s1 * c1; u2 = s2 * c1
-        bw = -(sx * u1 + sy * u2 + sz * w3)
-        bx = sw * u1 + sy * w3 - sz * u2
-        by = sw * u2 + sz * u1 - sx * w3
-        bz = sw * w3 + sx * u2 - sy * u1
-        bp1 = b * s2; bp2 = -b * s1
-        # k3 at y + h/2*k2
-        sw = qw + hh * bw; sx = qx + hh * bx; sy = qy + hh * by; sz = qz + hh * bz
-        s1 = p1 + hh * bp1; s2 = p2 + hh * bp2
-        u1 = s1 * c1; u2 = s2 * c1
-        cw = -(sx * u1 + sy * u2 + sz * w3)
-        cx = sw * u1 + sy * w3 - sz * u2
-        cy = sw * u2 + sz * u1 - sx * w3
-        cz = sw * w3 + sx * u2 - sy * u1
-        cp1 = b * s2; cp2 = -b * s1
-        # k4 at y + h*k3
-        sw = qw + h * cw; sx = qx + h * cx; sy = qy + h * cy; sz = qz + h * cz
-        s1 = p1 + h * cp1; s2 = p2 + h * cp2
-        u1 = s1 * c1; u2 = s2 * c1
-        dw = -(sx * u1 + sy * u2 + sz * w3)
-        dx = sw * u1 + sy * w3 - sz * u2
-        dy = sw * u2 + sz * u1 - sx * w3
-        dz = sw * w3 + sx * u2 - sy * u1
-        dp1 = b * s2; dp2 = -b * s1
-        # y + h/6*(k1 + 2*(k2 + k3) + k4); hypot cannot overflow, so divergence gives NaN
-        qw = qw + h6 * (aw + 2.0 * (bw + cw) + dw)
-        qx = qx + h6 * (ax + 2.0 * (bx + cx) + dx)
-        qy = qy + h6 * (ay + 2.0 * (by + cy) + dy)
-        qz = qz + h6 * (az + 2.0 * (bz + cz) + dz)
-        p1 = p1 + h6 * (ap1 + 2.0 * (bp1 + cp1) + dp1)
-        p2 = p2 + h6 * (ap2 + 2.0 * (bp2 + cp2) + dp2)
+        m = u1 * u1 + u2 * u2
+        d0 = e0 + m * (e1 + m * e2); dz = z0 + m * (z1 + m * z2)
+        al = al0 + m * al1; be = be0 + m * be1
+        dx = al * u1 - be * u2; dy = al * u2 + be * u1
+        # q + q*D, then u + r0*u + r1*(e3 x u); hypot cannot overflow, so divergence gives NaN
+        qw, qx, qy, qz = (qw + (qw * d0 - qx * dx - qy * dy - qz * dz),
+                          qx + (qw * dx + qx * d0 + qy * dz - qz * dy),
+                          qy + (qw * dy - qx * dz + qy * d0 + qz * dx),
+                          qz + (qw * dz + qx * dy - qy * dx + qz * d0))
+        u1, u2 = u1 + (r0 * u1 - r1 * u2), u2 + (r0 * u2 + r1 * u1)
         r = 1.0 / math.hypot(qw, qx, qy, qz)
         qw = qw * r; qx = qx * r; qy = qy * r; qz = qz * r
-    return (qw, qx, qy, qz, p1, p2, p3)
+    return (qw, qx, qy, qz, u1 * s, u2 * s, p3)
 
 
 def _flow(m: BergerMetric, p0, t: float) -> tuple:
@@ -311,20 +304,27 @@ def _conjugate_determinant(m: BergerMetric, pbar3: float) -> Callable[[float], f
     e = (math.sqrt(max(0.0, 1.0 - pbar3 * pbar3)), 0.0, pbar3)
     rate = 0.5 / (math.sqrt(m.i1) * math.sqrt(1.0 + eta * pbar3 * pbar3))
     n = math.hypot(e[0], (1.0 + eta) * pbar3)
-    u = (e[0] / n, 0.0, (1.0 + eta) * pbar3 / n)
-    columns = []  # per direction: the parts of c(v) multiplied by a, sin*cos and sin^2
+    u0, u1, u2 = e[0] / n, 0.0, (1.0 + eta) * pbar3 / n
+    cols = []  # per direction: the parts of c(v) multiplied by a, sin*cos and sin^2
     s = math.ldexp(1.0, min(0, 1000 - math.frexp(eta)[1]))
-    for v in ((0.0, 1.0, 0.0), (-u[2] * s, 0.0, u[0] * s)):
+    for v in ((0.0, 1.0, 0.0), (-u2 * s, 0.0, u0 * s)):
         ev = _dot(e, v)
         along = (ev * e[0], ev * e[1], ev * e[2] + eta * v[2])
         across = (v[0] - ev * e[0], v[1] - ev * e[1], v[2] - ev * e[2])
-        columns.append(tuple(zip(along, across, _cross(e, v))))
+        cols.append(tuple(zip(along, across, _cross(e, v))))
+    ((g0, h0, k0), (g1, h1, k1), (g2, h2, k2)), ((G0, H0, K0), (G1, H1, K1), (G2, H2, K2)) = cols
 
     def det(t: float) -> float:
+        # _dot(u, _cross(c1, c2)) on scalar locals, the zero u1 term kept
         a = t * rate
         ca, sa = math.cos(a), math.sin(a)
-        c1, c2 = ([a * g + sa * (ca * h - sa * k) for g, h, k in col] for col in columns)
-        return _dot(u, _cross(c1, c2))
+        x0 = a * g0 + sa * (ca * h0 - sa * k0)
+        x1 = a * g1 + sa * (ca * h1 - sa * k1)
+        x2 = a * g2 + sa * (ca * h2 - sa * k2)
+        y0 = a * G0 + sa * (ca * H0 - sa * K0)
+        y1 = a * G1 + sa * (ca * H1 - sa * K1)
+        y2 = a * G2 + sa * (ca * H2 - sa * K2)
+        return u0 * (x1 * y2 - x2 * y1) + u1 * (x2 * y0 - x0 * y2) + u2 * (x0 * y1 - x1 * y0)
 
     return det
 

@@ -13,6 +13,7 @@ from bergersphere.geodesic import (
     _cross,
     _dot,
     _flow,
+    _identity_step,
     _r2_seed,
     _rk4,
     conjugate_time_numeric,
@@ -53,9 +54,9 @@ def _rhs_reference(a1, a3, y):
             b * p2, -b * p1, 0.0)
 
 
-def _rk4_reference(y, a1, a3, h, n):
-    # the compact form of the integrator, one list per stage; the written-out
-    # kernel must reproduce it bit for bit
+def _rk4_textbook(y, a1, a3, h, n):
+    # the textbook form of the integrator, one list per stage; the kernel,
+    # which takes each step as one quaternion product, must agree with it
     for _ in range(n):
         k1 = _rhs_reference(a1, a3, y)
         k2 = _rhs_reference(a1, a3, [u + 0.5 * h * k for u, k in zip(y, k1)])
@@ -65,6 +66,45 @@ def _rk4_reference(y, a1, a3, h, n):
         r = 1.0 / math.hypot(*y[:4])
         y = (y[0] * r, y[1] * r, y[2] * r, y[3] * r, y[4], y[5], y[6])
     return y
+
+
+def _q_times_reference(a, b):
+    # the quaternion product a*b
+    return (a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3],
+            a[0] * b[1] + a[1] * b[0] + a[2] * b[3] - a[3] * b[2],
+            a[0] * b[2] - a[1] * b[3] + a[2] * b[0] + a[3] * b[1],
+            a[0] * b[3] + a[1] * b[2] - a[2] * b[1] + a[3] * b[0])
+
+
+def _rk4_compact(y, a1, a3, h, n):
+    # the compact form of the kernel, with lists for q, u and the coefficients;
+    # the written-out loop must reproduce it bit for bit
+    s = math.hypot(*y[4:])
+    at = [_identity_step(0.5 * a1 * s, 0.5 * a3 * y[6], (a3 - a1) * y[6], h, k)
+          for k in (0.0, 1.0, 2.0)]
+
+    def quadratic(i):  # through the values at m = 0, 1, 4
+        c2 = (at[2][i] - at[0][i] - 4.0 * (at[1][i] - at[0][i])) / 12.0
+        return at[0][i], at[1][i] - at[0][i] - c2, c2
+
+    def line(i):  # through the values at m = 1, 4; the sample at m = 4 is u = 2*e1
+        c1 = (0.5 * at[2][i] - at[1][i]) / 3.0
+        return at[1][i] - c1, c1
+
+    (e0, e1, e2), (z0, z1, z2) = quadratic(0), quadratic(3)
+    (al0, al1), (be0, be1) = line(1), line(2)
+    r0, r1 = at[1][4:]
+    q, u = list(y[:4]), [y[4] / s, y[5] / s]
+    for _ in range(n):
+        m = u[0] * u[0] + u[1] * u[1]
+        al, be = al0 + m * al1, be0 + m * be1
+        d = (e0 + m * (e1 + m * e2), al * u[0] - be * u[1], al * u[1] + be * u[0],
+             z0 + m * (z1 + m * z2))
+        q = [a + b for a, b in zip(q, _q_times_reference(q, d))]
+        u = [a + b for a, b in zip(u, (r0 * u[0] - r1 * u[1], r0 * u[1] + r1 * u[0]))]
+        r = 1.0 / math.hypot(*q)
+        q = [a * r for a in q]
+    return (*q, u[0] * s, u[1] * s, y[6])
 
 
 def _dot4_reference(u, v):
@@ -153,6 +193,31 @@ def _rel_log_reference(base, other):
                   bw * oz + bx * oy - by * ox + bz * ow])
     vn = np.linalg.norm(v)
     return v if vn < 1e-300 else 2.0 * math.atan2(vn, w) / vn * v
+
+
+def _conjugate_determinant_reference(m, pbar3):
+    # the compact form of _conjugate_determinant, one list per column; the
+    # scalar det must reproduce it bit for bit
+    eta = m.eta()
+    e = (math.sqrt(max(0.0, 1.0 - pbar3 * pbar3)), 0.0, pbar3)
+    rate = 0.5 / (math.sqrt(m.i1) * math.sqrt(1.0 + eta * pbar3 * pbar3))
+    n = math.hypot(e[0], (1.0 + eta) * pbar3)
+    u = (e[0] / n, 0.0, (1.0 + eta) * pbar3 / n)
+    s = math.ldexp(1.0, min(0, 1000 - math.frexp(eta)[1]))
+    columns = []
+    for v in ((0.0, 1.0, 0.0), (-u[2] * s, 0.0, u[0] * s)):
+        ev = _dot(e, v)
+        along = (ev * e[0], ev * e[1], ev * e[2] + eta * v[2])
+        across = (v[0] - ev * e[0], v[1] - ev * e[1], v[2] - ev * e[2])
+        columns.append(tuple(zip(along, across, _cross(e, v))))
+
+    def det(t):
+        a = t * rate
+        ca, sa = math.cos(a), math.sin(a)
+        c1, c2 = ([a * g + sa * (ca * h - sa * k) for g, h, k in col] for col in columns)
+        return _dot(u, _cross(c1, c2))
+
+    return det
 
 
 def _determinant_by_differences(m, pbar3, delta=1e-6):
@@ -300,7 +365,50 @@ class TestExpMap:
             for n in (1, 7, 2000):
                 h = float(rng.uniform(6.0, 12.0)) / n
                 args = (1.0 / m.i1, 1.0 / m.i3, h, n)
-                assert _rk4(y, *args) == _rk4_reference(y, *args)
+                assert _rk4(y, *args) == _rk4_compact(y, *args)
+
+    @staticmethod
+    def _kernel_and_textbook(m, p0, n, angle):
+        # n steps that each turn q or p by at most `angle` radians: the rotation
+        # rates are |Omega| for q and |b| for p
+        a1, a3 = 1.0 / m.i1, 1.0 / m.i3
+        rate = max(math.hypot(p0.p1 * a1, p0.p2 * a1, p0.p3 * a3), abs((a3 - a1) * p0.p3))
+        args = ((1.0, 0.0, 0.0, 0.0, p0.p1, p0.p2, p0.p3), a1, a3, angle / rate, n)
+        return _rk4(*args), _rk4_textbook(*args)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([1000, 2000]),
+        i1=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+        eta=st.one_of(st.floats(-0.95, 1.0, exclude_min=True),
+                      st.floats(0.0, 8.0).map(lambda e: 10.0 ** e)),
+        pb=st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 1e-310]), st.floats(-1.0, 1.0)),
+        phi=st.floats(0.0, 2.0 * math.pi),
+        turns=st.floats(0.05, 1.0),
+    )
+    # a sample at |(p1, p2)| with a fallback of 1 overflows on the axis here
+    @example(n=1000, i1=1e-300, eta=0.0, pb=1.0, phi=0.0, turns=1.0)
+    def test_rk4_kernel_agrees_with_the_textbook_step(self, n, i1, eta, pb, phi, turns):
+        # admissible steps (n >= 1000) over at most one turn of the fastest
+        # rotation; over more turns a p that turns by under 1e-9 per step
+        # drifts by up to n/2 ulps in either form, and q turns that into more
+        # than 1e-12 (see the long-run test)
+        m = BergerMetric(i1, i1 / (1.0 + eta))
+        p0 = initial_momentum(m, pb, phi)
+        got, want = self._kernel_and_textbook(m, p0, n, turns * 2.0 * math.pi / n)
+        assert all(math.isnan(b) for a, b in zip(got, want) if math.isnan(a))
+        # where the textbook form is NaN the difference is too, and passes
+        assert not any(abs(a - b) > 1e-12 for a, b in zip(got[:4], want[:4]))
+        assert not any(abs(a - b) > 1e-12 * p0.norm() for a, b in zip(got[4:], want[4:]))
+
+    @pytest.mark.parametrize("eta,pb", [(-0.5, 0.3), (0.5, 0.3), (0.5, 0.6), (3.0, 0.3)])
+    def test_rk4_kernel_keeps_the_textbook_roundoff_over_long_runs(self, eta, pb):
+        # 2000 steps of 0.1 rad, about 32 turns; an update of p as (1 + r0)*p + ...
+        # rather than p + (r0*p + ...) drifts |p| by one rounding of 1 + r0 a
+        # step, and q turns that into 1.9e-12 to 2.7e-12 here (the kernel: 1.3e-13)
+        m = BergerMetric(2.0, 2.0 / (1.0 + eta))
+        got, want = self._kernel_and_textbook(m, initial_momentum(m, pb, 0.7), 2000, 0.1)
+        assert max(abs(a - b) for a, b in zip(got[:4], want[:4])) < 1e-12
 
     def test_diverged_run_is_a_normalization_error(self):
         # RK4 at step 50 diverges to NaN; a NaN energy must fail the drift
@@ -396,6 +504,17 @@ class TestConjugateTime:
         assert len(ratios) > 50
         assert min(ratios) > 0.0
         assert max(ratios) / min(ratios) - 1.0 < 1e-6
+
+    @pytest.mark.parametrize("i1,i3", [(2.0, 1.0), (1.0, 0.5), (1.0, 2.0), (1.7e308, 1.0),
+                                       *_HARD_METRICS])
+    def test_scalar_determinant_keeps_the_bits_of_the_compact_form(self, i1, i3):
+        m = BergerMetric(i1, i3)
+        rng = np.random.default_rng(19)
+        for pb in (-1.0, 0.0, 1e-310, 1.0, *rng.uniform(-1.0, 1.0, 4)):
+            got = geodesic._conjugate_determinant(m, float(pb))
+            want = _conjugate_determinant_reference(m, float(pb))
+            for t in rng.uniform(0.0, 20.0, 50) * math.sqrt(i1):
+                assert got(t).hex() == want(t).hex()
 
     @pytest.mark.parametrize("i1,i3,pb", [
         (1.0016710069985971, 1.0, 0.0),
