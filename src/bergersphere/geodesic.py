@@ -22,8 +22,8 @@ The module solves this system two ways:
 * ``conjugate_time_numeric`` and ``shorter_path_search`` use the exact
   flow.  With ``i1 = i2`` the system is the free symmetric top, whose
   solution is a product of two one-parameter subgroups (see ``_flow``);
-  a test checks it against the integrator.  Both oracles differentiate
-  the flow in closed form where they can; tests check the derivatives
+  a test checks it against the integrator.  The conjugate oracle
+  differentiates the flow in closed form; a test checks the determinant
   against central differences of ``_flow``.
 
 The oracles built on the flow:
@@ -33,12 +33,12 @@ The oracles built on the flow:
   differential of the endpoint map, assembled from the endpoint velocity
   and the flow's exact derivatives in two level-set directions, found by
   a numerical scan;
-* ``shorter_path_search``: damped least-squares shooting that looks for a
-  geodesic reaching a given endpoint strictly earlier.
+* ``shorter_path_search``: the shortest geodesic reaching a given
+  endpoint strictly earlier, from a bracketed scan of the endpoint map's
+  preimages, which are the zeros of one phase along one curve per branch.
 
-The RK4 loop, the conjugate determinant and the shooting loop (residual,
-Jacobian, normal equations and their Cramer solve) are written out on
-scalar locals for speed; tests pin them, bit for bit, to compact forms.
+The RK4 loop and the conjugate determinant are written out on scalar
+locals for speed; tests pin them, bit for bit, to compact forms.
 
 Nothing here calls ``tau3``, ``tau_conj`` or ``t_cut``: both routes use
 only the geodesic equations, never the cut or conjugate root equations,
@@ -49,11 +49,12 @@ for both.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import DomainError, NoConjugatePoint, NormalizationError
-from .model import BergerMetric, Momentum, _integer, _pbar3, _real, momentum_norm
+from .model import BergerMetric, Momentum, _pbar3, _real, momentum_norm
 
 __all__ = [
     "UnitQuaternion",
@@ -70,8 +71,8 @@ __all__ = [
 _H_LEVEL_TOL = 1e-10     # admissible deviation of H(p0) from 1/2
 _H_DRIFT_TOL = 1e-6      # relative drift of H that aborts an integration
 _CONJ_GRID_N = 400       # sign-scan resolution for the determinant
-_SHOOT_MARGIN = 1e-4     # required arrival-time advantage
-_SHOOT_RESIDUAL = 1e-7   # endpoint mismatch accepted as a hit
+_SEARCH_MARGIN = 1e-4    # required arrival-time advantage, relative to t
+_CELL_PHASE = 0.25       # bound on each phase term per cell of the preimage scan
 
 
 @dataclass(frozen=True)
@@ -169,16 +170,17 @@ def _flow(m: BergerMetric, p0, t: float) -> tuple:
     With ``i1 = i2`` the flow is the free symmetric top.  Writing
     ``b = (1/i3 - 1/i1)*p3``, the body momentum turns about ``e3`` by the
     angle ``-b*t`` and ``q(t) = exp(t*p0/(2*i1)) * exp(t*b*e3/2)``, where
-    ``exp(v) = (cos|v|, sin|v|*v/|v|)``.  Returns
+    ``exp(v) = (cos|v|, sin|v|*v/|v|)``.  ``a = t*|p0|/(2*i1)`` and ``t*b/2 = a*eta*p3/|p0|``
+    are formed in units of ``sqrt(i1)``, so no scale overflows.  Returns
     ``(qw, qx, qy, qz, p1, p2, p3)``.
     """
     p1, p2, p3 = p0
-    b = (1.0 / m.i3 - 1.0 / m.i1) * p3
-    n = math.sqrt(p1 * p1 + p2 * p2 + p3 * p3)
-    a = t * n / (2.0 * m.i1)
+    n = math.hypot(p1, p2, p3)
+    a = t / (2.0 * math.sqrt(m.i1)) * (n / math.sqrt(m.i1))
+    half = a * m.eta() * (p3 / n)
     ca, f = math.cos(a), math.sin(a) / n  # exp(t*p0/(2*i1)) = (ca, f*p0)
-    cb, sb = math.cos(0.5 * b * t), math.sin(0.5 * b * t)  # exp(t*b*e3/2) = (cb, sb*e3)
-    c, s = math.cos(b * t), math.sin(b * t)
+    cb, sb = math.cos(half), math.sin(half)  # exp(t*b*e3/2) = (cb, sb*e3)
+    c, s = math.cos(2.0 * half), math.sin(2.0 * half)
     return (
         ca * cb - f * p3 * sb,
         f * (p1 * cb + p2 * sb),
@@ -418,126 +420,121 @@ def conjugate_time_numeric(m: BergerMetric, pbar3: float, t_max: float) -> float
     raise NoConjugatePoint(f"determinant kept its sign on (0, {t_max}]")
 
 
-def _r2_seed(k: int) -> "tuple[float, float]":
-    # R2 low-discrepancy sequence over the (pbar3, phi) rectangle
-    g = 1.324717957244746
-    u = (0.5 + (k + 1) / g) % 1.0
-    v = (0.5 + (k + 1) / (g * g)) % 1.0
-    return 2.0 * u - 1.0, 2.0 * math.pi * v
+def _bracketed_root(f: Callable[[float], float], x0: float, x1: float, f0: float, f1: float,
+                    middle: Callable[[float, float], float]) -> float:
+    """Zero of ``f`` between ``x0`` and ``x1``, where ``f0 = f(x0)`` and ``f1 = f(x1)`` differ in sign.
 
-
-def shorter_path_search(
-    m: BergerMetric, p0: Momentum, t: float, attempts: int = 12
-) -> Optional[ShorterPath]:
-    """Look for a geodesic that reaches ``exp_map(m, p0, t)`` strictly earlier.
-
-    Runs damped least-squares shooting on the endpoint mismatch over
-    ``(pbar3, phi, arrival_time)`` from ``attempts`` deterministic
-    low-discrepancy starts, each with the arrival time initialized at
-    ``0.95*t``.  A solve counts when the endpoint matches to 1e-7 and the
-    arrival undercuts ``t`` by more than 1e-4.  Returns the hit with the
-    smallest arrival time (ties broken by seed order), or None.  Before
-    the cut time of ``p0`` the search comes up empty; past it, it finds
-    the competing geodesic.
-
-    The Jacobian's ``phi`` column is ``e3 x q``, because rotating the
-    momentum about ``e3`` conjugates the flow, and its arrival column is
-    ``dq/dt = q*Omega/2``; only the ``pbar3`` column, singular at
-    ``|pbar3| = 1``, is a one-sided difference.
-
-    A trial step can leave the floats at extreme scales, as at
-    ``BergerMetric(1.7e308, 1e308)``.  A trial point with a NaN
-    coordinate has a NaN cost, which never compares below the current
-    cost, so the step is rejected and the damping grows like any other
-    step that does not improve.
+    Secant steps through the bracket's ends, and ``middle(x0, x1)`` after two that replace
+    the same end.  Stops at a zero or at a point on an end; returns the end with smaller ``|f|``.
     """
-    attempts = _integer("attempts", attempts, 10)
+    (xn, fn), (xp, fp) = ((x0, f0), (x1, f1)) if f0 < 0.0 else ((x1, f1), (x0, f0))
+    last, bisect = None, False
+    for _ in range(200):
+        x = middle(xn, xp) if bisect else xp - fp * (xp - xn) / (fp - fn)
+        if not (xn < x < xp or xp < x < xn):
+            break
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if fx > 0.0:
+            xp, fp = x, fx
+        else:
+            xn, fn = x, fx
+        bisect, last = not bisect and (fx > 0.0) == last, fx > 0.0
+    return xp if abs(fp) < abs(fn) else xn
+
+
+def shorter_path_search(m: BergerMetric, p0: Momentum, t: float) -> Optional[ShorterPath]:
+    """The shortest geodesic that reaches ``exp_map(m, p0, t)`` before ``t*(1 - 1e-4)``, or None.
+
+    By ``_flow``, the geodesic with axis fraction ``s``, angle ``phi`` and
+    ``a = t*|p|/(2*i1)`` ends at ``Z = qw + i*qz = exp(i*a*eta*s)*(cos a + i*s*sin a)``
+    and ``qx + i*qy = sqrt(1 - s^2)*sin a*exp(i*(phi - a*eta*s))`` after
+    ``t = 2*sqrt(i1)*a*sqrt(1 + eta*s^2)``, so ``phi`` follows from ``(s, a)``.
+    With ``rho = |Z|`` and ``sigma = sqrt(1 - rho^2)`` of the target, the
+    ``(s, a)`` with ``k*pi < a < (k + 1)*pi`` form a closed curve, charted
+    by ``chi = arg(cos a + i*s*sin a)`` on the sheets ``a = k*pi + alpha``
+    and ``(k + 1)*pi - alpha``, where ``cos(alpha) = rho*cos(chi)``,
+    ``s*sin(alpha) = rho*sin(chi)`` and ``|chi| <= pi/2``.  A preimage is a
+    crossing of ``2*pi*j`` by the unwrapped phase ``G`` of ``z(s, a)/Z``, refined by a
+    safeguarded secant.  The cut equation is the ``qz = 0`` case, never solved as such.
+
+    Grid bound: ``dG = +-(1 + eta*s^2)*dchi + eta*a*ds``, ``s`` rising in
+    ``chi``; a sheet is cut at points uniform in ``chi`` and in ``s`` so that
+    each term moves at most 1/4 radian per cell, and two preimages share a
+    cell only where ``G`` turns back within 1/2 radian of a level.  For
+    ``eta > 0``, arriving before the limit bounds ``|s|`` through the
+    sheet's least ``a`` and ``a >= sin(alpha) = sigma/sqrt(1 - s^2)``.  The
+    limit falls to each arrival found; the branches end at the first that
+    cannot beat it.  ``sigma`` is raised to the least normal float, which takes in targets
+    on the ``e3`` subgroup (reached by the axis geodesics and at ``a = k*pi``) with an
+    endpoint error below 1e-307.  Times are in units of ``sqrt(i1)`` and the margin is
+    relative, so no scale differs.
+    """
     t = _real("t", t, finite=True, positive=True)
     _check_level(m, p0)
+    eta, r1, pi = m.eta(), math.sqrt(m.i1), math.pi
+    qw, qx, qy, qz = _flow(m, (p0.p1, p0.p2, p0.p3), t)[:4]
+    # |Z| can round past 1 on the e3 subgroup, which would put s = 1 off the chart
+    rho, theta, omega = min(1.0, math.hypot(qw, qz)), math.atan2(qz, qw), math.atan2(qy, qx)
+    sigma = max(math.hypot(qx, qy), sys.float_info.min)
+    limit = t / (2.0 * r1) * (1.0 - _SEARCH_MARGIN)  # in units of 2*sqrt(i1), as arrivals are
+    least = math.sqrt(1.0 + min(eta, 0.0))  # least sqrt(1 + eta*s^2)
+    alpha0 = math.atan2(sigma, rho)  # least alpha, at chi = 0
+    best = None
 
-    tw, tx, ty, tz = _flow(m, (p0.p1, p0.p2, p0.p3), t)[:4]
-    t_lo, t_hi = 0.02 * t, 1.2 * t
-    i1, i3, eta = m.i1, m.i3, m.eta()
+    def chart(chi: float, base: float, sign: float) -> tuple:
+        # (a, s, sqrt(1 - s^2), G) at chi on the sheet a = base + sign*alpha
+        sc = rho * math.sin(chi)
+        d = math.hypot(sc, sigma)
+        a, s = base + sign * math.atan2(d, rho * math.cos(chi)), sc / d
+        return a, s, sigma / d, a * eta * s + base + sign * chi - theta
 
-    def flow_at(pbar3: float, phi: float, arrival: float) -> tuple:
-        # initial_momentum's arithmetic without its validation: pbar3 is
-        # clamped to [-1, 1], and a NaN entry only makes the row NaN
-        norm = math.sqrt(i1 / (1.0 + eta * pbar3 * pbar3))
-        eq = norm * math.sqrt(max(0.0, 1.0 - pbar3 * pbar3))
-        return _flow(m, (eq * math.cos(phi), eq * math.sin(phi), norm * pbar3), arrival)
+    def chi_at_s(s: float) -> float:  # rho*sin(chi) = sigma*s/sqrt(1 - s^2)
+        return math.atan2(sigma * s, math.sqrt(max(0.0, rho - abs(s))) * math.sqrt(rho + abs(s)))
 
-    # A point is clamped by min(hi, max(lo, v)) written as comparisons, so a
-    # NaN maps to lo; the current point is clamped, so only moved coordinates are.
-    best: Optional[ShorterPath] = None
-    for k in range(attempts):
-        pbar3, phi = _r2_seed(k)
-        arrival = 0.95 * t
-        qw, qx, qy, qz, p1, p2, p3 = flow_at(pbar3, phi, arrival)
-        r0 = qw - tw; r1 = qx - tx; r2 = qy - ty; r3 = qz - tz
-        cost = r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3
-        lam = 1e-3
-        for _ in range(30):
-            if math.sqrt(cost) < _SHOOT_RESIDUAL:
-                break
-            # the 4x3 Jacobian at the current row; j10 = j13 = 0
-            d = -1e-6 if pbar3 + 1e-6 > 1.0 else 1e-6
-            v = pbar3 + d
-            v = v if v > -1.0 else -1.0
-            e0, e1, e2, e3 = flow_at(v if v < 1.0 else 1.0, phi, arrival)[:4]
-            j00 = (e0 - qw) / d; j01 = (e1 - qx) / d; j02 = (e2 - qy) / d; j03 = (e3 - qz) / d
-            j11 = -qy; j12 = qx
-            o1 = 0.5 * p1 / i1; o2 = 0.5 * p2 / i1; o3 = 0.5 * p3 / i3
-            j20 = -(qx * o1 + qy * o2 + qz * o3); j21 = qw * o1 + qy * o3 - qz * o2
-            j22 = qw * o2 + qz * o1 - qx * o3; j23 = qw * o3 + qx * o2 - qy * o1
-            # J^T J (symmetric: u_k*v_k == v_k*u_k exactly) and g = -J^T r;
-            # "+ 0.0" turns an off-diagonal -0.0 into 0.0, as adding the
-            # damping's zero entries did in the matrix form
-            a00 = j00 * j00 + j01 * j01 + j02 * j02 + j03 * j03
-            a11 = j11 * j11 + j12 * j12
-            a22 = j20 * j20 + j21 * j21 + j22 * j22 + j23 * j23
-            a01 = (j01 * j11 + j02 * j12) + 0.0
-            a02 = (j00 * j20 + j01 * j21 + j02 * j22 + j03 * j23) + 0.0
-            a12 = (j11 * j21 + j12 * j22) + 0.0
-            g0 = -(j00 * r0 + j01 * r1 + j02 * r2 + j03 * r3)
-            g1 = -(j11 * r1 + j12 * r2)
-            g2 = -(j20 * r0 + j21 * r1 + j22 * r2 + j23 * r3)
-            accepted = False
-            for _ in range(8):
-                # Cramer's rule for (J^T J + lam*I) delta = g with columns
-                # c0 = (b0, a01, a02), c1 = (a01, b1, a12), c2 = (a02, a12, b2);
-                # the minors are _cross(c1, c2), _cross(c2, c0), _cross(c0, c1)
-                b0 = a00 + lam; b1 = a11 + lam; b2 = a22 + lam
-                m00 = b1 * b2 - a12 * a12; m01 = a12 * a02 - a01 * b2; m02 = a01 * a12 - b1 * a02
-                m10 = a12 * a02 - b2 * a01; m11 = b2 * b0 - a02 * a02; m12 = a02 * a01 - a12 * b0
-                m20 = a01 * a12 - a02 * b1; m21 = a02 * a01 - b0 * a12; m22 = b0 * b1 - a01 * a01
-                det = b0 * m00 + a01 * m01 + a02 * m02
-                if det == 0.0:
-                    lam *= 4.0
-                    continue
-                pb_try = pbar3 + (g0 * m00 + g1 * m01 + g2 * m02) / det
-                pb_try = pb_try if pb_try > -1.0 else -1.0
-                pb_try = pb_try if pb_try < 1.0 else 1.0
-                phi_try = phi + (g0 * m10 + g1 * m11 + g2 * m12) / det
-                t_try = arrival + (g0 * m20 + g1 * m21 + g2 * m22) / det
-                t_try = t_try if t_try > t_lo else t_lo
-                t_try = t_try if t_try < t_hi else t_hi
-                row = flow_at(pb_try, phi_try, t_try)
-                e0 = row[0] - tw; e1 = row[1] - tx; e2 = row[2] - ty; e3 = row[3] - tz
-                cost_try = e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3
-                if cost_try < cost:
-                    pbar3, phi, arrival = pb_try, phi_try, t_try
-                    qw, qx, qy, qz, p1, p2, p3 = row
-                    r0, r1, r2, r3, cost = e0, e1, e2, e3, cost_try
-                    lam = max(lam * 0.3, 1e-12)
-                    accepted = True
-                    break
-                lam *= 4.0
-            if not accepted or lam > 1e10:
-                break
-        if math.sqrt(cost) < _SHOOT_RESIDUAL and arrival < t - _SHOOT_MARGIN:
-            if best is None or arrival < best.arrival_time:
-                best = ShorterPath(
-                    momentum=initial_momentum(m, pbar3, phi),
-                    arrival_time=arrival,
-                )
-    return best
+    k = 0
+    while (k * pi + alpha0) * least < limit:
+        for base, sign in ((k * pi, 1.0), ((k + 1) * pi, -1.0)):
+            a_lo = k * pi + (alpha0 if sign > 0.0 else 0.5 * pi)
+            if a_lo * least >= limit:
+                continue
+            r, q = limit / a_lo, sigma / limit
+            s_hi = 1.0 if eta <= 0.0 else math.sqrt(min((r - 1.0) * (r + 1.0) / eta,
+                                                        max(0.0, 1.0 - q * q) / (1.0 + eta * q * q)))
+            c = chi_at_s(min(1.0, s_hi))
+            # on [-c, c], s^2 is largest at the ends and a at an end or at 0
+            (a_c, s_c), a_0 = chart(c, base, sign)[:2], chart(0.0, base, sign)[0]
+            w_chi, w_s = 1.0 + max(eta, 0.0) * s_c * s_c, abs(eta) * max(a_c, a_0)
+            n_chi = math.ceil(w_chi * 2.0 * c / _CELL_PHASE)
+            n_s = math.ceil(w_s * 2.0 * s_c / _CELL_PHASE)
+            chis = sorted([c * (2.0 * i / n_chi - 1.0) for i in range(n_chi + 1)]
+                          + [chi_at_s(s_c * (2.0 * j / n_s - 1.0)) for j in range(1, n_s)])
+            gs = [chart(x, base, sign)[3] for x in chis]
+
+            def middle(x0: float, x1: float) -> float:
+                # halves the larger of the bracket's two phase terms
+                u0, u1 = chart(x0, base, sign)[1], chart(x1, base, sign)[1]
+                if w_chi * abs(x1 - x0) >= w_s * abs(u1 - u0):
+                    return 0.5 * (x0 + x1)
+                return chi_at_s(0.5 * (u0 + u1))
+
+            for x0, x1, g0, g1 in zip(chis, chis[1:], gs, gs[1:]):
+                for j in range(math.ceil(min(g0, g1) / (2.0 * pi)),
+                               math.floor(max(g0, g1) / (2.0 * pi)) + 1):
+                    level = 2.0 * pi * j
+                    x = x0 if g0 == level else _bracketed_root(
+                        lambda x: chart(x, base, sign)[3] - level, x0, x1,
+                        g0 - level, g1 - level, middle)
+                    a, s, cs, _ = chart(x, base, sign)
+                    arrival = a * math.sqrt(1.0 + eta * s * s)
+                    if arrival < limit:
+                        limit, best = arrival, (a, s, cs, k)
+        k += 1
+    if best is None:
+        return None
+    # initial_momentum's arithmetic, with sqrt(1 - s^2) from the chart where 1 - s*s cancels
+    a, s, cs, k = best
+    phi, norm = omega + a * eta * s + k * pi, r1 / math.sqrt(1.0 + eta * s * s)
+    momentum = Momentum(norm * cs * math.cos(phi), norm * cs * math.sin(phi), norm * s)
+    return ShorterPath(momentum=momentum, arrival_time=2.0 * r1 * limit)

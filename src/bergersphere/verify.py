@@ -233,8 +233,9 @@ def _check_conservation(m: BergerMetric) -> CheckResult:
 
 
 def _check_conjugate_agreement(m: BergerMetric) -> CheckResult:
-    mm = _metric_with_positive_eta(m)
-    eta = mm.eta()
+    # at i1 = 1, as times scale with sqrt(i1): the horizon can pass the float maximum
+    eta = _metric_with_positive_eta(m).eta()
+    mm = BergerMetric(1.0, 1.0 / (1.0 + eta))
     worst = 0.0
     for pb in (0.0, 0.5):
         expected = _arc_length(mm, eta, pb, tau_conj(eta, pb))
@@ -248,8 +249,8 @@ def _check_cut_sandwich(m: BergerMetric) -> CheckResult:
     pb = 0.6
     tc = t_cut(mm, pb)
     p0 = initial_momentum(mm, pb, 0.0)
-    early = shorter_path_search(mm, p0, 0.9 * tc, attempts=10)
-    late = shorter_path_search(mm, p0, 1.1 * tc, attempts=10)
+    early = shorter_path_search(mm, p0, 0.9 * tc)
+    late = shorter_path_search(mm, p0, 1.1 * tc)
     ok = early is None and late is not None and late.arrival_time < 1.1 * tc - 1e-4
     detail = (
         f"0.9*t_cut: {'empty' if early is None else 'hit'}; "

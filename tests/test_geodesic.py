@@ -8,13 +8,11 @@ from bergersphere import geodesic
 from bergersphere.errors import DomainError, NoConjugatePoint, NormalizationError
 from bergersphere.geodesic import (
     GeodesicState,
-    ShorterPath,
     UnitQuaternion,
     _cross,
     _dot,
     _flow,
     _identity_step,
-    _r2_seed,
     _rk4,
     conjugate_time_numeric,
     endpoint_state,
@@ -107,82 +105,6 @@ def _rk4_compact(y, a1, a3, h, n):
     return (*q, u[0] * s, u[1] * s, y[6])
 
 
-def _dot4_reference(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
-
-
-def _closed_form_columns_reference(m, row):
-    # the shooting Jacobian's phi and arrival columns at a _flow row:
-    # dq/dphi = e3 x q and dq/dt = q*Omega/2
-    omega = (0.5 * row[4] / m.i1, 0.5 * row[5] / m.i1, 0.5 * row[6] / m.i3)
-    return [0.0, -row[2], row[1], 0.0], _q_times_vector_reference(row, omega)
-
-
-def _shorter_path_search_reference(m, p0, t, attempts=12):
-    # the matrix form of the shooting loop, with lists for x, the Jacobian and
-    # J^T J; the scalar loop of shorter_path_search must reproduce it bit for bit
-    tw, tx, ty, tz = _flow(m, (p0.p1, p0.p2, p0.p3), t)[:4]
-    t_lo, t_hi = 0.02 * t, 1.2 * t
-    i1, eta = m.i1, m.eta()
-
-    def flow_at(x):
-        pbar3, phi, arrival = x
-        norm = math.sqrt(i1 / (1.0 + eta * pbar3 * pbar3))
-        s = math.sqrt(max(0.0, 1.0 - pbar3 * pbar3))
-        return _flow(
-            m, (norm * s * math.cos(phi), norm * s * math.sin(phi), norm * pbar3), arrival
-        )
-
-    def residual(row):
-        return (row[0] - tw, row[1] - tx, row[2] - ty, row[3] - tz)
-
-    def clamp(x):
-        return (min(1.0, max(-1.0, x[0])), x[1], min(t_hi, max(t_lo, x[2])))
-
-    best = None
-    for k in range(attempts):
-        pb_seed, phi_seed = _r2_seed(k)
-        x = (pb_seed, phi_seed, 0.95 * t)
-        row = flow_at(x)
-        r = residual(row)
-        cost = _dot4_reference(r, r)
-        lam = 1e-3
-        for _ in range(30):
-            if math.sqrt(cost) < 1e-7:
-                break
-            d = -1e-6 if x[0] + 1e-6 > 1.0 else 1e-6
-            moved = flow_at(clamp((x[0] + d, x[1], x[2])))
-            by_pbar3 = [(a - b) / d for a, b in zip(moved, row[:4])]
-            jac = [by_pbar3, *_closed_form_columns_reference(m, row)]
-            a_mat = [[_dot4_reference(u, v) for v in jac] for u in jac]
-            g_vec = [-_dot4_reference(u, r) for u in jac]
-            accepted = False
-            for _ in range(8):
-                c0, c1, c2 = ([a + (lam if i == j else 0.0) for j, a in enumerate(row_a)]
-                              for i, row_a in enumerate(a_mat))
-                minors = (_cross(c1, c2), _cross(c2, c0), _cross(c0, c1))
-                det = _dot(c0, minors[0])
-                if det == 0.0:
-                    lam *= 4.0
-                    continue
-                x_try = clamp([a + _dot(g_vec, mn) / det for a, mn in zip(x, minors)])
-                row_try = flow_at(x_try)
-                r_try = residual(row_try)
-                cost_try = _dot4_reference(r_try, r_try)
-                if cost_try < cost:
-                    x, row, r, cost = x_try, row_try, r_try, cost_try
-                    lam = max(lam * 0.3, 1e-12)
-                    accepted = True
-                    break
-                lam *= 4.0
-            if not accepted or lam > 1e10:
-                break
-        if math.sqrt(cost) < 1e-7 and x[2] < t - 1e-4:
-            if best is None or x[2] < best.arrival_time:
-                best = ShorterPath(initial_momentum(m, x[0], x[1]), x[2])
-    return best
-
-
 def _rel_log_reference(base, other):
     # log(base^-1 * other) in rotation-vector coordinates, for unit quaternions
     bw, bx, by, bz = base[0], -base[1], -base[2], -base[3]
@@ -263,6 +185,51 @@ def _conjugate_deviation(m, pbar3):
     expected = _arc_length(m, eta, pbar3, tau_conj(eta, pbar3))
     got = conjugate_time_numeric(m, pbar3, 1.02 * _arc_length(m, eta, pbar3, math.pi))
     return abs(got - expected) / expected
+
+
+def _endpoint_gap(m, p0, t, hit):
+    # largest component gap between the target exp_map(m, p0, t) and the hit's endpoint
+    target = _flow(m, (p0.p1, p0.p2, p0.p3), t)[:4]
+    p = hit.momentum
+    reached = _flow(m, (p.p1, p.p2, p.p3), hit.arrival_time)[:4]
+    return max(abs(a - b) for a, b in zip(target, reached))
+
+
+def _shortest_preimage_by_scan(m, p0, t, n=4001):
+    # arrival of the shortest preimage of the target before t*(1 - 1e-4) that a fine
+    # scan finds, or None.  It charts each branch by s = |Z|*sin(psi) and
+    # a = atan2(sigma, |Z|*cos(psi)) + k*pi over all psi, with no pruning, compares
+    # z(s, a) with the target's Z = qw + i*qz as complex numbers, and bisects each
+    # sign change of their phase difference; it can miss preimages but finds none
+    # that do not exist
+    eta = m.eta()
+    qw, qx, qy, qz = _flow(m, (p0.p1, p0.p2, p0.p3), t)[:4]
+    target, sigma = complex(qw, qz), math.hypot(qx, qy)
+    rho = abs(target)
+    limit = t / (2.0 * math.sqrt(m.i1)) * (1.0 - 1e-4)
+
+    def phase(psi, k):
+        s = rho * np.sin(psi)
+        a = np.arctan2(sigma, rho * np.cos(psi)) + k * math.pi
+        z = np.exp(1j * a * eta * s) * (np.cos(a) + 1j * s * np.sin(a))
+        return np.angle(z / target), a, s
+
+    psi = np.linspace(-math.pi, math.pi, n)
+    best, k = limit, 0
+    while k * math.pi * math.sqrt(1.0 + min(eta, 0.0)) < best:
+        d = phase(psi, k)[0]
+        cells = np.nonzero((np.sign(d[:-1]) != np.sign(d[1:])) & (np.abs(d[1:] - d[:-1]) < 1.0))[0]
+        lo, hi, d_lo = psi[cells], psi[cells + 1], d[cells]
+        for _ in range(45):
+            mid = 0.5 * (lo + hi)
+            d_mid = phase(mid, k)[0]
+            same = np.sign(d_mid) == np.sign(d_lo)
+            lo, d_lo, hi = np.where(same, mid, lo), np.where(same, d_mid, d_lo), np.where(same, hi, mid)
+        d, a, s = phase(lo, k)
+        arrivals = (a * np.sqrt(1.0 + eta * s * s))[np.abs(d) < 1e-9]
+        best = min([best, *arrivals])
+        k += 1
+    return None if best == limit else 2.0 * math.sqrt(m.i1) * best
 
 
 class TestUnitQuaternion:
@@ -581,11 +548,6 @@ class TestShorterPathSearch:
         assert hit.arrival_time == pytest.approx(math.pi, abs=1e-3)
         assert hit.momentum.reduced() == pytest.approx(-1.0, abs=1e-6)
 
-    def test_rejects_few_attempts(self):
-        for attempts in (5, True, 10.0):
-            with pytest.raises(ValueError):
-                shorter_path_search(ROUND, Momentum(0.0, 0.0, 1.0), 1.0, attempts=attempts)
-
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
             shorter_path_search(ROUND, Momentum(0.0, 0.0, 1.0), 0.0)
@@ -595,58 +557,25 @@ class TestShorterPathSearch:
             shorter_path_search(ROUND, Momentum(0.0, 0.0, 1.0), math.inf)
 
     @pytest.mark.parametrize("factor", [0.9, 1.1])
-    def test_non_finite_trial_point_is_rejected_not_raised(self, factor):
-        # near float max an LM trial angle becomes NaN; the step must be
-        # rejected, not reported as invalid input
+    def test_sandwich_near_the_float_maximum(self, factor):
+        # every time and momentum here is near the float maximum, where t*|p0|
+        # overflows; the flow and the search work in units of sqrt(i1)
         m = BergerMetric(1.7e308, 1e308)
         t = factor * t_cut(m, 0.6)
         p0 = initial_momentum(m, 0.6, 0.0)
-        hit = shorter_path_search(m, p0, t, attempts=10)
-        assert hit is None or hit.arrival_time < t
-        assert hit == _shorter_path_search_reference(m, p0, t, attempts=10)
-
-    @pytest.mark.parametrize("eta", [-0.5, 0.3, 1.0, 3.0, 20.0, 49.0])
-    def test_scalar_loop_keeps_the_bits_of_the_matrix_form(self, eta):
-        rng = np.random.default_rng(29)
-        i3 = float(rng.uniform(0.5, 3.0))
-        m = BergerMetric((1.0 + eta) * i3, i3)
-        # +-1 and just below 1 make the pbar3 difference step flip its sign
-        for pb in (-1.0, 1.0, 1.0 - 4e-7, float(rng.uniform(-1.0, 1.0))):
-            p0 = initial_momentum(m, pb, float(rng.uniform(0.0, 2.0 * math.pi)))
-            tc = t_cut(m, pb)
-            for factor in (0.5, 0.9, 1.1, 1.5):
-                t = factor * tc
-                got = shorter_path_search(m, p0, t, attempts=10)
-                assert got == _shorter_path_search_reference(m, p0, t, attempts=10)
-
-    @pytest.mark.parametrize("eta", [-0.5, 0.3, 3.0, 49.0])
-    def test_closed_form_columns_match_differences(self, eta):
-        m = BergerMetric(1.3 * (1.0 + eta), 1.3)
-
-        def q_at(pbar3, phi, arrival):
-            p = initial_momentum(m, pbar3, phi)
-            return np.array(_flow(m, (p.p1, p.p2, p.p3), arrival)[:4])
-
-        for pbar3, phi, arrival in [(-0.7, 0.4, 2.0), (0.0, 2.5, 7.0), (0.3, 4.0, 11.0),
-                                    (0.95, 5.9, 23.0)]:
-            p = initial_momentum(m, pbar3, phi)
-            row = _flow(m, (p.p1, p.p2, p.p3), arrival)
-            h = 1e-5
-            by_differences = (
-                (q_at(pbar3, phi + h, arrival) - q_at(pbar3, phi - h, arrival)) / (2.0 * h),
-                (q_at(pbar3, phi, arrival + h) - q_at(pbar3, phi, arrival - h)) / (2.0 * h),
-            )
-            for exact, approx in zip(_closed_form_columns_reference(m, row), by_differences):
-                exact = np.array(exact)
-                assert np.abs(exact - approx).max() <= 1e-6 * np.abs(exact).max()
+        hit = shorter_path_search(m, p0, t)
+        if factor < 1.0:
+            assert hit is None
+        else:
+            assert hit is not None and hit.arrival_time < t * (1.0 - 1e-4)
+            assert _endpoint_gap(m, p0, t, hit) < 1e-12
 
     def test_benchmark_like_draws_hit_only_past_the_cut(self):
-        # eta log-uniform in [0.2, 1e3] and pbar3 >= 0.25 past eta = 10, where
-        # the search is known not to miss
+        # eta log-uniform in [0.2, 1e3], pbar3 uniform in [0, 1]
         rng = np.random.default_rng(41)
         for _ in range(20):
             eta = float(np.exp(rng.uniform(math.log(0.2), math.log(1e3))))
-            pb = float(rng.uniform(0.0, 1.0)) if eta <= 10.0 else float(rng.uniform(0.25, 1.0))
+            pb = float(rng.uniform(0.0, 1.0))
             i3 = float(np.exp(rng.uniform(math.log(0.5), math.log(2.0))))
             m = BergerMetric((1.0 + eta) * i3, i3)
             p0 = initial_momentum(m, pb, float(rng.uniform(0.0, 2.0 * math.pi)))
@@ -654,13 +583,99 @@ class TestShorterPathSearch:
             assert shorter_path_search(m, p0, 0.9 * tc) is None, (m, pb)
             hit = shorter_path_search(m, p0, 1.1 * tc)
             assert hit is not None, (m, pb)
-            target = _flow(m, (p0.p1, p0.p2, p0.p3), 1.1 * tc)[:4]
-            p = hit.momentum
-            reached = _flow(m, (p.p1, p.p2, p.p3), hit.arrival_time)[:4]
-            assert max(abs(a - b) for a, b in zip(target, reached)) < 1e-6
+            assert _endpoint_gap(m, p0, 1.1 * tc, hit) < 1e-12, (m, pb)
 
-    def test_accepts_numpy_integer_attempts(self):
-        p0, t = Momentum(0.0, 0.0, 1.0), 3.0 * math.pi
-        hit = shorter_path_search(ROUND, p0, t, attempts=np.int64(10))
-        assert hit is not None
-        assert hit == shorter_path_search(ROUND, p0, t, attempts=10)
+    @pytest.mark.parametrize("phi", [0.738, 1.0, 5.752])
+    def test_near_equatorial_geodesic_of_a_prolate_metric(self, phi):
+        # the competing geodesic lies far from p0 in (pbar3, phi) here
+        m = BergerMetric(41.0, 1.0)
+        p0 = initial_momentum(m, 0.05, phi)
+        t = 1.1 * t_cut(m, 0.05)
+        hit = shorter_path_search(m, p0, t)
+        assert hit is not None and hit.arrival_time < t * (1.0 - 1e-4)
+        assert _endpoint_gap(m, p0, t, hit) < 1e-12
+
+    def test_large_eta_probe_grid(self):
+        # eta*pbar3 between 1 and 10 at eta >= 20: no miss past the cut, no hit before it
+        rng = np.random.default_rng(2026)
+        failures = []
+        for eta in (20.0, 30.0, 41.0, 60.0, 100.0):
+            m = BergerMetric(1.0 + eta, 1.0)
+            for _ in range(30):
+                pb = float(rng.uniform(1.0 / eta, 10.0 / eta))
+                p0 = initial_momentum(m, pb, float(rng.uniform(0.0, 2.0 * math.pi)))
+                tc = t_cut(m, pb)
+                late = shorter_path_search(m, p0, 1.1 * tc)
+                if (shorter_path_search(m, p0, 0.9 * tc) is not None or late is None
+                        or _endpoint_gap(m, p0, 1.1 * tc, late) >= 1e-12):
+                    failures.append((eta, pb))
+        assert failures == []
+
+    @pytest.mark.parametrize("eta", [0.0, 3.0, 40.0])
+    @pytest.mark.parametrize("pb", [-1.0, 1.0])
+    @pytest.mark.parametrize("factor", [1.3, 2.2])
+    def test_target_on_the_axis_subgroup(self, eta, pb, factor):
+        # an axis geodesic ends on the e3 subgroup, Z = exp(i*theta) and sigma = 0;
+        # there the preimages are the axis geodesics, a*(1 + eta) = +-theta
+        # (mod 2*pi), and every s with a = k*pi and k*pi*(1 + eta*s) = theta (mod 2*pi)
+        m = BergerMetric(1.3 * (1.0 + eta), 1.3)
+        p0 = initial_momentum(m, pb, 0.4)
+        t = factor * t_cut(m, pb)
+        qw, _, _, qz = _flow(m, (p0.p1, p0.p2, p0.p3), t)[:4]
+        theta = math.atan2(qz, qw)
+        limit = t / (2.0 * math.sqrt(m.i1)) * (1.0 - 1e-4)
+        arrivals = [(sgn * theta) % (2.0 * math.pi) / math.sqrt(1.0 + eta) for sgn in (1.0, -1.0)]
+        k = 1
+        while eta > 0.0 and k * math.pi < limit:
+            d = (theta - k * math.pi + math.pi) % (2.0 * math.pi) - math.pi
+            if abs(d) <= k * math.pi * eta:
+                arrivals.append(math.hypot(k * math.pi, d / math.sqrt(eta)))
+            k += 1
+        shortest = min(a for a in arrivals if 0.0 < a < limit)
+        hit = shorter_path_search(m, p0, t)
+        assert hit.arrival_time == pytest.approx(2.0 * math.sqrt(m.i1) * shortest, rel=1e-12)
+        assert _endpoint_gap(m, p0, t, hit) < 1e-12
+
+    def test_axis_geodesics_hit_only_past_the_cut(self):
+        # |Z| of these targets rounds past 1 in about one case in twenty
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            eta, pb = float(rng.uniform(-0.9, 5.0)), float(rng.choice([-1.0, 1.0]))
+            factor = float(rng.choice([rng.uniform(0.5, 0.99), rng.uniform(1.01, 3.0)]))
+            m = BergerMetric(1.0 + eta, 1.0)
+            hit = shorter_path_search(m, initial_momentum(m, pb, 0.0), factor * t_cut(m, pb))
+            assert (hit is None) == (factor < 1.0), (eta, pb, factor)
+
+    @pytest.mark.parametrize("eta", [-0.5, 0.0, 3.0])
+    def test_target_with_no_axial_part(self, eta):
+        # an equatorial geodesic at a = 3*pi/2 ends at Z = cos(3*pi/2) = -1.8e-16,
+        # as near Z = 0 as a float target gets; the preimages of Z = 0 are s = 0
+        # and a = pi/2 + k*pi, so the shortest arrives at a third of t
+        m = BergerMetric(1.3 * (1.0 + eta), 1.3)
+        p0 = initial_momentum(m, 0.0, 0.4)
+        t = 3.0 * math.pi * math.sqrt(m.i1)
+        hit = shorter_path_search(m, p0, t)
+        assert hit.arrival_time == pytest.approx(t / 3.0, rel=1e-12)
+        assert hit.momentum.reduced() == pytest.approx(0.0, abs=1e-12)
+        assert _endpoint_gap(m, p0, t, hit) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        i3=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+        eta=st.one_of(st.floats(-0.999, 1.0), st.floats(0.0, 3.0).map(lambda e: 10.0 ** e)),
+        pb=st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 1.0 - 1e-12]), st.floats(-1.0, 1.0)),
+        phi=st.floats(0.0, 2.0 * math.pi),
+        factor=st.floats(0.5, 2.5),
+    )
+    def test_shortest_preimage_at_every_scale(self, i3, eta, pb, phi, factor):
+        m = BergerMetric((1.0 + eta) * i3, i3)
+        p0 = initial_momentum(m, pb, phi)
+        t = factor * t_cut(m, pb)
+        hit = shorter_path_search(m, p0, t)
+        scanned = _shortest_preimage_by_scan(m, p0, t)
+        if hit is not None:
+            assert hit.arrival_time < t * (1.0 - 1e-4)
+            assert _endpoint_gap(m, p0, t, hit) < 1e-12
+        if scanned is not None:
+            # to 1e-7 of t: a target at the identity has arrivals of rounding size
+            assert hit is not None and hit.arrival_time <= scanned + 1e-7 * t
