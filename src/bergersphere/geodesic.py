@@ -24,15 +24,20 @@ The module solves this system two ways:
   solution is a product of two one-parameter subgroups (see ``_flow``);
   a test checks it against the integrator.  The conjugate oracle
   differentiates the flow in closed form; a test checks the determinant
-  against central differences of ``_flow``.
+  against central differences of ``_flow``, and with it that ``sin(a)``
+  is an exact factor of the determinant.
 
 The oracles built on the flow:
 
 * ``exp_map``: endpoint of the geodesic with a given unit-speed momentum;
 * ``conjugate_time_numeric``: first vanishing of the determinant of the
   differential of the endpoint map, assembled from the endpoint velocity
-  and the flow's exact derivatives in two level-set directions, found by
-  a numerical scan;
+  and the flow's exact derivatives in two level-set directions.  The
+  determinant is ``sin(a)*D`` with ``a = t*|p0|/(2*i1)``: the first
+  conjugate time is the first zero of ``D``, found by a scan for a sign
+  change and a bracketed root finder, or else ``t_pi``, where ``a = pi``
+  and every geodesic of the family meets.  It agrees with the conjugate
+  equation's root within 1e-12 relative at every scale;
 * ``shorter_path_search``: the shortest geodesic reaching a given
   endpoint strictly earlier, from a bracketed scan of the endpoint map's
   preimages, which are the zeros of one phase along one curve per branch.
@@ -279,8 +284,8 @@ def _cross(u, v) -> tuple:
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
-def _conjugate_determinant(m: BergerMetric, pbar3: float) -> Callable[[float], float]:
-    """``det(t)`` of the endpoint map's differential along the geodesic with ``pbar3``.
+def _conjugate_determinant(m: BergerMetric, pbar3: float) -> "tuple[Callable, float]":
+    """``(D, t_pi)`` along the geodesic with ``pbar3``: ``D = det/sin(a)``, and ``a = pi`` at ``t_pi``.
 
     ``_flow`` at ``phi = 0`` is ``q(t) = exp(a*e) * exp(a*eta*pbar3*e3)``,
     with ``e = p0/|p0| = (sqrt(1 - pbar3^2), 0, pbar3)`` and
@@ -295,40 +300,42 @@ def _conjugate_determinant(m: BergerMetric, pbar3: float) -> Callable[[float], f
     ``v1, v2`` span the level set's tangent plane with ``v1 x v2 = s*u``, so
     ``det(t) = u . (c(v1) x c(v2))`` is the determinant of the columns
     ``omega``, ``c(v1)``, ``c(v2)`` up to a positive factor that does not
-    depend on ``t``.  The power of two ``s``, 1 below ``eta = 2**1000``,
-    keeps ``a*eta*v3`` finite up to the float maximum; it scales ``c(v2)``
-    exactly.  Times are in units of ``sqrt(i1)`` through ``rate``, so the
-    columns are the same at every scale.  The determinant is left as a
-    triple product and its zeros to the scan, so the oracle never uses
-    the conjugate equation.
+    depend on ``t``.  The turn of ``phi``, ``v1 = e2``, has ``e.v1 = 0`` and
+    no ``e3`` part, so ``c(v1) = sin(a)*(sin(a)*pbar3, cos(a), -sin(a)*e0)``
+    and ``det = sin(a)*D``: ``D`` is the triple product with that last
+    factor as its column.  ``sin(a)`` vanishes first at ``t_pi = pi/rate``,
+    where every ``phi`` meets, as ``exp(pi*e) = -1``.  The power of two
+    ``s``, 1 below ``eta = 2**1000``, keeps ``a*eta*v3`` finite up to the
+    float maximum; it scales ``c(v2)`` exactly.  Times are in units of
+    ``sqrt(i1)`` through ``rate``, so the columns are the same at every
+    scale.  ``D`` is left as a triple product and its zeros to the scan,
+    so the oracle never uses the conjugate equation.
     """
     eta = m.eta()
-    e = (math.sqrt(max(0.0, 1.0 - pbar3 * pbar3)), 0.0, pbar3)
+    e0 = math.sqrt(max(0.0, 1.0 - pbar3 * pbar3))
+    e = (e0, 0.0, pbar3)
     rate = 0.5 / (math.sqrt(m.i1) * math.sqrt(1.0 + eta * pbar3 * pbar3))
-    n = math.hypot(e[0], (1.0 + eta) * pbar3)
-    u0, u1, u2 = e[0] / n, 0.0, (1.0 + eta) * pbar3 / n
-    cols = []  # per direction: the parts of c(v) multiplied by a, sin*cos and sin^2
+    n = math.hypot(e0, (1.0 + eta) * pbar3)
+    u0, u1, u2 = e0 / n, 0.0, (1.0 + eta) * pbar3 / n
     s = math.ldexp(1.0, min(0, 1000 - math.frexp(eta)[1]))
-    for v in ((0.0, 1.0, 0.0), (-u2 * s, 0.0, u0 * s)):
-        ev = _dot(e, v)
-        along = (ev * e[0], ev * e[1], ev * e[2] + eta * v[2])
-        across = (v[0] - ev * e[0], v[1] - ev * e[1], v[2] - ev * e[2])
-        cols.append(tuple(zip(along, across, _cross(e, v))))
-    ((g0, h0, k0), (g1, h1, k1), (g2, h2, k2)), ((G0, H0, K0), (G1, H1, K1), (G2, H2, K2)) = cols
+    v = (-u2 * s, 0.0, u0 * s)
+    ev = _dot(e, v)
+    along = (ev * e[0], ev * e[1], ev * e[2] + eta * v[2])
+    across = (v[0] - ev * e[0], v[1] - ev * e[1], v[2] - ev * e[2])
+    # the parts of c(v2) multiplied by a, sin*cos and sin^2
+    (g0, h0, k0), (g1, h1, k1), (g2, h2, k2) = zip(along, across, _cross(e, v))
 
     def det(t: float) -> float:
-        # _dot(u, _cross(c1, c2)) on scalar locals, the zero u1 term kept
+        # _dot(u, _cross(x, y)) on scalar locals, the zero u1 term kept; x1 = cos(a)
         a = t * rate
         ca, sa = math.cos(a), math.sin(a)
-        x0 = a * g0 + sa * (ca * h0 - sa * k0)
-        x1 = a * g1 + sa * (ca * h1 - sa * k1)
-        x2 = a * g2 + sa * (ca * h2 - sa * k2)
-        y0 = a * G0 + sa * (ca * H0 - sa * K0)
-        y1 = a * G1 + sa * (ca * H1 - sa * K1)
-        y2 = a * G2 + sa * (ca * H2 - sa * K2)
-        return u0 * (x1 * y2 - x2 * y1) + u1 * (x2 * y0 - x0 * y2) + u2 * (x0 * y1 - x1 * y0)
+        x0, x2 = sa * pbar3, -sa * e0
+        y0 = a * g0 + sa * (ca * h0 - sa * k0)
+        y1 = a * g1 + sa * (ca * h1 - sa * k1)
+        y2 = a * g2 + sa * (ca * h2 - sa * k2)
+        return u0 * (ca * y2 - x2 * y1) + u1 * (x2 * y0 - x0 * y2) + u2 * (x0 * y1 - ca * y0)
 
-    return det
+    return det, math.pi / rate
 
 
 def conjugate_time_numeric(m: BergerMetric, pbar3: float, t_max: float) -> float:
@@ -336,87 +343,37 @@ def conjugate_time_numeric(m: BergerMetric, pbar3: float, t_max: float) -> float
 
     Differentiates the exact flow in closed form: the determinant of the
     endpoint map's differential, assembled from the endpoint velocity and
-    the derivatives in two level-set directions (``_conjugate_determinant``),
-    is scanned for its first vanishing on a 400-point time grid.  The grid
-    is offset by half a step because ``det(0) = 0``: every geodesic starts
-    at a degenerate point of the exponential map.  The scan evaluates each
-    grid determinant when it reaches it and stops at the first crossing or
-    accepted tangency, so the grid past the event is never computed.  A
-    sign change is refined by bisection; a deep tangency of ``|det|`` (an
-    even-order zero, which the axis geodesics produce because their
-    conjugate points have multiplicity two) is refined by golden-section
-    minimization.  Two simple zeros in one grid cell also show as a dip
-    without a sign change; when the accepted tangency has the other sign
-    just before it, the earlier zero is found by bisection.  Defined for
-    ``eta > 0``; raises NoConjugatePoint when the determinant neither
-    crosses nor touches zero up to ``t_max``.
+    the derivatives in two level-set directions, is ``sin(a)*D(t)``
+    (``_conjugate_determinant``).  ``sin(a)`` first vanishes at ``t_pi``,
+    where all geodesics of the family meet, so the first conjugate time is
+    the first zero of ``D`` before ``t_pi``, or else ``t_pi``.  ``D`` is
+    scanned for a sign change on 400 cells of ``(0, min(t_max, t_pi)]``,
+    evaluated at their midpoints and at the end: ``D(0) = 0``, as every
+    geodesic starts at a degenerate point of the exponential map.  The
+    scan stops at the first sign change, which ``_bracketed_root`` refines
+    to a few ulps; over metrics from subnormal to the float maximum and
+    ``eta`` from 1e-9 to 1e300, the time agrees with the conjugate
+    equation's root to within 1e-12 relative.  Defined for ``eta > 0``;
+    raises NoConjugatePoint when ``D`` keeps its sign up to ``t_max < t_pi``.
     """
     eta = m.eta()
     if eta <= 0.0:
         raise DomainError(f"conjugate times require eta > 0, got eta={eta!r}")
     t_max = _real("t_max", t_max, finite=True, positive=True)
-    det_at = _conjugate_determinant(m, _pbar3(pbar3))
-
-    dt = t_max / _CONJ_GRID_N
-    times = [(k + 0.5) * dt for k in range(_CONJ_GRID_N)]
-    dets = [det_at(times[0])]  # filled as the scan reaches each time
-    tol = 1e-6 * t_max
-
-    def refine_crossing(k: int, hi: float) -> float:
-        # det changes sign on [times[k - 1], hi]
-        fa_sign = dets[k - 1] > 0.0
-        lo = times[k - 1]
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            fm = det_at(mid)
-            if fm == 0.0:
-                return mid
-            if (fm > 0.0) == fa_sign:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    def refine_tangency(j: int) -> "Optional[float]":
-        # |det| has a strict local minimum at grid index j without a sign
-        # change, the signature of an even-order zero (symmetric geodesics
-        # carry conjugate points of multiplicity two).  Minimize |det| in
-        # the surrounding cells; accept when the dip is orders of
-        # magnitude below the shoulders, reject shallow benign minima.
-        lo, hi = times[j - 1], times[j + 1]
-        inv = 0.5 * (math.sqrt(5.0) - 1.0)
-        x1 = hi - inv * (hi - lo)
-        x2 = lo + inv * (hi - lo)
-        g1 = abs(det_at(x1))
-        g2 = abs(det_at(x2))
-        while hi - lo > tol:
-            if g1 <= g2:
-                hi, x2, g2 = x2, x1, g1
-                x1 = hi - inv * (hi - lo)
-                g1 = abs(det_at(x1))
-            else:
-                lo, x1, g1 = x1, x2, g2
-                x2 = lo + inv * (hi - lo)
-                g2 = abs(det_at(x2))
-        t_star = 0.5 * (lo + hi)
-        shoulder = max(abs(dets[j - 1]), abs(dets[j + 1]))
-        if abs(det_at(t_star)) <= 1e-4 * shoulder:
-            return t_star
-        return None
-
-    for k in range(1, _CONJ_GRID_N):
-        dets.append(det_at(times[k]))
-        if dets[k] == 0.0:
-            return times[k]
-        if (dets[k] > 0.0) != (dets[k - 1] > 0.0):
-            return refine_crossing(k, times[k])
-        if k >= 2 and abs(dets[k - 1]) < abs(dets[k - 2]) and abs(dets[k - 1]) < abs(dets[k]):
-            t_star = refine_tangency(k - 1)
-            if t_star is not None:
-                # the dip may hold two simple zeros, and the minimization the later one
-                if (det_at(t_star - tol) > 0.0) != (dets[k - 2] > 0.0):
-                    return refine_crossing(k - 1, t_star - tol)
-                return t_star
+    det_at, t_pi = _conjugate_determinant(m, _pbar3(pbar3))
+    end = min(t_max, t_pi)
+    dt = end / _CONJ_GRID_N
+    t0 = d0 = None
+    for k in range(_CONJ_GRID_N + 1):
+        t1 = min(end, (k + 0.5) * dt)  # the last point is the end itself
+        d1 = det_at(t1)
+        if d1 == 0.0:
+            return t1
+        if k and (d1 > 0.0) != (d0 > 0.0):
+            return _bracketed_root(det_at, t0, t1, d0, d1, lambda x0, x1: x0 + 0.5 * (x1 - x0))
+        t0, d0 = t1, d1
+    if t_pi <= t_max:
+        return t_pi
     raise NoConjugatePoint(f"determinant kept its sign on (0, {t_max}]")
 
 
@@ -430,7 +387,7 @@ def _bracketed_root(f: Callable[[float], float], x0: float, x1: float, f0: float
     (xn, fn), (xp, fp) = ((x0, f0), (x1, f1)) if f0 < 0.0 else ((x1, f1), (x0, f0))
     last, bisect = None, False
     for _ in range(200):
-        x = middle(xn, xp) if bisect else xp - fp * (xp - xn) / (fp - fn)
+        x = middle(xn, xp) if bisect else xp - (xp - xn) * (fp / (fp - fn))
         if not (xn < x < xp or xp < x < xn):
             break
         fx = f(x)

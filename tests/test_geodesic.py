@@ -118,28 +118,28 @@ def _rel_log_reference(base, other):
 
 
 def _conjugate_determinant_reference(m, pbar3):
-    # the compact form of _conjugate_determinant, one list per column; the
-    # scalar det must reproduce it bit for bit
+    # the compact form of _conjugate_determinant, one list per column, with
+    # c(e2)/sin(a) as the first; the scalar D must reproduce it bit for bit
     eta = m.eta()
     e = (math.sqrt(max(0.0, 1.0 - pbar3 * pbar3)), 0.0, pbar3)
     rate = 0.5 / (math.sqrt(m.i1) * math.sqrt(1.0 + eta * pbar3 * pbar3))
     n = math.hypot(e[0], (1.0 + eta) * pbar3)
     u = (e[0] / n, 0.0, (1.0 + eta) * pbar3 / n)
     s = math.ldexp(1.0, min(0, 1000 - math.frexp(eta)[1]))
-    columns = []
-    for v in ((0.0, 1.0, 0.0), (-u[2] * s, 0.0, u[0] * s)):
-        ev = _dot(e, v)
-        along = (ev * e[0], ev * e[1], ev * e[2] + eta * v[2])
-        across = (v[0] - ev * e[0], v[1] - ev * e[1], v[2] - ev * e[2])
-        columns.append(tuple(zip(along, across, _cross(e, v))))
+    v = (-u[2] * s, 0.0, u[0] * s)
+    ev = _dot(e, v)
+    along = (ev * e[0], ev * e[1], ev * e[2] + eta * v[2])
+    across = (v[0] - ev * e[0], v[1] - ev * e[1], v[2] - ev * e[2])
+    column = tuple(zip(along, across, _cross(e, v)))
 
     def det(t):
         a = t * rate
         ca, sa = math.cos(a), math.sin(a)
-        c1, c2 = ([a * g + sa * (ca * h - sa * k) for g, h, k in col] for col in columns)
+        c1 = [sa * pbar3, ca, -sa * e[0]]
+        c2 = [a * g + sa * (ca * h - sa * k) for g, h, k in column]
         return _dot(u, _cross(c1, c2))
 
-    return det
+    return det, math.pi / rate
 
 
 def _determinant_by_differences(m, pbar3, delta=1e-6):
@@ -172,7 +172,9 @@ def _determinant_by_differences(m, pbar3, delta=1e-6):
 
 # (i1, i3) at which the conjugate agreement check once failed: differences with
 # an absolute step at extreme scales (the first six) and at huge eta (the next
-# two), and two zeros of det in one grid cell (the last)
+# two), and the zero of D in the grid cell just before a = pi, where the
+# unreduced det = sin(a)*D had two zeros in one cell (the last).  At each of them
+# the scan of D and its bracketed refinement agree with tau_conj within 1e-12.
 _HARD_METRICS = [(1e-150, 1e-151), (1e200, 1e199), (1e-300, 1e-301), (1.7e308, 1e308),
                  (2e-323, 1e-323), (1e-310, 1e-311), (1e100, 1.0), (1e300, 1.0),
                  (1.0016710069985971, 1.0)]
@@ -441,30 +443,61 @@ class TestConjugateTime:
         factory = geodesic._conjugate_determinant
 
         def counted_factory(*args):
-            det = factory(*args)
+            det, t_pi = factory(*args)
 
             def counted(t):
                 calls.append(t)
                 return det(t)
-            return counted
+            return counted, t_pi
 
         monkeypatch.setattr(geodesic, "_conjugate_determinant", counted_factory)
         norm = momentum_norm(ETA_ONE, 0.5)
         got = conjugate_time_numeric(ETA_ONE, 0.5, 1.02 * 2.0 * math.pi * ETA_ONE.i1 / norm)
-        assert got == 4.954471014924213
+        assert got == pytest.approx(_arc_length(ETA_ONE, 1.0, 0.5, tau_conj(1.0, 0.5)), rel=1e-12)
         assert 0 < len(calls) < 400
+
+    def test_conjugate_point_in_the_last_half_cell(self):
+        # the time lies past the last cell's midpoint, 399.5/400 of the horizon
+        expect = _arc_length(ETA_ONE, 1.0, 0.5, tau_conj(1.0, 0.5))
+        got = conjugate_time_numeric(ETA_ONE, 0.5, 4.9544721468990565 / 0.999)
+        assert got == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("pb", [0.0, 0.5, 0.9])
+    def test_long_horizon_scans_only_up_to_a_pi(self, pb):
+        # a horizon of a thousand times t_pi would put several zeros of D in one cell
+        m = BergerMetric(3.0, 1.0)
+        eta = m.eta()
+        horizon = 1000.0 * 1.02 * _arc_length(m, eta, pb, math.pi)
+        got = conjugate_time_numeric(m, pb, horizon)
+        assert got == pytest.approx(_arc_length(m, eta, pb, tau_conj(eta, pb)), rel=1e-12)
+
+    def test_agreement_to_the_last_digits(self):
+        # log-uniform eta and scale, pbar3 with its edge values; the horizon
+        # reaches past t_pi, as in verify's geodesic-conjugate-agreement
+        rng = np.random.default_rng(23)
+        edges = [1.0, -1.0, 0.0, 1e-310, 1.0 - 1e-12]
+        worst = 0.0
+        for i in range(300):
+            eta = 10.0 ** rng.uniform(-9.0, 300.0)
+            # i3 from subnormal to where i1 = (1 + eta)*i3 reaches 1e308
+            i3 = 10.0 ** rng.uniform(-323.0, 308.0 - math.log10(1.0 + eta))
+            m = BergerMetric((1.0 + eta) * i3, i3)
+            pb = edges[i % 10] if i % 10 < len(edges) else float(rng.uniform(-1.0, 1.0))
+            worst = max(worst, _conjugate_deviation(m, pb))
+        assert worst <= 1e-12
 
     @pytest.mark.parametrize("eta", [0.05, 0.5, 1.0, 5.0, 49.0])
     @pytest.mark.parametrize("pb", [-1.0, 0.0, 0.3, 1.0])
     def test_closed_form_is_a_constant_multiple_of_differences(self, eta, pb):
         # differences of _flow approximate the same determinant up to a positive
-        # factor |omega|*(2/|p0|)^2 that does not depend on t
+        # factor |omega|*(2/|p0|)^2 that does not depend on t, which makes sin(a)
+        # an exact factor of det
         m = BergerMetric(1.3 * (1.0 + eta), 1.3)
-        exact = geodesic._conjugate_determinant(m, pb)
+        reduced, t_pi = geodesic._conjugate_determinant(m, pb)
         by_differences = _determinant_by_differences(m, pb)
         horizon = 2.0 * math.sqrt(m.i1) * 2.0 * math.pi * math.sqrt(1.0 + eta * pb * pb)
         times = [horizon * (k + 0.5) / 97 for k in range(97)]
-        dets = [exact(t) for t in times]
+        dets = [math.sin(math.pi * t / t_pi) * reduced(t) for t in times]
         big = max(abs(d) for d in dets)
         # away from the zeros of det, where the quotient is ill-conditioned
         ratios = [by_differences(t) / d for t, d in zip(times, dets) if abs(d) > 1e-2 * big]
@@ -478,8 +511,9 @@ class TestConjugateTime:
         m = BergerMetric(i1, i3)
         rng = np.random.default_rng(19)
         for pb in (-1.0, 0.0, 1e-310, 1.0, *rng.uniform(-1.0, 1.0, 4)):
-            got = geodesic._conjugate_determinant(m, float(pb))
-            want = _conjugate_determinant_reference(m, float(pb))
+            got, got_t_pi = geodesic._conjugate_determinant(m, float(pb))
+            want, want_t_pi = _conjugate_determinant_reference(m, float(pb))
+            assert got_t_pi == want_t_pi
             for t in rng.uniform(0.0, 20.0, 50) * math.sqrt(i1):
                 assert got(t).hex() == want(t).hex()
 
@@ -488,8 +522,8 @@ class TestConjugateTime:
         (1.1508008516160818, 1.0, 0.9968260965283151),
     ])
     def test_two_zeros_in_one_cell(self, i1, i3, pb):
-        # det has two simple zeros in one grid cell, so the scan sees a dip
-        # without a sign change; the first zero is the conjugate time
+        # D's zero lies in the grid cell just before sin(a)'s at a = pi, so
+        # det = sin(a)*D has two zeros in one cell; the scan of D sees a sign change
         assert _conjugate_deviation(BergerMetric(i1, i3), pb) < 1e-5
 
     @settings(max_examples=40, deadline=None)
@@ -523,6 +557,16 @@ class TestConjugateTime:
     def test_rejects_infinite_horizon(self):
         with pytest.raises(DomainError, match="t_max must be finite"):
             conjugate_time_numeric(ETA_ONE, 0.5, math.inf)
+
+
+class TestBracketedRoot:
+    def test_secant_step_does_not_overflow(self):
+        # |f(x1)|*(x1 - x0) passes the float maximum, f(x1)/(f(x1) - f(x0)) does not
+        def f(x):
+            return 1e290 * (x - 1.0)
+        def mid(x0, x1):
+            return 0.5 * (x0 + x1)
+        assert geodesic._bracketed_root(f, 0.0, 1e10, -1e290, f(1e10), mid) == 1.0
 
 
 class TestShorterPathSearch:
