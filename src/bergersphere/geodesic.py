@@ -15,10 +15,11 @@ the round-case calibration: for ``i1 = i3 = I`` the flow must reach
 The module solves this system two ways:
 
 * ``exp_map`` and ``endpoint_state`` integrate the joint system with
-  fixed-step classical RK4, taking each step for ``i1 = i2`` as one
-  quaternion product (see ``_rk4``) and renormalizing the quaternion; the
-  drift in the conserved quantities is this reference integrator's error
-  estimate.
+  fixed-step classical RK4 in units of ``sqrt(i1)``.  For ``i1 = i2`` the
+  steps are taken in blocks of 8, each composed exactly from the textbook
+  step into one polynomial in ``|p1 + i*p2|^2``, one quaternion product and
+  one renormalization (see ``_rk4``); the drift in the conserved
+  quantities is this reference integrator's error estimate.
 * ``conjugate_time_numeric`` and ``shorter_path_search`` use the exact
   flow.  With ``i1 = i2`` the system is the free symmetric top, whose
   solution is a product of two one-parameter subgroups (see ``_flow``);
@@ -42,8 +43,8 @@ The oracles built on the flow:
   endpoint strictly earlier, from a bracketed scan of the endpoint map's
   preimages, which are the zeros of one phase along one curve per branch.
 
-The RK4 loop and the conjugate determinant are written out on scalar
-locals for speed; tests pin them, bit for bit, to compact forms.
+The RK4 block loop and the conjugate determinant are written out on
+scalar locals for speed; tests pin them, bit for bit, to compact forms.
 
 Nothing here calls ``tau3``, ``tau_conj`` or ``t_cut``: both routes use
 only the geodesic equations, never the cut or conjugate root equations,
@@ -78,6 +79,7 @@ _H_DRIFT_TOL = 1e-6      # relative drift of H that aborts an integration
 _CONJ_GRID_N = 400       # sign-scan resolution for the determinant
 _SEARCH_MARGIN = 1e-4    # required arrival-time advantage, relative to t
 _CELL_PHASE = 0.25       # bound on each phase term per cell of the preimage scan
+_BLOCK = 8               # RK4 steps that _rk4 composes exactly into one
 
 
 @dataclass(frozen=True)
@@ -127,45 +129,105 @@ def _identity_step(c1s: float, w3: float, b: float, h: float, k: float) -> tuple
     return tuple(h / 6.0 * (a + 2.0 * (b2 + c3) + d) for a, b2, c3, d in zip(*stages))
 
 
+def _convolve(a: list, b: list) -> list:
+    """Coefficients of the product of the polynomials with coefficients ``a`` and ``b``."""
+    out = [0j] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return out
+
+
+def _double(p: list, g: list, r: complex) -> tuple:
+    """``(P, G, R)`` of ``_rk4`` for the block ``(p, g, r)`` taken twice.
+
+    Block ``a`` then block ``b`` is ``q*(1 + E_a(u))*(1 + E_b(lam*u))`` with
+    ``lam = 1 + R_a``.  With ``mu = |lam|^2``, ``P_b'(m) = P_b(mu*m)`` and
+    ``H(m) = G_b(mu*m)*lam``, the product is ``P = P_a + P_b' + P_a*P_b' - m*G_a*conj(H)``,
+    ``G = G_a + (1 + P_a)*H + G_a*conj(P_b')`` and ``R = R_a + R_b + R_a*R_b``.
+    """
+    lam = 1.0 + r
+    mu = lam.real * lam.real + lam.imag * lam.imag
+    w = [1.0]
+    for _ in g:
+        w.append(w[-1] * mu)
+    ps = [c * x for c, x in zip(p, w)]
+    h = [c * x * lam for c, x in zip(g, w)]
+    pp, gh = _convolve(p, ps), _convolve(g, [c.conjugate() for c in h])
+    ph, gp = _convolve([1.0 + p[0]] + p[1:], h), _convolve(g, [c.conjugate() for c in ps])
+    pad = [0j] * len(g)
+    return ([a + b + c - d for a, b, c, d in zip(p + pad, ps + pad, pp, [0j] + gh + [0j])],
+            [a + b + c for a, b, c in zip(g + pad, ph, gp)], r + r + r * r)
+
+
 def _rk4(y: tuple, a1: float, a3: float, h: float, n: int) -> tuple:
-    """n fixed classical RK4 steps of the joint flow, renormalizing q each step.
+    """n fixed classical RK4 steps of the joint flow, taken in exactly composed blocks of 8.
 
     ``y = (qw, qx, qy, qz, p1, p2, p3)``, ``a1 = 1/i1``, ``a3 = 1/i3``.  For
     ``i1 = i2`` and ``u = (p1, p2)/|p0|``, ``dq = q*(0, c1s*u1, c1s*u2, w3)``
     and ``du = (b*u2, -b*u1)`` with ``c1s = a1*|p0|/2``, ``w3 = a3*p3/2`` and
     ``b = (a3 - a1)*p3``; ``p3`` is constant.  Each stage of ``dq`` is ``q``
     times a quaternion, so a textbook step maps ``q`` to ``q + q*D(u)``, with
-    ``D`` its q-increment from ``q = 1``.  RK4 commutes with the field's
-    rotations about ``e3``, so in ``m = |u|^2`` the step has ``D0, Dz``
-    quadratic, ``(Dx, Dy) = alpha*u + beta*(e3 x u)`` with ``alpha, beta``
-    linear, and ``du = r0*u + r1*(e3 x u)``.  The coefficients come from the
-    textbook step at ``u = 0, e1, 2*e1`` (``_identity_step``), never from
-    the exact flow.
+    ``D`` its q-increment from ``q = 1``.  Write quaternions as ``alpha + beta*i``
+    with ``alpha = w + z*k`` and ``beta = x + y*k`` complex in ``k``, and ``u``
+    as ``u1 + u2*k``.  RK4 commutes with the field's rotations about ``e3``, so
+    with ``m = |u|^2`` a step is ``q <- q*(1 + E)``, ``E = P(m) + (G(m)*u)*i``,
+    and ``u <- (1 + R)*u``: ``P`` is quadratic, ``G`` linear and ``R`` constant.
+    Their coefficients come from the textbook step at ``u = 0, e1, 2*e1``
+    (``_identity_step``), never from the exact flow.
+
+    ``L`` steps have the same shape, with ``P`` of degree ``2L`` and ``G`` of
+    degree ``2L - 1``: three exact doublings (``_double``) give the block of
+    ``_BLOCK = 8`` steps, taken as one Horner evaluation, one quaternion
+    product and one renormalization, as the norm is multiplicative.  The
+    ``n mod 8`` remaining steps take the same loop body, with the step's
+    polynomials padded by zeros.  Against the textbook step, one turn in 1000
+    to 2000 steps over ``i1`` from 1e-300 to 1e300 agrees within 5.9e-15, and
+    32 turns in 2000 steps within 1.5e-13 (step by step: 7.5e-15, 1.3e-13).
     """
     qw, qx, qy, qz, p1, p2, p3 = y
     s = math.hypot(p1, p2, p3)
     u1 = p1 / s; u2 = p2 / s
     at0, at1, at2 = (_identity_step(0.5 * a1 * s, 0.5 * a3 * p3, (a3 - a1) * p3, h, k)
                      for k in (0.0, 1.0, 2.0))
-    # D0, Dz through their values at m = 0, 1, 4; alpha, beta through m = 1, 4
-    r0, r1 = at1[4:]; e0, z0 = at0[0], at0[3]
-    e2 = (at2[0] - e0 - 4.0 * (at1[0] - e0)) / 12.0; e1 = at1[0] - e0 - e2
-    z2 = (at2[3] - z0 - 4.0 * (at1[3] - z0)) / 12.0; z1 = at1[3] - z0 - z2
-    al1 = (0.5 * at2[1] - at1[1]) / 3.0; al0 = at1[1] - al1
-    be1 = (0.5 * at2[2] - at1[2]) / 3.0; be0 = at1[2] - be1
-    for _ in range(n):
-        m = u1 * u1 + u2 * u2
-        d0 = e0 + m * (e1 + m * e2); dz = z0 + m * (z1 + m * z2)
-        al = al0 + m * al1; be = be0 + m * be1
-        dx = al * u1 - be * u2; dy = al * u2 + be * u1
-        # q + q*D, then u + r0*u + r1*(e3 x u); hypot cannot overflow, so divergence gives NaN
-        qw, qx, qy, qz = (qw + (qw * d0 - qx * dx - qy * dy - qz * dz),
-                          qx + (qw * dx + qx * d0 + qy * dz - qz * dy),
-                          qy + (qw * dy - qx * dz + qy * d0 + qz * dx),
-                          qz + (qw * dz + qx * dy - qy * dx + qz * d0))
-        u1, u2 = u1 + (r0 * u1 - r1 * u2), u2 + (r0 * u2 + r1 * u1)
-        r = 1.0 / math.hypot(qw, qx, qy, qz)
-        qw = qw * r; qx = qx * r; qy = qy * r; qz = qz * r
+    # P = D0 + Dz*k through its values at m = 0, 1, 4; G = alpha + beta*k through m = 1, 4
+    v0, v1, v2 = (complex(a[0], a[3]) for a in (at0, at1, at2))
+    f1, f2 = complex(at1[1], at1[2]), complex(at2[1], at2[2])
+    c2, c1 = (v2 - v0 - 4.0 * (v1 - v0)) / 12.0, (0.5 * f2 - f1) / 3.0
+    step = block = ([v0, v1 - v0 - c2, c2], [f1 - c1, c1], complex(*at1[4:]))
+    for _ in range(_BLOCK.bit_length() - 1):
+        block = _double(*block)
+    for count, (p, g, r) in ((n // _BLOCK, block), (n % _BLOCK, step)):
+        # the loop is written out for blocks of 8: P of degree 16, G of degree 15
+        p = p + [0j] * (2 * _BLOCK + 1 - len(p)); g = g + [0j] * (2 * _BLOCK - len(g))
+        e0, e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11, e12, e13, e14, e15, e16 = (c.real for c in p)
+        z0, z1, z2, z3, z4, z5, z6, z7, z8, z9, z10, z11, z12, z13, z14, z15, z16 = (c.imag for c in p)
+        g0, g1, g2, g3, g4, g5, g6, g7, g8, g9, g10, g11, g12, g13, g14, g15 = (c.real for c in g)
+        k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15 = (c.imag for c in g)
+        r0, r1 = r.real, r.imag
+        for _ in range(count):
+            m = u1 * u1 + u2 * u2
+            d0 = e11 + m * (e12 + m * (e13 + m * (e14 + m * (e15 + m * e16))))
+            d0 = e5 + m * (e6 + m * (e7 + m * (e8 + m * (e9 + m * (e10 + m * d0)))))
+            d0 = e0 + m * (e1 + m * (e2 + m * (e3 + m * (e4 + m * d0))))
+            dz = z11 + m * (z12 + m * (z13 + m * (z14 + m * (z15 + m * z16))))
+            dz = z5 + m * (z6 + m * (z7 + m * (z8 + m * (z9 + m * (z10 + m * dz)))))
+            dz = z0 + m * (z1 + m * (z2 + m * (z3 + m * (z4 + m * dz))))
+            al = g10 + m * (g11 + m * (g12 + m * (g13 + m * (g14 + m * g15))))
+            al = g5 + m * (g6 + m * (g7 + m * (g8 + m * (g9 + m * al))))
+            al = g0 + m * (g1 + m * (g2 + m * (g3 + m * (g4 + m * al))))
+            be = k10 + m * (k11 + m * (k12 + m * (k13 + m * (k14 + m * k15))))
+            be = k5 + m * (k6 + m * (k7 + m * (k8 + m * (k9 + m * be))))
+            be = k0 + m * (k1 + m * (k2 + m * (k3 + m * (k4 + m * be))))
+            dx = al * u1 - be * u2; dy = al * u2 + be * u1
+            # q + q*E, then u + R*u; hypot cannot overflow, so divergence gives NaN
+            qw, qx, qy, qz = (qw + (qw * d0 - qx * dx - qy * dy - qz * dz),
+                              qx + (qw * dx + qx * d0 + qy * dz - qz * dy),
+                              qy + (qw * dy - qx * dz + qy * d0 + qz * dx),
+                              qz + (qw * dz + qx * dy - qy * dx + qz * d0))
+            u1, u2 = u1 + (r0 * u1 - r1 * u2), u2 + (r0 * u2 + r1 * u1)
+            r = 1.0 / math.hypot(qw, qx, qy, qz)
+            qw = qw * r; qx = qx * r; qy = qy * r; qz = qz * r
     return (qw, qx, qy, qz, u1 * s, u2 * s, p3)
 
 
@@ -197,8 +259,15 @@ def _flow(m: BergerMetric, p0, t: float) -> tuple:
     )
 
 
-def _hamiltonian(i1: float, i3: float, p1: float, p2: float, p3: float) -> float:
-    return 0.5 * ((p1 * p1 + p2 * p2) / i1 + p3 * p3 / i3)
+def _hamiltonian(a3: float, p1: float, p2: float, p3: float) -> float:
+    # H in units of sqrt(i1): momenta p/sqrt(i1), a1 = 1 and a3 = i1/i3
+    return 0.5 * (p1 * p1 + p2 * p2 + a3 * p3 * p3)
+
+
+def _energy(m: BergerMetric, p: Momentum) -> float:
+    """``H(p)``, formed in units of ``sqrt(i1)`` so that no scale underflows or overflows."""
+    r1 = math.sqrt(m.i1)
+    return _hamiltonian(m.i1 / m.i3, p.p1 / r1, p.p2 / r1, p.p3 / r1)
 
 
 def initial_momentum(m: BergerMetric, pbar3: float, phi: float) -> Momentum:
@@ -215,7 +284,7 @@ def initial_momentum(m: BergerMetric, pbar3: float, phi: float) -> Momentum:
 
 
 def _check_level(m: BergerMetric, p0: Momentum) -> None:
-    h = _hamiltonian(m.i1, m.i3, p0.p1, p0.p2, p0.p3)
+    h = _energy(m, p0)
     if abs(h - 0.5) > _H_LEVEL_TOL:
         raise DomainError(f"momentum is not on the unit-speed level: H={h!r}")
 
@@ -246,8 +315,10 @@ def endpoint_state(m: BergerMetric, p0: Momentum, t: float, step: float) -> Geod
     if step > t / 1000.0:
         raise ValueError(f"step {step!r} exceeds t/1000 = {t / 1000.0!r}")
     n = math.ceil(t / step)
-    y = _rk4((1.0, 0.0, 0.0, 0.0, p0.p1, p0.p2, p0.p3), 1.0 / m.i1, 1.0 / m.i3, t / n, n)
-    h_end = _hamiltonian(m.i1, m.i3, y[4], y[5], y[6])
+    # in units of sqrt(i1): momenta and times over sqrt(i1), a1 = 1 and a3 = i1/i3
+    r1, a3 = math.sqrt(m.i1), m.i1 / m.i3
+    y = _rk4((1.0, 0.0, 0.0, 0.0, p0.p1 / r1, p0.p2 / r1, p0.p3 / r1), 1.0, a3, t / r1 / n, n)
+    h_end = _hamiltonian(a3, y[4], y[5], y[6])
     # a diverged run gives NaN, in q alone where p is conserved exactly
     if not abs(h_end - 0.5) <= _H_DRIFT_TOL * 0.5 or math.isnan(y[0] + y[1] + y[2] + y[3]):
         raise NormalizationError(
@@ -255,7 +326,7 @@ def endpoint_state(m: BergerMetric, p0: Momentum, t: float, step: float) -> Geod
         )
     return GeodesicState(
         q=UnitQuaternion(y[0], y[1], y[2], y[3]),
-        p=Momentum(y[4], y[5], y[6]),
+        p=Momentum(y[4] * r1, y[5] * r1, p0.p3),
         t=float(t),
     )
 
@@ -268,7 +339,7 @@ def conservation_drift(m: BergerMetric, p0: Momentum, p: Momentum) -> "dict[str,
     """
     norm0 = p0.norm()
     return {
-        "hamiltonian_rel": abs(_hamiltonian(m.i1, m.i3, p.p1, p.p2, p.p3) - 0.5) / 0.5,
+        "hamiltonian_rel": abs(_energy(m, p) - 0.5) / 0.5,
         "momentum_norm_rel": abs(p.norm() - norm0) / norm0,
         "axis_momentum_rel": abs(p.p3 - p0.p3) / norm0,
     }

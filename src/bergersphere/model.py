@@ -156,10 +156,12 @@ def momentum_norm(m: BergerMetric, pbar3: float) -> float:
 
     The denominator is bounded below by ``min(1, i1/i3) > 0``, so the
     expression is well defined for every admissible metric and axis
-    fraction.
+    fraction.  It is formed as ``sqrt(i1)/sqrt(1 + eta*pbar3^2)``: the
+    quotient ``i1/(1 + eta*pbar3^2)`` can fall below the least normal
+    float and lose its digits.
     """
     pbar3 = _pbar3(pbar3)
-    return math.sqrt(m.i1 / (1.0 + m.eta() * pbar3 * pbar3))
+    return math.sqrt(m.i1) / math.sqrt(1.0 + m.eta() * pbar3 * pbar3)
 
 
 def classify_regime(m: BergerMetric) -> Regime:

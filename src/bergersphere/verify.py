@@ -251,7 +251,8 @@ def _check_cut_sandwich(m: BergerMetric) -> CheckResult:
     p0 = initial_momentum(mm, pb, 0.0)
     early = shorter_path_search(mm, p0, 0.9 * tc)
     late = shorter_path_search(mm, p0, 1.1 * tc)
-    ok = early is None and late is not None and late.arrival_time < 1.1 * tc - 1e-4
+    # the search's own relative margin: an absolute one exceeds t_cut where i1 is tiny
+    ok = early is None and late is not None and late.arrival_time < 1.1 * tc * (1.0 - 1e-4)
     detail = (
         f"0.9*t_cut: {'empty' if early is None else 'hit'}; "
         f"1.1*t_cut: {'empty' if late is None else f'arrival {late.arrival_time:.6g}'}"

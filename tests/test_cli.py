@@ -205,10 +205,13 @@ class TestExtremeScales:
         assert code == 0, err
 
     @pytest.mark.parametrize("i1,i3", [("1e200", "1e199"), ("1.7e308", "1e308"),
-                                       ("1.7e308", "1")])
+                                       ("1.7e308", "1"), ("1e-150", "1e-151"),
+                                       ("1e-300", "1e-301"), ("1e-310", "1e-311"),
+                                       ("2e-323", "1e-323"), ("5e-324", "5e-324")])
     def test_full_verify_passes_at_extreme_scales(self, capsys, i1, i3):
-        # the geodesic oracles work in units of sqrt(i1), so every check
-        # passes where lengths and momenta are near the float maximum
+        # the geodesic oracles and the integrator work in units of sqrt(i1), and
+        # the sandwich's margin is relative, so every check passes where lengths
+        # and momenta are near the float maximum or subnormal
         code, out, err = run(capsys, ["--i1", i1, "--i3", i3, "verify", "--level", "full"])
         assert code == 0, out + err
 

@@ -74,9 +74,53 @@ def _q_times_reference(a, b):
             a[0] * b[3] + a[1] * b[2] - a[2] * b[1] + a[3] * b[0])
 
 
+def _convolve_reference(a, b):
+    # the product of two polynomials, each coefficient summed in ascending powers of a
+    out = []
+    for k in range(len(a) + len(b) - 1):
+        acc = 0j
+        for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1):
+            acc += a[i] * b[k - i]
+        out.append(acc)
+    return out
+
+
+def _compose_reference(a, b):
+    # block a, then block b from u*(1 + R_a): the composition rule of _double's docstring,
+    # with polynomials as lists of complex coefficients in ascending powers of m
+    (pa, ga, ra), (pb, gb, rb) = a, b
+    lam = 1.0 + ra
+    mu = lam.real * lam.real + lam.imag * lam.imag
+
+    def at_mu_m(c):  # the coefficients of c(mu*m)
+        out, w = [], 1.0
+        for x in c:
+            out.append(x * w)
+            w *= mu
+        return out
+
+    pb, h = at_mu_m(pb), [x * lam for x in at_mu_m(gb)]
+    n = len(pa) + len(pb) - 1
+    pad = lambda c: c + [0j] * (n - len(c))
+    m_gh = [0j] + _convolve_reference(ga, [x.conjugate() for x in h])  # m*G_a*conj(H)
+    p = [x + y + z - w for x, y, z, w in
+         zip(pad(pa), pad(pb), _convolve_reference(pa, pb), pad(m_gh))]
+    g = [x + y + z for x, y, z in zip(pad(ga)[:n - 1],
+                                      _convolve_reference([1.0 + pa[0]] + pa[1:], h),
+                                      _convolve_reference(ga, [x.conjugate() for x in pb]))]
+    return p, g, ra + rb + ra * rb
+
+
+def _horner_reference(c, m):
+    acc = c[-1]
+    for x in reversed(c[:-1]):
+        acc = x + m * acc
+    return acc
+
+
 def _rk4_compact(y, a1, a3, h, n):
-    # the compact form of the kernel, with lists for q, u and the coefficients;
-    # the written-out loop must reproduce it bit for bit
+    # the compact form of the kernel, with lists for q, u and the polynomials and one
+    # composition per doubling; the written-out loop must reproduce it bit for bit
     s = math.hypot(*y[4:])
     at = [_identity_step(0.5 * a1 * s, 0.5 * a3 * y[6], (a3 - a1) * y[6], h, k)
           for k in (0.0, 1.0, 2.0)]
@@ -89,17 +133,22 @@ def _rk4_compact(y, a1, a3, h, n):
         c1 = (0.5 * at[2][i] - at[1][i]) / 3.0
         return at[1][i] - c1, c1
 
-    (e0, e1, e2), (z0, z1, z2) = quadratic(0), quadratic(3)
-    (al0, al1), (be0, be1) = line(1), line(2)
-    r0, r1 = at[1][4:]
+    step = ([complex(*c) for c in zip(quadratic(0), quadratic(3))],
+            [complex(*c) for c in zip(line(1), line(2))], complex(*at[1][4:]))
+    block = step
+    for _ in range(3):
+        block = _compose_reference(block, block)
     q, u = list(y[:4]), [y[4] / s, y[5] / s]
-    for _ in range(n):
+    for p, g, r in [block] * (n // 8) + [step] * (n % 8):
         m = u[0] * u[0] + u[1] * u[1]
-        al, be = al0 + m * al1, be0 + m * be1
-        d = (e0 + m * (e1 + m * e2), al * u[0] - be * u[1], al * u[1] + be * u[0],
-             z0 + m * (z1 + m * z2))
+        d0, dz = (_horner_reference([c.real for c in p], m),
+                  _horner_reference([c.imag for c in p], m))
+        al, be = (_horner_reference([c.real for c in g], m),
+                  _horner_reference([c.imag for c in g], m))
+        d = (d0, al * u[0] - be * u[1], al * u[1] + be * u[0], dz)
         q = [a + b for a, b in zip(q, _q_times_reference(q, d))]
-        u = [a + b for a, b in zip(u, (r0 * u[0] - r1 * u[1], r0 * u[1] + r1 * u[0]))]
+        u = [a + b for a, b in zip(u, (r.real * u[0] - r.imag * u[1],
+                                       r.real * u[1] + r.imag * u[0]))]
         r = 1.0 / math.hypot(*q)
         q = [a * r for a in q]
     return (*q, u[0] * s, u[1] * s, y[6])
@@ -323,6 +372,30 @@ class TestExpMap:
                 assert np.abs(exact[:4] - q).max() < 1e-9
                 assert np.abs(exact[4:] - p).max() < 1e-9
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        i1=st.floats(-320.0, 300.0).map(lambda e: 10.0 ** e),
+        eta=st.floats(-0.9, 4.0),
+        pb=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
+        phi=st.floats(0.0, 2.0 * math.pi),
+        turns=st.floats(0.1, 2.0),
+    )
+    # subnormal metrics, where i1/(1 + eta*pbar3^2) and p^2/i1 lose their digits
+    @example(i1=2e-323, eta=1.0, pb=0.6, phi=0.8, turns=1.0)
+    @example(i1=5e-324, eta=0.0, pb=0.6, phi=0.8, turns=1.0)
+    def test_integrator_matches_the_exact_flow_at_every_scale(self, i1, eta, pb, phi, turns):
+        # the integrator works in units of sqrt(i1), so test_exact_flow_matches_integrator's
+        # bound holds at every scale, with momenta relative to |p0|
+        m = BergerMetric(i1, i1 / (1.0 + eta))
+        p0 = initial_momentum(m, pb, phi)
+        t = turns * 2.0 * math.pi * math.sqrt(i1)
+        state = endpoint_state(m, p0, t, t / 8000.0)
+        exact = _flow(m, (p0.p1, p0.p2, p0.p3), t)
+        q = (state.q.w, state.q.x, state.q.y, state.q.z)
+        assert max(abs(a - b) for a, b in zip(exact[:4], q)) < 1e-9
+        p = (state.p.p1, state.p.p2, state.p.p3)
+        assert max(abs(a - b) for a, b in zip(exact[4:], p)) < 1e-9 * p0.norm()
+
     @pytest.mark.parametrize("eta_range", [(-0.9, -0.1), (0.0, 0.0), (0.05, 1.0), (5.0, 49.0)])
     def test_rk4_kernel_keeps_the_bits_of_the_compact_form(self, eta_range):
         rng = np.random.default_rng(17)
@@ -331,7 +404,7 @@ class TestExpMap:
         for pb in (-1.0, 0.0, 1.0, float(rng.uniform(-1.0, 1.0))):
             p0 = initial_momentum(m, pb, float(rng.uniform(0.0, 2.0 * math.pi)))
             y = (1.0, 0.0, 0.0, 0.0, p0.p1, p0.p2, p0.p3)
-            for n in (1, 7, 2000):
+            for n in (1, 7, 8, 9, 15, 2000, 2003):
                 h = float(rng.uniform(6.0, 12.0)) / n
                 args = (1.0 / m.i1, 1.0 / m.i3, h, n)
                 assert _rk4(y, *args) == _rk4_compact(y, *args)
@@ -347,7 +420,7 @@ class TestExpMap:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        n=st.sampled_from([1000, 2000]),
+        n=st.sampled_from([1000, 1001, 1003, 1007, 2000]),
         i1=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
         eta=st.one_of(st.floats(-0.95, 1.0, exclude_min=True),
                       st.floats(0.0, 8.0).map(lambda e: 10.0 ** e)),
