@@ -40,8 +40,9 @@ The oracles built on the flow:
   and every geodesic of the family meets.  It agrees with the conjugate
   equation's root within 1e-12 relative at every scale;
 * ``shorter_path_search``: the shortest geodesic reaching a given
-  endpoint strictly earlier, from a bracketed scan of the endpoint map's
-  preimages, which are the zeros of one phase along one curve per branch.
+  endpoint strictly earlier, from the endpoint map's preimages: the level
+  crossings of one phase along one curve per branch, bracketed on the
+  pieces where the phase is monotone.
 
 The RK4 block loop and the conjugate determinant are written out on
 scalar locals for speed; tests pin them, bit for bit, to compact forms.
@@ -78,7 +79,6 @@ _H_LEVEL_TOL = 1e-10     # admissible deviation of H(p0) from 1/2
 _H_DRIFT_TOL = 1e-6      # relative drift of H that aborts an integration
 _CONJ_GRID_N = 400       # sign-scan resolution for the determinant
 _SEARCH_MARGIN = 1e-4    # required arrival-time advantage, relative to t
-_CELL_PHASE = 0.25       # bound on each phase term per cell of the preimage scan
 _BLOCK = 8               # RK4 steps that _rk4 composes exactly into one
 
 
@@ -387,24 +387,24 @@ def _conjugate_determinant(m: BergerMetric, pbar3: float) -> "tuple[Callable, fl
     e = (e0, 0.0, pbar3)
     rate = 0.5 / (math.sqrt(m.i1) * math.sqrt(1.0 + eta * pbar3 * pbar3))
     n = math.hypot(e0, (1.0 + eta) * pbar3)
-    u0, u1, u2 = e0 / n, 0.0, (1.0 + eta) * pbar3 / n
+    u0, u2 = e0 / n, (1.0 + eta) * pbar3 / n
     s = math.ldexp(1.0, min(0, 1000 - math.frexp(eta)[1]))
     v = (-u2 * s, 0.0, u0 * s)
     ev = _dot(e, v)
-    along = (ev * e[0], ev * e[1], ev * e[2] + eta * v[2])
-    across = (v[0] - ev * e[0], v[1] - ev * e[1], v[2] - ev * e[2])
-    # the parts of c(v2) multiplied by a, sin*cos and sin^2
-    (g0, h0, k0), (g1, h1, k1), (g2, h2, k2) = zip(along, across, _cross(e, v))
+    # c(v2) = a*g + sin*cos*h - sin^2*k: g and h lie in the plane of e and v, k = e x v on e2
+    g0, g2 = ev * e0, ev * pbar3 + eta * v[2]
+    h0, h2 = v[0] - ev * e0, v[2] - ev * pbar3
+    k1 = _cross(e, v)[1]
 
     def det(t: float) -> float:
-        # _dot(u, _cross(x, y)) on scalar locals, the zero u1 term kept; x1 = cos(a)
+        # _dot(u, _cross(x, y)) on scalar locals; u1, g1, h1, k0 and k2 are 0
         a = t * rate
         ca, sa = math.cos(a), math.sin(a)
         x0, x2 = sa * pbar3, -sa * e0
-        y0 = a * g0 + sa * (ca * h0 - sa * k0)
-        y1 = a * g1 + sa * (ca * h1 - sa * k1)
-        y2 = a * g2 + sa * (ca * h2 - sa * k2)
-        return u0 * (ca * y2 - x2 * y1) + u1 * (x2 * y0 - x0 * y2) + u2 * (x0 * y1 - ca * y0)
+        y0 = a * g0 + sa * (ca * h0)
+        y1 = sa * (-sa * k1)
+        y2 = a * g2 + sa * (ca * h2)
+        return u0 * (ca * y2 - x2 * y1) + u2 * (x0 * y1 - ca * y0)
 
     return det, math.pi / rate
 
@@ -487,17 +487,26 @@ def shorter_path_search(m: BergerMetric, p0: Momentum, t: float) -> Optional[Sho
     crossing of ``2*pi*j`` by the unwrapped phase ``G`` of ``z(s, a)/Z``, refined by a
     safeguarded secant.  The cut equation is the ``qz = 0`` case, never solved as such.
 
-    Grid bound: ``dG = +-(1 + eta*s^2)*dchi + eta*a*ds``, ``s`` rising in
-    ``chi``; a sheet is cut at points uniform in ``chi`` and in ``s`` so that
-    each term moves at most 1/4 radian per cell, and two preimages share a
-    cell only where ``G`` turns back within 1/2 radian of a level.  For
-    ``eta > 0``, arriving before the limit bounds ``|s|`` through the
-    sheet's least ``a`` and ``a >= sin(alpha) = sigma/sqrt(1 - s^2)``.  The
-    limit falls to each arrival found; the branches end at the first that
-    cannot beat it.  ``sigma`` is raised to the least normal float, which takes in targets
-    on the ``e3`` subgroup (reached by the axis geodesics and at ``a = k*pi``) with an
-    endpoint error below 1e-307.  Times are in units of ``sqrt(i1)`` and the margin is
-    relative, so no scale differs.
+    Monotone pieces: on the sheet ``a = base + sign*alpha``, ``dalpha = s*dchi``, so with
+    ``d = sin(alpha)`` the slope ``G' = sign*(1 + eta*s^2) + eta*a*s'``, where
+    ``s' = rho*cos(chi)*sigma^2/d^3 >= 0``, is even in ``chi`` and has the sign of ``sign``
+    where ``eta*sign >= 0``.  Otherwise it is monotone in ``|chi|`` on ``[0, pi/2]``.  For
+    ``eta > 0`` on the upper sheet (``sign = -1``) both terms fall.  For ``eta < 0`` on the
+    lower one, ``s^2 + a*s' = 1 + sigma^2*(a*cos(alpha) - d)/d^3`` has the
+    ``alpha``-derivative ``(3x - a*(1 + 3x^2))/d^2 <= 0``, ``x = cot(alpha)``, as
+    ``a >= alpha`` and ``beta*(2 + cos(beta)) >= 3*sin(beta)`` for ``beta = 2*alpha`` in
+    ``[0, pi]``: the difference is 0 at 0 and has the derivative
+    ``4*sin(u)*(sin(u) - u*cos(u)) >= 0``, ``u = beta/2``.  So ``G`` is monotone on
+    ``[-c, -chi_t]``, ``[-chi_t, chi_t]`` and ``[chi_t, c]``, with ``chi_t`` the zero of
+    ``d*G'`` on ``(0, c]``, or ``c``, and each level between a piece's end values has exactly
+    one preimage there.
+
+    For ``eta > 0``, arriving before the limit bounds ``|s|`` through the sheet's least ``a``
+    and ``a >= sin(alpha) = sigma/sqrt(1 - s^2)``.  The limit falls to each arrival found;
+    the branches end at the first that cannot beat it.  ``sigma`` is raised to the least
+    normal float, which takes in targets on the ``e3`` subgroup (reached by the axis
+    geodesics and at ``a = k*pi``) with an endpoint error below 1e-307.  Times are in units
+    of ``sqrt(i1)`` and the margin is relative, so no scale differs.
     """
     t = _real("t", t, finite=True, positive=True)
     _check_level(m, p0)
@@ -534,11 +543,6 @@ def shorter_path_search(m: BergerMetric, p0: Momentum, t: float) -> Optional[Sho
             # on [-c, c], s^2 is largest at the ends and a at an end or at 0
             (a_c, s_c), a_0 = chart(c, base, sign)[:2], chart(0.0, base, sign)[0]
             w_chi, w_s = 1.0 + max(eta, 0.0) * s_c * s_c, abs(eta) * max(a_c, a_0)
-            n_chi = math.ceil(w_chi * 2.0 * c / _CELL_PHASE)
-            n_s = math.ceil(w_s * 2.0 * s_c / _CELL_PHASE)
-            chis = sorted([c * (2.0 * i / n_chi - 1.0) for i in range(n_chi + 1)]
-                          + [chi_at_s(s_c * (2.0 * j / n_s - 1.0)) for j in range(1, n_s)])
-            gs = [chart(x, base, sign)[3] for x in chis]
 
             def middle(x0: float, x1: float) -> float:
                 # halves the larger of the bracket's two phase terms
@@ -547,7 +551,13 @@ def shorter_path_search(m: BergerMetric, p0: Momentum, t: float) -> Optional[Sho
                     return 0.5 * (x0 + x1)
                 return chi_at_s(0.5 * (u0 + u1))
 
-            for x0, x1, g0, g1 in zip(chis, chis[1:], gs, gs[1:]):
+            def turn(x: float) -> float:  # d*G': the sign of G', finite at chi = 0
+                a, s, cs, _ = chart(x, base, sign)
+                return sign * (1.0 + eta * s * s) * (sigma / cs) + eta * a * rho * math.cos(x) * cs * cs
+            f0, f1 = turn(0.0), turn(c)  # G' is even and changes sign at most once on (0, c]
+            chi_t = _bracketed_root(turn, 0.0, c, f0, f1, middle) if (f0 < 0.0) != (f1 < 0.0) else c
+            ends = [(x, chart(x, base, sign)[3]) for x in sorted({-c, -chi_t, chi_t, c})]
+            for (x0, g0), (x1, g1) in zip(ends, ends[1:]):  # G is monotone on each piece
                 for j in range(math.ceil(min(g0, g1) / (2.0 * pi)),
                                math.floor(max(g0, g1) / (2.0 * pi)) + 1):
                     level = 2.0 * pi * j

@@ -54,7 +54,9 @@ The conjugate equation is solved in the singularity-free form
 ``sin(tau) + c*tau*cos(tau) = 0``, whose derivative in ``tau`` is
 ``(1 + c)*cos(tau) - c*tau*sin(tau)``, on the bracket [pi/2, pi]; the
 left side is 1 at pi/2 and strictly decreasing there, so it has exactly
-one root; ``c = 0`` (pbar3 = +-1) gives exactly pi.
+one root; ``c = 0`` (pbar3 = +-1) gives exactly pi.  Both are divided by
+``max(1, c)``, so that ``c*tau`` stays finite up to the float maximum; from
+``c`` about 1.3e16 on, the root rounds to ``pi/2``.
 
 The cut equation is solved in an analytic bracket.  For ``pbar3 > 0`` it
 is
@@ -173,9 +175,14 @@ def _tau_conj_value(eta: float, pbar3: float, start: float = math.nan) -> float:
     if c * math.pi <= math.sin(math.pi):
         return math.pi
 
+    # fg over max(1, c): the same bits for c <= 1, and Newton's step does not see the scale
+    k, kc = 1.0 / max(1.0, c), min(1.0, c)
+    dk = k + kc
+
     def fg(x: float) -> tuple[float, float]:
         cx, sx = math.cos(x), math.sin(x)
-        return sx + c * x * cx, (1.0 + c) * cx - c * x * sx
+        xc = kc * x
+        return k * sx + xc * cx, dk * cx - xc * sx
 
     return _newton(fg, 0.5 * math.pi, math.pi, BISECT_TOL, start)
 
@@ -190,7 +197,7 @@ def tau_conj(eta: float, pbar3: float) -> float:
     leaves the shrinking bracket and takes at most twice the evaluations
     of bisection (see the module docstring).  Returns exactly pi when
     ``c == 0``, or when ``c`` is so small that the root is within one ulp
-    of pi.
+    of pi, and the float ``pi/2``, the root rounded, from ``c`` about 1.3e16 on.
     """
     return _tau_conj_value(_real("eta", eta, finite=True, positive=True), _pbar3(pbar3))
 

@@ -134,6 +134,13 @@ class TestExpCommand:
         assert code == 1
         assert "error" in err
 
+    def test_step_above_the_bound_exits_one(self, capsys):
+        # the step is not capped: one larger than t/1000 is invalid input
+        code, _, err = run(capsys, ["--i1", "2", "--i3", "1", "exp",
+                                    "--pbar3", "0.5", "--t", "2", "--step", "0.01"])
+        assert code == 1
+        assert "t/1000" in err
+
     def test_diverged_integration_exits_two(self, capsys):
         # the integrator diverges to NaN: a numerical failure, not invalid input
         code, _, err = run(capsys, ["--i1", "3", "--i3", "1", "exp",

@@ -784,6 +784,13 @@ class TestShorterPathSearch:
         phi=st.floats(0.0, 2.0 * math.pi),
         factor=st.floats(0.5, 2.5),
     )
+    # two preimages close together where the phase turns back: a scan on cells of
+    # bounded phase found a longer path, or none
+    @example(i3=1.0, eta=0.078125, pb=0.0, phi=0.0, factor=1.125)
+    @example(i3=2.0297711659054023e+165, eta=0.07517554004657445, pb=0.0,
+             phi=0.9592823560906804, factor=1.0067305208111244)
+    @example(i3=6.385108631829912e-10, eta=0.06271423914417294, pb=0.0,
+             phi=1.666183198523374, factor=1.1135303750894225)
     def test_shortest_preimage_at_every_scale(self, i3, eta, pb, phi, factor):
         m = BergerMetric((1.0 + eta) * i3, i3)
         p0 = initial_momentum(m, pb, phi)

@@ -130,6 +130,11 @@ class TestTauConj:
         with pytest.raises(DomainError):
             tau_conj(-0.2, 0.5)
 
+    def test_root_near_the_float_maximum(self):
+        # c*tau overflows unless the equation is scaled; the root is pi/2 + 1/(c*pi/2),
+        # which rounds to pi/2
+        assert tau_conj(1.7e308, 0.0) == math.pi / 2
+
 
 class TestTau3Derivative:
     def test_value_at_both_poles(self):
