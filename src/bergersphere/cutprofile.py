@@ -78,7 +78,8 @@ def t_cut_derivative(m: BergerMetric, pbar3: float) -> float:
     ``eta``, and without cancelling as ``pbar3 -> 0`` (``tau3_derivative``).
     Odd in ``pbar3`` and undefined at ``pbar3 = 0``, like ``tau3'``.  For
     ``eta > 1`` it is positive on (0, 1/eta) and negative on (1/eta, 1];
-    for ``0 < eta <= 1`` it is positive on (0, 1).
+    for ``0 < eta <= 1`` it is positive on (0, 1).  Raises ``DomainError``
+    beyond the float maximum (huge ``i1`` and ``eta``, tiny ``pbar3``).
     """
     eta = m.eta()
     if eta <= 0.0:
@@ -86,7 +87,10 @@ def t_cut_derivative(m: BergerMetric, pbar3: float) -> float:
     pbar3 = _pbar3(pbar3)
     if pbar3 == 0.0:
         raise DomainError("t_cut_derivative is undefined at pbar3 = 0")
-    return _dt_cut(m, eta, pbar3, tau3(eta, pbar3))
+    d = _dt_cut(m, eta, pbar3, tau3(eta, pbar3))
+    if math.isinf(d):
+        raise DomainError(f"t_cut_derivative at pbar3={pbar3!r} is beyond the float maximum")
+    return d
 
 
 def _dt_cut(m: BergerMetric, eta: float, pbar3: float, t3: float) -> float:

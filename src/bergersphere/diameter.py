@@ -12,9 +12,10 @@ The expression is continuous across both regime boundaries and satisfies
 ``pi*sqrt(i1) <= diameter <= 2*pi*sqrt(i1)``.
 
 ``diameter_numeric`` ignores the branch analysis and maximizes the cut
-profile directly: a grid scan over [0, 1] followed by golden-section
-refinement inside the best cell.  The profile is even and unimodal on
-[0, 1], so the refined cell always contains the true maximizer.
+profile directly: a grid scan over [0, 1], then bisection on the sign of
+the closed-form derivative inside the best cell, which holds the
+maximizer (the profile is even and unimodal).  Values, flat to rounding
+there, place it only to about ``sqrt(eps)``; the sign changes cleanly.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 # t_cut is not called here; perfbench/tracing.py wraps it
-from .cutprofile import _arc_length, _warm_roots, t_cut  # noqa: F401
+from .cutprofile import _arc_length, _dt_cut, _warm_roots, t_cut  # noqa: F401
 from .model import BergerMetric, Regime, classify_regime
 from .serialize import json_text
 
@@ -34,10 +35,8 @@ __all__ = [
     "DiameterReport",
 ]
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 _GRID_N = 513         # profile samples on [0, 1] in the numeric maximization
-_REFINE_TOL = 1e-12   # width of the golden-section refinement
+_REFINE_TOL = 1e-12   # width of the bisected cell, relative to its upper end
 
 
 def diameter_closed_form(m: BergerMetric) -> float:
@@ -50,41 +49,21 @@ def diameter_closed_form(m: BergerMetric) -> float:
     return math.pi * math.sqrt(m.i1) / math.sqrt(1.0 - m.i3 / m.i1)
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> float:
-    """Abscissa of the maximum of a unimodal ``f`` on [a, b], to width tol."""
-    h = b - a
-    if h <= tol:
-        return 0.5 * (a + b)
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
-    yc, yd = f(c), f(d)
-    n = math.ceil(math.log(tol / h) / math.log(_INV_PHI))
-    for _ in range(n):
-        if yc > yd:
-            b, d, yd = d, c, yc
-            h *= _INV_PHI
-            c = a + _INV_PHI2 * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h *= _INV_PHI
-            d = a + _INV_PHI * h
-            yd = f(d)
-    return 0.5 * (a + b)
-
-
 def diameter_numeric(m: BergerMetric) -> "tuple[float, float]":
     """Maximize the cut profile on [0, 1] numerically.
 
     Returns ``(value, maximizer)``.  A grid of 513 points locates the
-    best cell and golden-section search refines it to width 1e-12.  Each
-    value is ``t_cut(m, x)``, with its ``tau3`` solve warm-started from
-    the previous root: Newton starts at the secant prediction through
-    the two most recent roots, inside the same bracket.  When
-    the refined point does not beat the best grid point the grid point
-    wins, so flat profiles (the round case) and boundary maxima report
-    their maximizer exactly; exact ties are broken toward the smaller
-    axis fraction.
+    best cell, and bisection on the sign of ``t_cut_derivative`` narrows
+    it to 1e-12 of its upper end (to 1e-24 below 1e-12, as the maximizer
+    ``1/eta`` can be tiny); its midpoint, never the derivative's undefined
+    ``pbar3 = 0``, is the refined point.  Each value is ``t_cut(m, x)``,
+    with its ``tau3`` solve warm-started from the previous root: Newton
+    starts at the secant prediction through the two most recent roots,
+    inside the same bracket.  When the refined point does not beat the
+    best grid point the grid point wins, so flat profiles (the round
+    case) and boundary maxima report their maximizer exactly; exact ties
+    are broken toward the smaller axis fraction.  For ``eta <= 0`` the
+    profile falls from 0 or is flat, and the grid point is returned.
     """
     eta, tau, _ = _warm_roots(m)
 
@@ -99,14 +78,20 @@ def diameter_numeric(m: BergerMetric) -> "tuple[float, float]":
         v = _arc_length(m, eta, x, tau(x))  # f(x), one call less in the hot loop
         if v > best_v:
             best_i, best_x, best_v = k, x, v
+    if eta <= 0.0:
+        return best_v, best_x
 
     lo = (best_i - 1) / (_GRID_N - 1) if best_i > 0 else 0.0
     hi = (best_i + 1) / (_GRID_N - 1) if best_i < _GRID_N - 1 else 1.0
-    xg = _golden_max(f, lo, hi, _REFINE_TOL)
+    while hi - lo > _REFINE_TOL * max(hi, _REFINE_TOL):
+        mid = 0.5 * (lo + hi)
+        if _dt_cut(m, eta, mid, tau(mid)) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    xg = 0.5 * (lo + hi)
     vg = f(xg)
-    if vg > best_v:
-        return vg, xg
-    if vg == best_v and xg < best_x:
+    if vg > best_v or (vg == best_v and xg < best_x):
         return vg, xg
     return best_v, best_x
 

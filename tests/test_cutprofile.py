@@ -160,6 +160,18 @@ class TestTCutDerivative:
         with pytest.raises(DomainError):
             t_cut_derivative(BergerMetric(1.0, 2.0), 0.5)
 
+    @pytest.mark.parametrize("i1,i3,pb", [
+        (1.7e308, 1.0, 1e-300),  # about -4.8e446
+        (9.338962942911058e+282, 6.19925911164445e-11, 5.456490311965382e-243),
+    ])
+    def test_rejects_a_derivative_beyond_the_float_maximum(self, i1, i3, pb):
+        m = BergerMetric(i1, i3)
+        for sign in (1.0, -1.0):
+            with pytest.raises(DomainError, match="float maximum"):
+                t_cut_derivative(m, sign * pb)
+        # the closed form overflows with its sign, which is all the diameter's bisection reads
+        assert _dt_cut(m, m.eta(), pb, tau3(m.eta(), pb)) == -math.inf
+
 
 class TestSampleProfile:
     def test_round_case_flat(self):
@@ -185,7 +197,8 @@ class TestSampleProfile:
             assert r.tau3 is not None and r.tau_conj is not None
             assert (r.dt_cut is None) == (r.pbar3 == 0.0)
 
-    @pytest.mark.parametrize("i1,i3", [(3.0, 1.0), (1.3, 1.0), (2.0e3, 0.5)])
+    # at (1e308, 1) the tau3 roots lie within rounding of their brackets' ends
+    @pytest.mark.parametrize("i1,i3", [(3.0, 1.0), (1.3, 1.0), (2.0e3, 0.5), (1e308, 1.0)])
     def test_rows_match_public_functions(self, i1, i3):
         m = BergerMetric(i1, i3)
         eta = m.eta()

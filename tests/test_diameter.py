@@ -80,6 +80,29 @@ class TestNumeric:
         assert abs(value - diameter_closed_form(m)) <= 1e-8 * value
 
 
+@st.composite
+def _prolate(draw):
+    # i1/i3 log-uniform in (2, 1e300], at scales that keep both eigenvalues finite
+    log_ratio = draw(st.floats(math.log10(2.0), 300.0, exclude_min=True))
+    i3 = 10.0 ** draw(st.floats(-300.0, 300.0 - log_ratio))
+    return i3 * 10.0 ** log_ratio, i3
+
+
+@settings(max_examples=40, deadline=None)
+@given(metric=_prolate())
+@example(metric=(2.1247872749673644, 1.0))  # golden section: 4.5e-8 off
+@example(metric=(6.328751757310134e-107, 6.51434917723068e-119))  # maximizer near 1e-12
+@example(metric=(2.321931055650435e-17, 4.217477575544679e-21))  # tau3 near pi/2: 6.3e-14 low
+@example(metric=(1e300, 1.0))
+def test_prolate_maximizer(metric):
+    i1, i3 = metric
+    m = BergerMetric(i1, i3)
+    value, maximizer = diameter_numeric(m)
+    assert abs(maximizer - i3 / (i1 - i3)) <= 1e-12
+    closed = diameter_closed_form(m)
+    assert abs(value - closed) <= 2e-15 * closed
+
+
 class TestReport:
     def test_round_agreement(self):
         report = diameter_report(BergerMetric(1.0, 1.0))

@@ -102,6 +102,24 @@ class TestTau3:
             for pb in (0.0, 0.3, 1.0):
                 assert 0.0 < tau3(eta, pb) <= math.pi
 
+    # w = eta*pbar3 just above 1, where the profile peaks: the root is within
+    # rounding of the bracket end pi/2; a 60-digit bisection rounds it to pi/2
+    @pytest.mark.parametrize("eta,pb", [
+        (7486.581479349252, 0.00013357231237761752),
+        (1000.0, 0.0010000000000000104),
+        (1e8, 1.000000000000008e-08),
+    ])
+    def test_root_within_rounding_of_the_bracket_end(self, eta, pb):
+        assert abs(tau3(eta, pb) - math.pi / 2) <= math.ulp(math.pi / 2)
+
+    @pytest.mark.parametrize("start", [math.nan, 1.5, 1.6, 3.0, math.inf])
+    def test_huge_eta_below_w_one(self, start):
+        # a solve would overflow eta*x; the root lies in (pi/2, tau_conj(eta, 0)],
+        # which rounds to pi/2
+        assert tau3(1.7e308, 1e-310) == math.pi / 2
+        assert roots_module._tau3_value(1.7e308, 1e-310, start) == math.pi / 2
+        assert roots_module._tau_conj_value(1.7e308, 1e-310, start) == math.pi / 2
+
 
 class TestTauConj:
     def test_frozen_values(self):
