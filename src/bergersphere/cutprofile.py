@@ -57,6 +57,9 @@ def tau_cut(eta: float, pbar3: float) -> float:
 
 def _arc_length(m: BergerMetric, eta: float, pbar3: float, tau: float) -> float:
     # 2*i1*tau/|p| as sqrt(i1) times a shape factor, which stays normal at every scale
+    if eta < 0.0:  # 1 + eta*pbar3^2 cancels for i1 << i3; (1 - pbar3^2) + (i1/i3)*pbar3^2 does not
+        q = (1.0 - pbar3) * (1.0 + pbar3) + m.i1 / m.i3 * pbar3 * pbar3
+        return 2.0 * math.sqrt(m.i1) * (tau * math.sqrt(q))
     return 2.0 * math.sqrt(m.i1) * (tau * math.sqrt(1.0 + eta * pbar3 * pbar3))
 
 

@@ -42,7 +42,11 @@ The oracles built on the flow:
 * ``shorter_path_search``: the shortest geodesic reaching a given
   endpoint strictly earlier, from the endpoint map's preimages: the level
   crossings of one phase along one curve per branch, bracketed on the
-  pieces where the phase is monotone.
+  pieces where the phase is monotone.  On each piece the arrival time is
+  monotone in the phase too, as ``T' = s*G'/sqrt(1 + eta*s^2)``, so only
+  the piece's one level with the earliest arrival is refined, and the
+  branches stop at the first whose least arrival, with
+  ``s^2 <= rho^2/(rho^2 + sigma^2)`` on the whole curve, cannot win.
 
 The RK4 block loop and the conjugate determinant are written out on
 scalar locals for speed; tests pin them, bit for bit, to compact forms.
@@ -244,7 +248,7 @@ def _flow(m: BergerMetric, p0, t: float) -> tuple:
     p1, p2, p3 = p0
     n = math.hypot(p1, p2, p3)
     a = t / (2.0 * math.sqrt(m.i1)) * (n / math.sqrt(m.i1))
-    half = a * m.eta() * (p3 / n)
+    half = a * (m.eta() * (p3 / n))
     ca, f = math.cos(a), math.sin(a) / n  # exp(t*p0/(2*i1)) = (ca, f*p0)
     cb, sb = math.cos(half), math.sin(half)  # exp(t*b*e3/2) = (cb, sb*e3)
     c, s = math.cos(2.0 * half), math.sin(2.0 * half)
@@ -497,26 +501,40 @@ def shorter_path_search(m: BergerMetric, p0: Momentum, t: float) -> Optional[Sho
     ``a >= alpha`` and ``beta*(2 + cos(beta)) >= 3*sin(beta)`` for ``beta = 2*alpha`` in
     ``[0, pi]``: the difference is 0 at 0 and has the derivative
     ``4*sin(u)*(sin(u) - u*cos(u)) >= 0``, ``u = beta/2``.  So ``G`` is monotone on
-    ``[-c, -chi_t]``, ``[-chi_t, chi_t]`` and ``[chi_t, c]``, with ``chi_t`` the zero of
-    ``d*G'`` on ``(0, c]``, or ``c``, and each level between a piece's end values has exactly
-    one preimage there.
+    ``[-c, -chi_t]``, ``[-chi_t, 0]``, ``[0, chi_t]`` and ``[chi_t, c]``, with ``chi_t`` the
+    zero of ``d*G'`` on ``(0, c]``, or ``c``.
 
-    For ``eta > 0``, arriving before the limit bounds ``|s|`` through the sheet's least ``a``
-    and ``a >= sin(alpha) = sigma/sqrt(1 - s^2)``.  The limit falls to each arrival found;
-    the branches end at the first that cannot beat it.  ``sigma`` is raised to the least
-    normal float, which takes in targets on the ``e3`` subgroup (reached by the axis
-    geodesics and at ``a = k*pi``) with an endpoint error below 1e-307.  Times are in units
-    of ``sqrt(i1)`` and the margin is relative, so no scale differs.
+    Arrival lemma: on each piece the arrival ``T = a*sqrt(1 + eta*s^2)`` rises with ``G``
+    where ``chi >= 0`` and falls with it where ``chi <= 0``.  Proof: ``a' = sign*s``, so
+    ``T' = s*(sign*(1 + eta*s^2) + eta*a*s')/sqrt(1 + eta*s^2) = s*G'/sqrt(1 + eta*s^2)``,
+    and ``s`` has the sign of ``chi``.  So a piece's shortest preimage is at its least level
+    ``2*pi*ceil(min(g0, g1)/(2*pi))``, or its greatest ``2*pi*floor(max(g0, g1)/(2*pi))``
+    where ``chi <= 0``, and that level alone is refined.
+
+    Branch bound: ``s^2 <= rho^2/(rho^2 + sigma^2)`` on the whole curve (the chart's ``s``
+    at ``chi = pi/2``) and ``a >= k*pi + alpha(0)`` on branch ``k``, so its arrivals are at
+    least that times ``sqrt(1 + eta*s^2)`` at that bound.  For ``eta < 0`` the factor stays
+    at least ``sigma/sqrt(rho^2 + sigma^2)`` as ``eta -> -1``, so the number of branches
+    stays bounded where ``sigma`` is.  For ``eta > 0``, arriving before the limit bounds ``|s|``
+    through the sheet's least ``a`` and ``a >= sin(alpha) = sigma/sqrt(1 - s^2)``.  The limit
+    falls to each arrival found; the branches end at the first that cannot beat it.
+    ``1 + eta*s^2`` is formed as ``(1 - s^2) + (i1/i3)*s^2``, which does not cancel for
+    ``i1 << i3``, and ``eta*s`` before ``a*eta*s``, which does not overflow where ``a*eta``
+    would.  ``sigma`` is raised to the least normal float, which takes in targets on the
+    ``e3`` subgroup (reached by the axis geodesics and at ``a = k*pi``) with an endpoint error
+    below 1e-307.  Times are in units of ``sqrt(i1)`` and the margin is relative, so no scale
+    differs.
     """
     t = _real("t", t, finite=True, positive=True)
     _check_level(m, p0)
-    eta, r1, pi = m.eta(), math.sqrt(m.i1), math.pi
+    eta, ratio, r1, pi = m.eta(), m.i1 / m.i3, math.sqrt(m.i1), math.pi
     qw, qx, qy, qz = _flow(m, (p0.p1, p0.p2, p0.p3), t)[:4]
     # |Z| can round past 1 on the e3 subgroup, which would put s = 1 off the chart
     rho, theta, omega = min(1.0, math.hypot(qw, qz)), math.atan2(qz, qw), math.atan2(qy, qx)
     sigma = max(math.hypot(qx, qy), sys.float_info.min)
     limit = t / (2.0 * r1) * (1.0 - _SEARCH_MARGIN)  # in units of 2*sqrt(i1), as arrivals are
-    least = math.sqrt(1.0 + min(eta, 0.0))  # least sqrt(1 + eta*s^2)
+    # least sqrt(1 + eta*s^2), as s^2 <= rho^2/(rho^2 + sigma^2) on every branch's curve
+    least = math.sqrt(min(1.0, (sigma * sigma + ratio * rho * rho) / (sigma * sigma + rho * rho)))
     alpha0 = math.atan2(sigma, rho)  # least alpha, at chi = 0
     best = None
 
@@ -525,7 +543,7 @@ def shorter_path_search(m: BergerMetric, p0: Momentum, t: float) -> Optional[Sho
         sc = rho * math.sin(chi)
         d = math.hypot(sc, sigma)
         a, s = base + sign * math.atan2(d, rho * math.cos(chi)), sc / d
-        return a, s, sigma / d, a * eta * s + base + sign * chi - theta
+        return a, s, sigma / d, a * (eta * s) + base + sign * chi - theta
 
     def chi_at_s(s: float) -> float:  # rho*sin(chi) = sigma*s/sqrt(1 - s^2)
         return math.atan2(sigma * s, math.sqrt(max(0.0, rho - abs(s))) * math.sqrt(rho + abs(s)))
@@ -553,19 +571,20 @@ def shorter_path_search(m: BergerMetric, p0: Momentum, t: float) -> Optional[Sho
 
             def turn(x: float) -> float:  # d*G': the sign of G', finite at chi = 0
                 a, s, cs, _ = chart(x, base, sign)
-                return sign * (1.0 + eta * s * s) * (sigma / cs) + eta * a * rho * math.cos(x) * cs * cs
+                return (sign * (1.0 + eta * s * s) * (sigma / cs)
+                        + a * (eta * rho * math.cos(x) * cs * cs))
             f0, f1 = turn(0.0), turn(c)  # G' is even and changes sign at most once on (0, c]
             chi_t = _bracketed_root(turn, 0.0, c, f0, f1, middle) if (f0 < 0.0) != (f1 < 0.0) else c
-            ends = [(x, chart(x, base, sign)[3]) for x in sorted({-c, -chi_t, chi_t, c})]
-            for (x0, g0), (x1, g1) in zip(ends, ends[1:]):  # G is monotone on each piece
-                for j in range(math.ceil(min(g0, g1) / (2.0 * pi)),
-                               math.floor(max(g0, g1) / (2.0 * pi)) + 1):
-                    level = 2.0 * pi * j
+            ends = [(x, chart(x, base, sign)[3]) for x in sorted({-c, -chi_t, 0.0, chi_t, c})]
+            for (x0, g0), (x1, g1) in zip(ends, ends[1:]):  # G and the arrival are monotone
+                lo, hi = math.ceil(min(g0, g1) / (2.0 * pi)), math.floor(max(g0, g1) / (2.0 * pi))
+                level = 2.0 * pi * (lo if x0 >= 0.0 else hi)  # the piece's earliest arrival
+                if lo <= hi:
                     x = x0 if g0 == level else _bracketed_root(
                         lambda x: chart(x, base, sign)[3] - level, x0, x1,
                         g0 - level, g1 - level, middle)
                     a, s, cs, _ = chart(x, base, sign)
-                    arrival = a * math.sqrt(1.0 + eta * s * s)
+                    arrival = a * math.sqrt(cs * cs + ratio * s * s)
                     if arrival < limit:
                         limit, best = arrival, (a, s, cs, k)
         k += 1
@@ -573,6 +592,6 @@ def shorter_path_search(m: BergerMetric, p0: Momentum, t: float) -> Optional[Sho
         return None
     # initial_momentum's arithmetic, with sqrt(1 - s^2) from the chart where 1 - s*s cancels
     a, s, cs, k = best
-    phi, norm = omega + a * eta * s + k * pi, r1 / math.sqrt(1.0 + eta * s * s)
+    phi, norm = omega + a * (eta * s) + k * pi, r1 / math.sqrt(cs * cs + ratio * s * s)
     momentum = Momentum(norm * cs * math.cos(phi), norm * cs * math.sin(phi), norm * s)
     return ShorterPath(momentum=momentum, arrival_time=2.0 * r1 * limit)

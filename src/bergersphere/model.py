@@ -158,10 +158,13 @@ def momentum_norm(m: BergerMetric, pbar3: float) -> float:
     expression is well defined for every admissible metric and axis
     fraction.  It is formed as ``sqrt(i1)/sqrt(1 + eta*pbar3^2)``: the
     quotient ``i1/(1 + eta*pbar3^2)`` can fall below the least normal
-    float and lose its digits.
+    float and lose its digits.  The denominator is taken as
+    ``(1 - pbar3^2) + (i1/i3)*pbar3^2``, as ``1 + eta*pbar3^2`` cancels
+    for ``i1 << i3``; ``eta`` is still checked, for the limit it names.
     """
     pbar3 = _pbar3(pbar3)
-    return math.sqrt(m.i1) / math.sqrt(1.0 + m.eta() * pbar3 * pbar3)
+    m.eta()
+    return math.sqrt(m.i1) / math.sqrt((1.0 - pbar3) * (1.0 + pbar3) + m.i1 / m.i3 * pbar3 * pbar3)
 
 
 def classify_regime(m: BergerMetric) -> Regime:

@@ -33,6 +33,10 @@ positive root.
   take there, with its target held in the bracket; otherwise it bisects
   the current bracket.  This is the Numerical Recipes rule (bisect when
   Newton does not at least halve the step) held to bisection's schedule.
+  Newton steps are taken only where the function falls, as it does
+  across the root: where it rises toward a zero outside the bracket (the
+  cut function just past ``pi`` at ``pbar3`` near 1), the target lies
+  outside, and a step held at the end would stop the solve there.
   The iterate never leaves the bracket, so the result is the bracketed
   root: the first one.
 * Termination.  It stops when a step is at most the tolerance ``tol``,
@@ -124,7 +128,7 @@ def _newton(fg: Callable[[float], tuple[float, float]], a: float, b: float, tol:
         else:
             b = x
         allow *= 0.5
-        if abs(f) <= allow * abs(df):  # Newton, its target held in [a, b]
+        if abs(f) <= allow * -df:  # Newton where f falls, its target held in [a, b]
             dx = f / df
             x -= dx
             if not a <= x <= b:

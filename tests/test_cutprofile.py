@@ -57,6 +57,11 @@ class TestTCut:
         for pb in (0.2, 0.5, 0.8, 1.0):
             assert t_cut(m, pb) == t_cut(m, -pb)
 
+    def test_pole_value_of_a_very_oblate_metric(self):
+        # 2*pi*sqrt(i1)*sqrt(i1/i3): 1 + eta would cancel to 1.1e-5 relative here
+        want = 2.0 * math.pi * 1e-12
+        assert t_cut(BergerMetric(1e-12, 1.0), 1.0) == pytest.approx(want, rel=1e-14, abs=0.0)
+
     def test_pole_value_for_positive_eta(self):
         # t_cut(+-1) = 2*pi*sqrt(i3) whenever eta > 0
         for i1, i3 in ((1.5, 1.0), (3.0, 1.0), (10.0, 1.0)):

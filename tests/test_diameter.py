@@ -140,6 +140,7 @@ _EIGENVALUE = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
 @example(i1=1.6847295225511462e308, i3=1.1446284810977765e31, k=-300)
 @example(i1=2.172807184081562e-208, i3=1.507e-321, k=300)
 @example(i1=5e-16, i3=5e-324, k=0)  # sqrt(i1)*tau3 alone would be subnormal
+@example(i1=1.0, i3=98304.0, k=0)  # 1 + eta cancels: i1/i3 is the exact factor
 def test_whole_float_range(i1, i3, k):
     """Right answer or a DomainError naming the limit, at every scale."""
     m = BergerMetric(i1, i3)
@@ -153,7 +154,7 @@ def test_whole_float_range(i1, i3, k):
     assert math.pi * math.sqrt(i1) <= closed <= TWO_PI * math.sqrt(i1)
     assert diameter_report(m).abs_gap <= 1e-8 * closed
     tc = t_cut(m, 1.0)
-    want = TWO_PI * math.sqrt(i3) if eta > 0.0 else TWO_PI * math.sqrt(i1) * math.sqrt(1.0 + eta)
+    want = TWO_PI * math.sqrt(i3) if eta > 0.0 else TWO_PI * math.sqrt(i1) * math.sqrt(i1 / i3)
     assert tc == pytest.approx(want, rel=1e-12, abs=0.0)
     sample_profile(m, 5)
     # lengths scale as sqrt(i1): exactly 2**k under i -> 4**k * i

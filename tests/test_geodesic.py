@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -686,6 +687,41 @@ class TestShorterPathSearch:
         else:
             assert hit is not None and hit.arrival_time < t * (1.0 - 1e-4)
             assert _endpoint_gap(m, p0, t, hit) < 1e-12
+
+    @pytest.mark.parametrize("i1", [1e200, 1e308, 1.7e308, sys.float_info.max])
+    @pytest.mark.parametrize("pb", [0.0, 1e-310])
+    def test_equatorial_sandwich_near_the_float_maximum(self, i1, pb):
+        # a*eta overflows here, while eta*pbar3 and eta*s, formed first, do not; the
+        # equator the other way round arrives at 0.9*t_cut
+        m = BergerMetric(i1, 1.0)
+        p0 = initial_momentum(m, pb, 0.3)
+        tc = t_cut(m, pb)
+        assert shorter_path_search(m, p0, 0.9 * tc) is None
+        hit = shorter_path_search(m, p0, 1.1 * tc)
+        assert hit.arrival_time == pytest.approx(0.9 * tc, rel=1e-12, abs=0.0)
+        assert _endpoint_gap(m, p0, 1.1 * tc, hit) < 1e-12
+
+    @pytest.mark.parametrize("i1,pb,want", [(1.0 + 1e9, 0.0, 89411.2946133495),
+                                            (1e-4, 0.3, 0.05398099703862631)])
+    def test_one_refinement_per_monotone_piece(self, i1, pb, want, monkeypatch):
+        # the arrival moves with the phase on each piece, so only one level per piece is
+        # refined; refining every level between a piece's ends would take 9 996 and 7 153 calls
+        calls = []
+        refine = geodesic._bracketed_root
+        monkeypatch.setattr(geodesic, "_bracketed_root",
+                            lambda *args: calls.append(args) or refine(*args))
+        m = BergerMetric(i1, 1.0)
+        hit = shorter_path_search(m, initial_momentum(m, pb, 0.3), 1.1 * t_cut(m, pb))
+        assert len(calls) <= 16
+        assert hit.arrival_time == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_axis_geodesic_of_a_very_oblate_metric(self):
+        # 1 + eta*pbar3^2 would cancel at i1/i3 = 1e-8 and put the momentum off the unit-speed level
+        m = BergerMetric(1e-8, 1.0)
+        p0 = initial_momentum(m, 1.0, 0.3)
+        t = 1.1 * t_cut(m, 1.0)
+        hit = shorter_path_search(m, p0, t)
+        assert hit is not None and _endpoint_gap(m, p0, t, hit) < 1e-12
 
     def test_benchmark_like_draws_hit_only_past_the_cut(self):
         # eta log-uniform in [0.2, 1e3], pbar3 uniform in [0, 1]

@@ -126,13 +126,16 @@ class TestMomentumNorm:
         assert momentum_norm(BergerMetric(2, 1), 1.0) == pytest.approx(1.0)
         assert momentum_norm(BergerMetric(1, 2), 1.0) == pytest.approx(math.sqrt(2.0))
 
+    def test_axis_of_a_very_oblate_metric(self):
+        # sqrt(i3) on the axis; 1 + eta*pbar3^2 would cancel to 2.5e-9 relative here
+        assert momentum_norm(BergerMetric(1e-8, 1.0), 1.0) == pytest.approx(1.0, abs=1e-15)
+
     @given(i1=finite_positive, i3=finite_positive,
            pb=st.floats(min_value=-1.0, max_value=1.0))
     def test_bracket(self, i1, i3, pb):
         m = BergerMetric(i1, i3)
-        eta = m.eta()
-        lo = math.sqrt(i1 / (1.0 + max(eta, 0.0)))
-        hi = math.sqrt(i1 / (1.0 + min(eta, 0.0)))
+        # |p| runs from sqrt(i1) at pbar3 = 0 to sqrt(i3) at pbar3 = +-1
+        lo, hi = math.sqrt(min(i1, i3)), math.sqrt(max(i1, i3))
         v = momentum_norm(m, pb)
         assert lo * (1.0 - 1e-12) <= v <= hi * (1.0 + 1e-12)
 

@@ -298,6 +298,8 @@ class TestWarmStart:
     @example(log_eta=0.5, log_pb=-0.5, r=math.nan)
     @example(log_eta=0.5, log_pb=-0.5, r=math.inf)
     @example(log_eta=0.5, log_pb=-0.5, r=-math.inf)
+    # f rises toward a second zero just past b = pi, so Newton there would aim out of the bracket
+    @example(log_eta=0.0, log_pb=-2.220446049250313e-16, r=1.0)
     def test_any_start_gives_the_cold_root(self, log_eta, log_pb, r):
         eta, s = 10.0 ** log_eta, 10.0 ** log_pb
         a, b = _tau3_bracket(eta, s)
