@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 from .errors import DomainError
 # not called here; perfbench/tracing.py wraps momentum_norm, tau_conj, tau3_derivative, json_text
-from .model import BergerMetric, _integer, _pbar3, _real, momentum_norm  # noqa: F401
+from .model import BergerMetric, _integer, _pbar3, _real, _shape, momentum_norm  # noqa: F401
 from .roots import _slopes, _tau3_value, _tau_conj_value, tau3, tau3_derivative, tau_conj  # noqa: F401
 from .serialize import fmt17, json_text  # noqa: F401
 
@@ -55,18 +55,15 @@ def tau_cut(eta: float, pbar3: float) -> float:
     return tau3(eta, pbar3)
 
 
-def _arc_length(m: BergerMetric, eta: float, pbar3: float, tau: float) -> float:
+def _arc_length(m: BergerMetric, pbar3: float, tau: float) -> float:
     # 2*i1*tau/|p| as sqrt(i1) times a shape factor, which stays normal at every scale
-    if eta < 0.0:  # 1 + eta*pbar3^2 cancels for i1 << i3; (1 - pbar3^2) + (i1/i3)*pbar3^2 does not
-        q = (1.0 - pbar3) * (1.0 + pbar3) + m.i1 / m.i3 * pbar3 * pbar3
-        return 2.0 * math.sqrt(m.i1) * (tau * math.sqrt(q))
-    return 2.0 * math.sqrt(m.i1) * (tau * math.sqrt(1.0 + eta * pbar3 * pbar3))
+    return 2.0 * math.sqrt(m.i1) * (tau * _shape(m.i1 / m.i3, pbar3))
 
 
 def t_cut(m: BergerMetric, pbar3: float) -> float:
     """Cut time ``2*sqrt(i1)*tau_cut*sqrt(1 + eta*pbar3^2)`` at axis fraction ``pbar3``."""
     eta, pbar3 = m.eta(), _pbar3(pbar3)
-    return _arc_length(m, eta, pbar3, tau_cut(eta, pbar3))
+    return _arc_length(m, pbar3, tau_cut(eta, pbar3))
 
 
 def t_cut_derivative(m: BergerMetric, pbar3: float) -> float:
@@ -235,7 +232,7 @@ def sample_profile(m: BergerMetric, n: int = 201) -> CutProfile:
             pbar3=pbar3,
             tau3=tau if solve else None,
             tau_conj=tau_conj_at(pbar3) if solve else None,
-            t_cut=_arc_length(m, eta, pbar3, tau),
+            t_cut=_arc_length(m, pbar3, tau),
             dt_cut=_dt_cut(m, eta, pbar3, tau) if solve and pbar3 != 0.0 else None,
         ))
     mirrored = [

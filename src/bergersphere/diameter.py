@@ -68,14 +68,14 @@ def diameter_numeric(m: BergerMetric) -> "tuple[float, float]":
     eta, tau, _ = _warm_roots(m)
 
     def f(x: float) -> float:
-        return _arc_length(m, eta, x, tau(x))
+        return _arc_length(m, x, tau(x))
 
     best_i = 0
     best_x = 0.0
     best_v = f(0.0)
     for k in range(1, _GRID_N):
         x = k / (_GRID_N - 1)
-        v = _arc_length(m, eta, x, tau(x))  # f(x), one call less in the hot loop
+        v = _arc_length(m, x, tau(x))  # f(x), one call less in the hot loop
         if v > best_v:
             best_i, best_x, best_v = k, x, v
     if eta <= 0.0:

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import DomainError, NoConjugatePoint, NormalizationError
-from .model import BergerMetric, Momentum, _pbar3, _real, momentum_norm
+from .model import BergerMetric, Momentum, _pbar3, _real, _shape, momentum_norm
 
 __all__ = [
     "UnitQuaternion",
@@ -534,7 +534,8 @@ def shorter_path_search(m: BergerMetric, p0: Momentum, t: float) -> Optional[Sho
     sigma = max(math.hypot(qx, qy), sys.float_info.min)
     limit = t / (2.0 * r1) * (1.0 - _SEARCH_MARGIN)  # in units of 2*sqrt(i1), as arrivals are
     # least sqrt(1 + eta*s^2), as s^2 <= rho^2/(rho^2 + sigma^2) on every branch's curve
-    least = math.sqrt(min(1.0, (sigma * sigma + ratio * rho * rho) / (sigma * sigma + rho * rho)))
+    h = math.hypot(rho, sigma)
+    least = min(1.0, _shape(ratio, rho / h, sigma / h))
     alpha0 = math.atan2(sigma, rho)  # least alpha, at chi = 0
     best = None
 
@@ -584,7 +585,7 @@ def shorter_path_search(m: BergerMetric, p0: Momentum, t: float) -> Optional[Sho
                         lambda x: chart(x, base, sign)[3] - level, x0, x1,
                         g0 - level, g1 - level, middle)
                     a, s, cs, _ = chart(x, base, sign)
-                    arrival = a * math.sqrt(cs * cs + ratio * s * s)
+                    arrival = a * _shape(ratio, s, cs)
                     if arrival < limit:
                         limit, best = arrival, (a, s, cs, k)
         k += 1
@@ -592,6 +593,6 @@ def shorter_path_search(m: BergerMetric, p0: Momentum, t: float) -> Optional[Sho
         return None
     # initial_momentum's arithmetic, with sqrt(1 - s^2) from the chart where 1 - s*s cancels
     a, s, cs, k = best
-    phi, norm = omega + a * (eta * s) + k * pi, r1 / math.sqrt(cs * cs + ratio * s * s)
+    phi, norm = omega + a * (eta * s) + k * pi, r1 / _shape(ratio, s, cs)
     momentum = Momentum(norm * cs * math.cos(phi), norm * cs * math.sin(phi), norm * s)
     return ShorterPath(momentum=momentum, arrival_time=2.0 * r1 * limit)

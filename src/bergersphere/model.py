@@ -159,12 +159,21 @@ def momentum_norm(m: BergerMetric, pbar3: float) -> float:
     fraction.  It is formed as ``sqrt(i1)/sqrt(1 + eta*pbar3^2)``: the
     quotient ``i1/(1 + eta*pbar3^2)`` can fall below the least normal
     float and lose its digits.  The denominator is taken as
-    ``(1 - pbar3^2) + (i1/i3)*pbar3^2``, as ``1 + eta*pbar3^2`` cancels
-    for ``i1 << i3``; ``eta`` is still checked, for the limit it names.
+    ``sqrt((1 - pbar3^2) + (i1/i3)*pbar3^2)``, as ``1 + eta*pbar3^2``
+    cancels for ``i1 << i3``; ``eta`` is still checked, for the limit it
+    names.
     """
     pbar3 = _pbar3(pbar3)
     m.eta()
-    return math.sqrt(m.i1) / math.sqrt((1.0 - pbar3) * (1.0 + pbar3) + m.i1 / m.i3 * pbar3 * pbar3)
+    return math.sqrt(m.i1) / _shape(m.i1 / m.i3, pbar3)
+
+
+def _shape(ratio: float, s: float, cs: float | None = None) -> float:
+    # sqrt(1 + eta*s^2) for ratio = i1/i3, as sqrt((1 - s^2) + ratio*s^2): the sum of
+    # two non-negative terms, which does not cancel for i1 << i3 as 1 + eta*s^2 does.
+    # cs, where given, is sqrt(1 - s^2) formed without cancelling as s -> 1.
+    c2 = (1.0 - s) * (1.0 + s) if cs is None else cs * cs
+    return math.sqrt(c2 + ratio * s * s)
 
 
 def classify_regime(m: BergerMetric) -> Regime:

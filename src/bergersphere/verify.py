@@ -172,7 +172,7 @@ def _check_tcut_derivative_sign(m: BergerMetric) -> CheckResult:
 def _check_tcut_below_conjugate(m: BergerMetric) -> CheckResult:
     mm = _metric_with_positive_eta(m)
     eta = mm.eta()
-    margin = min(_arc_length(mm, eta, pb, tau_conj(eta, pb)) - t_cut(mm, pb)
+    margin = min(_arc_length(mm, pb, tau_conj(eta, pb)) - t_cut(mm, pb)
                  for pb in _PB_GRID)
     return CheckResult("tcut-below-conjugate-time", margin > 0.0, f"min margin {margin:.3e}")
 
@@ -238,8 +238,8 @@ def _check_conjugate_agreement(m: BergerMetric) -> CheckResult:
     mm = BergerMetric(1.0, 1.0 / (1.0 + eta))
     worst = 0.0
     for pb in (0.0, 0.5):
-        expected = _arc_length(mm, eta, pb, tau_conj(eta, pb))
-        got = conjugate_time_numeric(mm, pb, 1.02 * _arc_length(mm, eta, pb, math.pi))
+        expected = _arc_length(mm, pb, tau_conj(eta, pb))
+        got = conjugate_time_numeric(mm, pb, 1.02 * _arc_length(mm, pb, math.pi))
         worst = max(worst, abs(got - expected) / expected)
     return CheckResult("geodesic-conjugate-agreement", worst < 1e-3, f"max rel dev {worst:.3e}")
 

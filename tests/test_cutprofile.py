@@ -251,7 +251,7 @@ class TestSampleProfile:
         # row's own tau3, and roots within a few ulp of the cold public solves
         for r in rows:
             tau = r.tau3 if eta > 0.0 else math.pi
-            assert bits(r.t_cut) == bits(_arc_length(m, eta, r.pbar3, tau))
+            assert bits(r.t_cut) == bits(_arc_length(m, r.pbar3, tau))
             if eta > 0.0:
                 assert abs(r.tau3 - tau3(eta, r.pbar3)) <= 4 * math.ulp(r.tau3)
                 assert abs(r.tau_conj - tau_conj(eta, r.pbar3)) <= 4 * math.ulp(r.tau_conj)

@@ -234,8 +234,8 @@ def _conjugate_deviation(m, pbar3):
     # relative deviation of the oracle from the conjugate equation's root,
     # on the horizon of verify's geodesic-conjugate-agreement
     eta = m.eta()
-    expected = _arc_length(m, eta, pbar3, tau_conj(eta, pbar3))
-    got = conjugate_time_numeric(m, pbar3, 1.02 * _arc_length(m, eta, pbar3, math.pi))
+    expected = _arc_length(m, pbar3, tau_conj(eta, pbar3))
+    got = conjugate_time_numeric(m, pbar3, 1.02 * _arc_length(m, pbar3, math.pi))
     return abs(got - expected) / expected
 
 
@@ -527,12 +527,12 @@ class TestConjugateTime:
         monkeypatch.setattr(geodesic, "_conjugate_determinant", counted_factory)
         norm = momentum_norm(ETA_ONE, 0.5)
         got = conjugate_time_numeric(ETA_ONE, 0.5, 1.02 * 2.0 * math.pi * ETA_ONE.i1 / norm)
-        assert got == pytest.approx(_arc_length(ETA_ONE, 1.0, 0.5, tau_conj(1.0, 0.5)), rel=1e-12)
+        assert got == pytest.approx(_arc_length(ETA_ONE, 0.5, tau_conj(1.0, 0.5)), rel=1e-12)
         assert 0 < len(calls) < 400
 
     def test_conjugate_point_in_the_last_half_cell(self):
         # the time lies past the last cell's midpoint, 399.5/400 of the horizon
-        expect = _arc_length(ETA_ONE, 1.0, 0.5, tau_conj(1.0, 0.5))
+        expect = _arc_length(ETA_ONE, 0.5, tau_conj(1.0, 0.5))
         got = conjugate_time_numeric(ETA_ONE, 0.5, 4.9544721468990565 / 0.999)
         assert got == pytest.approx(expect, rel=1e-12)
 
@@ -541,9 +541,9 @@ class TestConjugateTime:
         # a horizon of a thousand times t_pi would put several zeros of D in one cell
         m = BergerMetric(3.0, 1.0)
         eta = m.eta()
-        horizon = 1000.0 * 1.02 * _arc_length(m, eta, pb, math.pi)
+        horizon = 1000.0 * 1.02 * _arc_length(m, pb, math.pi)
         got = conjugate_time_numeric(m, pb, horizon)
-        assert got == pytest.approx(_arc_length(m, eta, pb, tau_conj(eta, pb)), rel=1e-12)
+        assert got == pytest.approx(_arc_length(m, pb, tau_conj(eta, pb)), rel=1e-12)
 
     def test_agreement_to_the_last_digits(self):
         # log-uniform eta and scale, pbar3 with its edge values; the horizon
