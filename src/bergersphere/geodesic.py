@@ -35,18 +35,20 @@ The oracles built on the flow:
   differential of the endpoint map, assembled from the endpoint velocity
   and the flow's exact derivatives in two level-set directions.  The
   determinant is ``sin(a)*D`` with ``a = t*|p0|/(2*i1)``: the first
-  conjugate time is the first zero of ``D``, found by a scan for a sign
-  change and a bracketed root finder, or else ``t_pi``, where ``a = pi``
-  and every geodesic of the family meets.  It agrees with the conjugate
-  equation's root within 1e-12 relative at every scale;
+  conjugate time is the first zero of ``D``, which is positive before it:
+  a scan finds the first negative sample and the Illinois method refines
+  it, or else ``t_pi``, where ``a = pi`` and every geodesic of the family
+  meets.  It agrees with the conjugate equation's root within 1e-12
+  relative at every scale;
 * ``shorter_path_search``: the shortest geodesic reaching a given
   endpoint strictly earlier, from the endpoint map's preimages: the level
   crossings of one phase along one curve per branch, bracketed on the
   pieces where the phase is monotone.  On each piece the arrival time is
   monotone in the phase too, as ``T' = s*G'/sqrt(1 + eta*s^2)``, so only
-  the piece's one level with the earliest arrival is refined, and the
-  branches stop at the first whose least arrival, with
-  ``s^2 <= rho^2/(rho^2 + sigma^2)`` on the whole curve, cannot win.
+  the piece's one level with the earliest arrival is refined, by the
+  Illinois method, and the branches stop at the first whose least
+  arrival, with ``s^2 <= rho^2/(rho^2 + sigma^2)`` on the whole curve,
+  cannot win.
 
 The RK4 block loop and the conjugate determinant are written out on
 scalar locals for speed; tests pin them, bit for bit, to compact forms.
@@ -421,15 +423,18 @@ def conjugate_time_numeric(m: BergerMetric, pbar3: float, t_max: float) -> float
     the derivatives in two level-set directions, is ``sin(a)*D(t)``
     (``_conjugate_determinant``).  ``sin(a)`` first vanishes at ``t_pi``,
     where all geodesics of the family meet, so the first conjugate time is
-    the first zero of ``D`` before ``t_pi``, or else ``t_pi``.  ``D`` is
-    scanned for a sign change on 400 cells of ``(0, min(t_max, t_pi)]``,
-    evaluated at their midpoints and at the end: ``D(0) = 0``, as every
-    geodesic starts at a degenerate point of the exponential map.  The
-    scan stops at the first sign change, which ``_bracketed_root`` refines
-    to a few ulps; over metrics from subnormal to the float maximum and
-    ``eta`` from 1e-9 to 1e300, the time agrees with the conjugate
-    equation's root to within 1e-12 relative.  Defined for ``eta > 0``;
-    raises NoConjugatePoint when ``D`` keeps its sign up to ``t_max < t_pi``.
+    the first zero of ``D`` before ``t_pi``, or else ``t_pi``.  ``D(0) = 0``,
+    as every geodesic starts at a degenerate point of the exponential map,
+    and ``D > 0`` until the first conjugate time, as
+    ``D ~ a*s*(u0^2*(1 + eta) + u2^2)`` near ``a = 0``: a ``D`` that
+    underflows to 0 is no conjugate point.  ``D`` is sampled on 400 cells of
+    ``(0, min(t_max, t_pi)]``, at their midpoints and at the end; the scan
+    stops at the first negative sample, which ``_bracketed_root`` brackets
+    from the sample before and refines to within one float.  Over metrics
+    from subnormal to the float maximum and ``eta`` from 1e-9 to 1e300, the
+    time agrees with the conjugate equation's root to within 1e-12 relative.
+    Defined for ``eta > 0``; raises NoConjugatePoint when ``D`` stays
+    nonnegative up to ``t_max < t_pi``.
     """
     eta = m.eta()
     if eta <= 0.0:
@@ -442,38 +447,42 @@ def conjugate_time_numeric(m: BergerMetric, pbar3: float, t_max: float) -> float
     for k in range(_CONJ_GRID_N + 1):
         t1 = min(end, (k + 0.5) * dt)  # the last point is the end itself
         d1 = det_at(t1)
-        if d1 == 0.0:
-            return t1
-        if k and (d1 > 0.0) != (d0 > 0.0):
-            return _bracketed_root(det_at, t0, t1, d0, d1, lambda x0, x1: x0 + 0.5 * (x1 - x0))
+        if d1 < 0.0:
+            return _bracketed_root(det_at, t0, t1, d0, d1)
         t0, d0 = t1, d1
     if t_pi <= t_max:
         return t_pi
     raise NoConjugatePoint(f"determinant kept its sign on (0, {t_max}]")
 
 
-def _bracketed_root(f: Callable[[float], float], x0: float, x1: float, f0: float, f1: float,
-                    middle: Callable[[float, float], float]) -> float:
+def _bracketed_root(f: Callable[[float], float], x0: float, x1: float, f0: float, f1: float) -> float:
     """Zero of ``f`` between ``x0`` and ``x1``, where ``f0 = f(x0)`` and ``f1 = f(x1)`` differ in sign.
 
-    Secant steps through the bracket's ends, and ``middle(x0, x1)`` after two that replace
-    the same end.  Stops at a zero or at a point on an end; returns the end with smaller ``|f|``.
+    The Illinois method (Dowell & Jarratt, BIT 11, 1971): regula falsi through the two ends,
+    taken from the end with the smaller value, where the step keeps its relative precision,
+    with the value stored at an end halved when a step keeps that end as the previous step
+    did.  A step that rounds onto the kept end is the midpoint instead, and one that rounds
+    onto the newest end, a step below its resolution, is one float toward the kept end.
+    Every step lies strictly between the ends, so each takes at least one float out of the
+    bracket and the solve terminates: at an exact zero (also one passed in for ``f0`` or
+    ``f1``), or with the ends adjacent floats, where the newest end is returned.
     """
-    (xn, fn), (xp, fp) = ((x0, f0), (x1, f1)) if f0 < 0.0 else ((x1, f1), (x0, f0))
-    last, bisect = None, False
-    for _ in range(200):
-        x = middle(xn, xp) if bisect else xp - (xp - xn) * (fp / (fp - fn))
-        if not (xn < x < xp or xp < x < xn):
-            break
+    (a, fa), (b, fb) = (x0, f0), (x1, f1)  # a is the end the previous step kept
+    if fa == 0.0:
+        return a
+    while fb != 0.0 and math.nextafter(b, a) != a:
+        x = a + (b - a) * (fa / (fa - fb)) if abs(fa) < abs(fb) else b - (b - a) * (fb / (fb - fa))
+        if x == b:
+            x = math.nextafter(b, a)
+        elif not (a < x < b or b < x < a):
+            x = a + 0.5 * (b - a)
         fx = f(x)
-        if fx == 0.0:
-            return x
-        if fx > 0.0:
-            xp, fp = x, fx
+        if (fx < 0.0) == (fb < 0.0):
+            fa *= 0.5
         else:
-            xn, fn = x, fx
-        bisect, last = not bisect and (fx > 0.0) == last, fx > 0.0
-    return xp if abs(fp) < abs(fn) else xn
+            a, fa = b, fb
+        b, fb = x, fx
+    return b
 
 
 def shorter_path_search(m: BergerMetric, p0: Momentum, t: float) -> Optional[ShorterPath]:
@@ -488,8 +497,9 @@ def shorter_path_search(m: BergerMetric, p0: Momentum, t: float) -> Optional[Sho
     by ``chi = arg(cos a + i*s*sin a)`` on the sheets ``a = k*pi + alpha``
     and ``(k + 1)*pi - alpha``, where ``cos(alpha) = rho*cos(chi)``,
     ``s*sin(alpha) = rho*sin(chi)`` and ``|chi| <= pi/2``.  A preimage is a
-    crossing of ``2*pi*j`` by the unwrapped phase ``G`` of ``z(s, a)/Z``, refined by a
-    safeguarded secant.  The cut equation is the ``qz = 0`` case, never solved as such.
+    crossing of ``2*pi*j`` by the unwrapped phase ``G`` of ``z(s, a)/Z``, refined by the
+    Illinois method (``_bracketed_root``) to within one float of ``chi``.  The cut equation
+    is the ``qz = 0`` case, never solved as such.
 
     Monotone pieces: on the sheet ``a = base + sign*alpha``, ``dalpha = s*dchi``, so with
     ``d = sin(alpha)`` the slope ``G' = sign*(1 + eta*s^2) + eta*a*s'``, where
@@ -559,31 +569,20 @@ def shorter_path_search(m: BergerMetric, p0: Momentum, t: float) -> Optional[Sho
             s_hi = 1.0 if eta <= 0.0 else math.sqrt(min((r - 1.0) * (r + 1.0) / eta,
                                                         max(0.0, 1.0 - q * q) / (1.0 + eta * q * q)))
             c = chi_at_s(min(1.0, s_hi))
-            # on [-c, c], s^2 is largest at the ends and a at an end or at 0
-            (a_c, s_c), a_0 = chart(c, base, sign)[:2], chart(0.0, base, sign)[0]
-            w_chi, w_s = 1.0 + max(eta, 0.0) * s_c * s_c, abs(eta) * max(a_c, a_0)
-
-            def middle(x0: float, x1: float) -> float:
-                # halves the larger of the bracket's two phase terms
-                u0, u1 = chart(x0, base, sign)[1], chart(x1, base, sign)[1]
-                if w_chi * abs(x1 - x0) >= w_s * abs(u1 - u0):
-                    return 0.5 * (x0 + x1)
-                return chi_at_s(0.5 * (u0 + u1))
 
             def turn(x: float) -> float:  # d*G': the sign of G', finite at chi = 0
                 a, s, cs, _ = chart(x, base, sign)
                 return (sign * (1.0 + eta * s * s) * (sigma / cs)
                         + a * (eta * rho * math.cos(x) * cs * cs))
             f0, f1 = turn(0.0), turn(c)  # G' is even and changes sign at most once on (0, c]
-            chi_t = _bracketed_root(turn, 0.0, c, f0, f1, middle) if (f0 < 0.0) != (f1 < 0.0) else c
+            chi_t = _bracketed_root(turn, 0.0, c, f0, f1) if (f0 < 0.0) != (f1 < 0.0) else c
             ends = [(x, chart(x, base, sign)[3]) for x in sorted({-c, -chi_t, 0.0, chi_t, c})]
             for (x0, g0), (x1, g1) in zip(ends, ends[1:]):  # G and the arrival are monotone
                 lo, hi = math.ceil(min(g0, g1) / (2.0 * pi)), math.floor(max(g0, g1) / (2.0 * pi))
                 level = 2.0 * pi * (lo if x0 >= 0.0 else hi)  # the piece's earliest arrival
                 if lo <= hi:
-                    x = x0 if g0 == level else _bracketed_root(
-                        lambda x: chart(x, base, sign)[3] - level, x0, x1,
-                        g0 - level, g1 - level, middle)
+                    x = _bracketed_root(lambda x: chart(x, base, sign)[3] - level, x0, x1,
+                                        g0 - level, g1 - level)
                     a, s, cs, _ = chart(x, base, sign)
                     arrival = a * _shape(ratio, s, cs)
                     if arrival < limit:

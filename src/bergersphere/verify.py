@@ -40,7 +40,8 @@ class CheckResult:
 
 
 def _metric_with_positive_eta(m: BergerMetric) -> BergerMetric:
-    # geodesic and root checks need eta > 0; fall back to a fixed prolate one
+    # the closed forms of tcut-derivative-sign, tcut-below-conjugate-time and
+    # geodesic-conjugate-agreement need eta > 0; fall back to a fixed prolate one
     return m if m.eta() > 0.0 else BergerMetric(2.0, 1.0)
 
 
@@ -245,12 +246,11 @@ def _check_conjugate_agreement(m: BergerMetric) -> CheckResult:
 
 
 def _check_cut_sandwich(m: BergerMetric) -> CheckResult:
-    mm = _metric_with_positive_eta(m)
     pb = 0.6
-    tc = t_cut(mm, pb)
-    p0 = initial_momentum(mm, pb, 0.0)
-    early = shorter_path_search(mm, p0, 0.9 * tc)
-    late = shorter_path_search(mm, p0, 1.1 * tc)
+    tc = t_cut(m, pb)
+    p0 = initial_momentum(m, pb, 0.0)
+    early = shorter_path_search(m, p0, 0.9 * tc)
+    late = shorter_path_search(m, p0, 1.1 * tc)
     # the search's own relative margin: an absolute one exceeds t_cut where i1 is tiny
     ok = early is None and late is not None and late.arrival_time < 1.1 * tc * (1.0 - 1e-4)
     detail = (

@@ -307,6 +307,13 @@ class TestCutProfileSerialization:
         with pytest.raises(ValueError):
             CutProfile(metric=m, rows=(good, ProfileRow(1.0, None, None, 100.0, None)))
 
+    @pytest.mark.parametrize("grid,message", [((-1.0, 0.5), "cover"),
+                                              ((-1.0, 0.5, 0.2, 1.0), "strictly increasing")])
+    def test_rows_must_cover_and_increase(self, grid, message):
+        rows = tuple(ProfileRow(pb, None, None, 2.0 * math.pi, None) for pb in grid)
+        with pytest.raises(ValueError, match=message):
+            CutProfile(metric=BergerMetric(1.0, 1.0), rows=rows)
+
 
 def _reference_csv(profile):
     # the CSV writer as it was before row templates: one fmt17 call per cell

@@ -632,15 +632,24 @@ class TestConjugateTime:
         with pytest.raises(DomainError, match="t_max must be finite"):
             conjugate_time_numeric(ETA_ONE, 0.5, math.inf)
 
+    @pytest.mark.parametrize("i1,t_max", [(1e300, 1e-150), (2.0, 1e-322)])
+    def test_underflowed_determinant_is_no_conjugate_point(self, i1, t_max):
+        # D > 0 before the first conjugate time; here it underflows to 0 on the scan
+        with pytest.raises(NoConjugatePoint):
+            conjugate_time_numeric(BergerMetric(i1, 1.0), 0.5, t_max)
+
 
 class TestBracketedRoot:
     def test_secant_step_does_not_overflow(self):
         # |f(x1)|*(x1 - x0) passes the float maximum, f(x1)/(f(x1) - f(x0)) does not
         def f(x):
             return 1e290 * (x - 1.0)
-        def mid(x0, x1):
-            return 0.5 * (x0 + x1)
-        assert geodesic._bracketed_root(f, 0.0, 1e10, -1e290, f(1e10), mid) == 1.0
+        assert geodesic._bracketed_root(f, 0.0, 1e10, -1e290, f(1e10)) == 1.0
+
+    def test_step_onto_an_end_does_not_end_the_solve(self):
+        # the first regula falsi step rounds onto 0, where f is -1e-20 and not 0
+        root = geodesic._bracketed_root(lambda x: 2.0 * x - 1e-20, 0.0, math.pi / 2, -1e-20, math.pi)
+        assert root == 5e-21
 
 
 class TestShorterPathSearch:
@@ -658,6 +667,36 @@ class TestShorterPathSearch:
         pb = 0.9
         p0 = initial_momentum(m, pb, 0.0)
         assert shorter_path_search(m, p0, 0.5 * t_cut(m, pb)) is None
+
+    @pytest.mark.parametrize("i1,i3,pb", [(2.0, 1.0, 1.0), (1.0, 1.0, 1.0), (0.5, 1.0, 1.0),
+                                          (2e-300, 1e-300, 1.0), (2e300, 1e300, 1.0),
+                                          (1.0, 1.0, 0.5), (0.5, 1.0, 0.5)])
+    @pytest.mark.parametrize("factor", [1e-20, 1e-150])
+    def test_nothing_shorter_near_the_identity(self, i1, i3, pb, factor):
+        # the target is near the identity; a refinement that stopped on a bracket end
+        # returned a path there that missed it by the target's whole distance
+        m = BergerMetric(i1, i3)
+        assert shorter_path_search(m, initial_momentum(m, pb, 0.3), factor * t_cut(m, pb)) is None
+
+    @pytest.mark.parametrize("i1,factor", [(2.0, 1e-295), (2.0, 1e-200), (1e4, 1e-100)])
+    def test_few_evaluations_near_the_identity(self, i1, factor, monkeypatch):
+        # the axis target's sigma is raised to the least normal float, so the phase jumps
+        # within chi ~ 1e-308 of 0; steps taken from the end with the larger value round onto
+        # the other end there, and their midpoints took up to 981 evaluations
+        evals = []
+        refine = geodesic._bracketed_root
+
+        def counted(f, *args):
+            evals.append(0)
+
+            def g(x):
+                evals[-1] += 1
+                return f(x)
+            return refine(g, *args)
+        monkeypatch.setattr(geodesic, "_bracketed_root", counted)
+        m = BergerMetric(i1, 1.0)
+        assert shorter_path_search(m, initial_momentum(m, 1.0, 0.3), factor * t_cut(m, 1.0)) is None
+        assert max(evals) <= 16
 
     def test_round_wrap_recovers_direct_arc(self):
         t = 3.0 * math.pi

@@ -1,5 +1,6 @@
 import pytest
 
+from bergersphere.cutprofile import t_cut
 from bergersphere.model import BergerMetric
 from bergersphere.verify import FULL_CHECKS, QUICK_CHECKS, CheckResult, run_checks
 
@@ -17,6 +18,12 @@ class TestRunChecks:
         failing = [r.name for r in results if not r.passed]
         assert failing == []
         assert len(results) == len(FULL_CHECKS) > len(QUICK_CHECKS)
+
+    def test_cut_sandwich_on_the_requested_metric(self):
+        # an oblate metric's own sandwich, not that of a prolate stand-in
+        m = BergerMetric(1e-8, 1.0)
+        detail = {r.name: r for r in run_checks(m, "full")}["geodesic-cut-sandwich"].detail
+        assert float(detail.split("arrival ")[1]) < 1.1 * t_cut(m, 0.6)
 
     def test_names_are_unique_and_stable(self):
         results = run_checks(BergerMetric(1.5, 1.0), "quick")
