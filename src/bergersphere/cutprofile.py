@@ -101,11 +101,11 @@ def _dt_cut(m: BergerMetric, eta: float, pbar3: float, t3: float) -> float:
 
 
 def _warm_roots(m: BergerMetric) -> tuple:
-    # eta, then tau3(eta, .) and tau_conj(eta, .), unchecked, on pbar3 = x in [0, 1]
-    # for a caller that moves along increasing x in small steps; pi when eta <= 0.
-    # Each solve starts at the secant through the two most recent (x, root) pairs
-    # of its root, (0, tau_conj(eta, 0)) being the first for both.  The bracket
-    # still moves only by evaluated signs, so every root is the first one.
+    # eta, then tau3(eta, .) and tau_conj(eta, .), unchecked, on pbar3 = x in [0, 1];
+    # pi when eta <= 0.  Each solve starts at the secant through the two most recent
+    # (x, root) pairs of its root, (0, tau_conj(eta, 0)) being the first for both.
+    # The bracket still moves only by evaluated signs, so every root is the first
+    # one, whatever order the caller takes x in; small steps only make it cheaper.
     eta = m.eta()
     if eta <= 0.0:
         return (eta,) + (lambda x: math.pi,) * 2

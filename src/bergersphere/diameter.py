@@ -12,16 +12,18 @@ The expression is continuous across both regime boundaries and satisfies
 ``pi*sqrt(i1) <= diameter <= 2*pi*sqrt(i1)``.
 
 ``diameter_numeric`` ignores the branch analysis and maximizes the cut
-profile directly: a grid scan over [0, 1], then bisection on the sign of
-the closed-form derivative inside the best cell, which holds the
-maximizer (the profile is even and unimodal).  Values, flat to rounding
-there, place it only to about ``sqrt(eps)``; the sign changes cleanly.
+profile directly.  For ``eta > 0`` the profile's closed-form derivative
+is positive on ``(0, min(1, 1/eta))`` and negative after it, so bisection
+on its sign over [0, 1] finds the maximizer; values, flat to rounding
+there, would place it only to about ``sqrt(eps)``, while the sign changes
+cleanly.  For ``eta <= 0`` the profile does not rise from ``pbar3 = 0``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 # t_cut is not called here; perfbench/tracing.py wraps it
 from .cutprofile import _arc_length, _dt_cut, _warm_roots, t_cut  # noqa: F401
@@ -35,7 +37,6 @@ __all__ = [
     "DiameterReport",
 ]
 
-_GRID_N = 513         # profile samples on [0, 1] in the numeric maximization
 _REFINE_TOL = 1e-12   # width of the bisected cell, relative to its upper end
 
 
@@ -52,37 +53,31 @@ def diameter_closed_form(m: BergerMetric) -> float:
 def diameter_numeric(m: BergerMetric) -> "tuple[float, float]":
     """Maximize the cut profile on [0, 1] numerically.
 
-    Returns ``(value, maximizer)``.  A grid of 513 points locates the
-    best cell, and bisection on the sign of ``t_cut_derivative`` narrows
-    it to 1e-12 of its upper end (to 1e-24 below 1e-12, as the maximizer
-    ``1/eta`` can be tiny); its midpoint, never the derivative's undefined
+    Returns ``(value, maximizer)``.  For ``eta > 0`` the profile's
+    closed-form derivative ``t_cut_derivative`` is positive on
+    ``(0, min(1, 1/eta))`` and negative after it, so bisection on its sign
+    over all of [0, 1] narrows onto the maximizer, to 1e-12 of the cell's
+    upper end (to 1e-24 below 1e-12, as the maximizer ``1/eta`` can be
+    tiny); the cell's midpoint, never the derivative's undefined
     ``pbar3 = 0``, is the refined point.  Each value is ``t_cut(m, x)``,
     with its ``tau3`` solve warm-started from the previous root: Newton
     starts at the secant prediction through the two most recent roots,
-    inside the same bracket.  When the refined point does not beat the
-    best grid point the grid point wins, so flat profiles (the round
-    case) and boundary maxima report their maximizer exactly; exact ties
-    are broken toward the smaller axis fraction.  For ``eta <= 0`` the
-    profile falls from 0 or is flat, and the grid point is returned.
+    inside the same bracket.  The best of ``pbar3 = 0``, the refined point
+    and ``pbar3 = 1`` is returned, so boundary maxima report their
+    maximizer exactly; exact ties are broken toward the smaller axis
+    fraction.  For ``eta <= 0`` the profile ``2*pi*sqrt(i1)*sqrt(1 + eta*x^2)``
+    has a derivative of the sign of ``eta*x``, never positive, and its
+    maximum is at 0.
     """
     eta, tau, _ = _warm_roots(m)
 
     def f(x: float) -> float:
         return _arc_length(m, x, tau(x))
 
-    best_i = 0
-    best_x = 0.0
-    best_v = f(0.0)
-    for k in range(1, _GRID_N):
-        x = k / (_GRID_N - 1)
-        v = _arc_length(m, x, tau(x))  # f(x), one call less in the hot loop
-        if v > best_v:
-            best_i, best_x, best_v = k, x, v
+    v0 = f(0.0)
     if eta <= 0.0:
-        return best_v, best_x
-
-    lo = (best_i - 1) / (_GRID_N - 1) if best_i > 0 else 0.0
-    hi = (best_i + 1) / (_GRID_N - 1) if best_i < _GRID_N - 1 else 1.0
+        return v0, 0.0
+    lo, hi = 0.0, 1.0
     while hi - lo > _REFINE_TOL * max(hi, _REFINE_TOL):
         mid = 0.5 * (lo + hi)
         if _dt_cut(m, eta, mid, tau(mid)) > 0.0:
@@ -90,10 +85,8 @@ def diameter_numeric(m: BergerMetric) -> "tuple[float, float]":
         else:
             hi = mid
     xg = 0.5 * (lo + hi)
-    vg = f(xg)
-    if vg > best_v or (vg == best_v and xg < best_x):
-        return vg, xg
-    return best_v, best_x
+    # in increasing x, so max keeps the smallest of tied maximizers
+    return max((v0, 0.0), (f(xg), xg), (f(1.0), 1.0), key=itemgetter(0))
 
 
 @dataclass(frozen=True)

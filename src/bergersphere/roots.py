@@ -23,8 +23,8 @@ positive root.
 
 * Start.  The iteration starts at a given start point held in the
   bracket (an infinite one at an end), or at the midpoint when the start
-  is NaN.  The walks along the profile, diameter scan and sampled rows,
-  pass the secant through the two previous roots.
+  is NaN.  The profile's sampled rows and the diameter's bisection pass
+  the secant through the two previous roots.
 * Bracket invariant.  After each evaluation the end with the same sign
   as the value moves to the evaluated point, so the bracket only
   shrinks and always holds the root, wherever the iteration started.
@@ -53,8 +53,8 @@ positive root.
   draws of ``eta`` in [1e-6, 1e8] and ``pbar3`` down to 1e-300 a
   midpoint start made about 6 on average and at most 13, against about
   44 for bisection.  On 400 diameter maximizations with ``i1/i3``
-  log-uniform in [1e-3, 1e5] (134 641 solves), a start at the secant
-  through the two previous roots made 2.66 on average and at most 17.
+  log-uniform in [1e-3, 1e5] (13 856 solves), a start at the secant
+  through the two previous roots made 3.07 on average and at most 17.
   On 60 profiles with ``eta`` log-uniform in [1e-2, 1e4] and 201 to 1201
   rows (25 200 solves per root) it made 2.62 per ``tau3`` and 2.90 per
   ``tau_conj`` solve, against 5.57 and 5.32.

@@ -114,6 +114,23 @@ class TestTCutDerivative:
         for pb in _PB_GRID:
             assert t_cut_derivative(m, pb) < 0.0, (eta, pb)
 
+    # diameter_numeric bisects on this sign over all of [0, 1]: positive below
+    # min(1, 1/eta) and negative above (an underflow may give -0.0 there), at
+    # dyadic points down to 2**-80 and odd multiples of 1/1024, for eta
+    # log-uniform in [1e-9, 1e300] and, so that eta <= 1 is drawn, in [1e-9, 1e2]
+    @pytest.mark.parametrize("i3", [1e-300, 1.0, 1e8])
+    def test_sign_changes_once_at_one_over_eta(self, i3):
+        pbs = [2.0 ** -k for k in range(81)] + [(2 * j + 1) / 1024 for j in range(512)]
+        rng = np.random.default_rng(7)
+        for log_eta in np.concatenate([rng.uniform(-9.0, 300.0, 6), rng.uniform(-9.0, 2.0, 3)]):
+            m = BergerMetric(i3 * (1.0 + 10.0 ** log_eta), i3)
+            eta = m.eta()
+            for pb in pbs:
+                if eta * pb < 1.0 - 1e-6:
+                    assert t_cut_derivative(m, pb) > 0.0, (m, pb)
+                elif eta * pb > 1.0 + 1e-6:
+                    assert math.copysign(1.0, t_cut_derivative(m, pb)) < 0.0, (m, pb)
+
     # central differences of t_cut in mpmath at 60 digits
     @pytest.mark.parametrize("i1,pb,want", [
         (2.0, 1e-10, 3.1637289628395873e-10),

@@ -313,13 +313,13 @@ class TestWarmStart:
         assert n <= 2 * bound + 1, (eta, s, start)
 
     @pytest.mark.parametrize("eta", [0.5, 3.0, 1e3, 1e8])
-    def test_diameter_scan_evaluations_per_solve(self, eta, monkeypatch):
-        # a start from the midpoint takes about 5.3 on average
+    def test_diameter_evaluations_per_call(self, eta, monkeypatch):
+        # a bisection over [0, 1] jumps across scales at huge eta, so its warm
+        # starts gain less per solve than a walk's; the whole call stays cheap
         counts = []
         monkeypatch.setattr(roots_module, "_newton", _counting_newton(counts))
         diameter_numeric(BergerMetric(1.0 + eta, 1.0))
-        assert len(counts) > 500
-        assert sum(n for n, _ in counts) / len(counts) <= 3.5
+        assert sum(n for n, _ in counts) <= 1000
         assert all(n <= 2 * bound + 1 for n, bound in counts)
 
     @pytest.mark.parametrize("eta", [0.5, 3.0, 1e3, 1e8])
