@@ -8,6 +8,7 @@ deterministic; rerunning a command byte-reproduces it.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Optional
@@ -66,6 +67,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the named self-check suite")
     p_ver.add_argument("--level", choices=("quick", "full"), default="quick")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # the one parser main uses, built on its first call; parse_args keeps no
+    # state in it from one call to the next
+    return build_parser()
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -134,7 +142,7 @@ def _cmd_verify(metric: BergerMetric, args: argparse.Namespace) -> int:
 
 
 def main(argv: "Optional[list[str]]" = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         metric = BergerMetric(args.i1, args.i3)
         if args.command == "diameter":

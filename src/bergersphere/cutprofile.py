@@ -102,28 +102,35 @@ def _dt_cut(m: BergerMetric, eta: float, pbar3: float, t3: float) -> float:
 
 def _warm_roots(m: BergerMetric) -> tuple:
     # eta, then tau3(eta, .) and tau_conj(eta, .), unchecked, on pbar3 = x in [0, 1];
-    # pi when eta <= 0.  Each solve starts at the secant through the two most recent
-    # (x, root) pairs of its root, (0, tau_conj(eta, 0)) being the first for both.
-    # The bracket still moves only by evaluated signs, so every root is the first
-    # one, whatever order the caller takes x in; small steps only make it cheaper.
+    # pi when eta <= 0.  Each solve starts at the quadratic through the three most
+    # recent (x, root) pairs of its root at distinct x, in Newton's divided
+    # differences; (0, tau_conj(eta, 0)) is the first pair for both, and with fewer
+    # pairs the prediction is the constant or the secant.  The bracket still moves
+    # only by evaluated signs, and a start that is not finite is an end or the
+    # midpoint, so every root is the first one, whatever order the caller takes x
+    # in; small steps only make it cheaper.
     eta = m.eta()
     if eta <= 0.0:
         return (eta,) + (lambda x: math.pi,) * 2
     tau0 = _tau_conj_value(eta, 0.0)
 
-    def secant(value: Callable[..., float]) -> Callable[[float], float]:
-        xp, tp, slope = 0.0, tau0, 0.0  # the most recent pair; the secant's slope
+    def quadratic(value: Callable[..., float]) -> Callable[[float], float]:
+        # the most recent pair (x2, t2), the one before at x1, and the divided
+        # differences d1 through the last two pairs and d2 through the last three
+        x1, x2, t2, d1, d2 = 0.0, 0.0, tau0, 0.0, 0.0
 
         def root(x: float) -> float:
-            nonlocal xp, tp, slope
-            tau = value(eta, x, tp + slope * (x - xp)) if x != 0.0 else tau0
-            if x != xp:
-                slope = (tau - tp) / (x - xp)
-            xp, tp = x, tau
+            nonlocal x1, x2, t2, d1, d2
+            tau = value(eta, x, t2 + (x - x2) * (d1 + d2 * (x - x1))) if x != 0.0 else tau0
+            if x != x2:
+                e1 = (tau - t2) / (x - x2)
+                d2 = (e1 - d1) / (x - x1) if x1 != x2 and x != x1 else 0.0
+                x1, x2, d1 = x2, x, e1
+            t2 = tau
             return tau
         return root
 
-    return eta, secant(_tau3_value), secant(_tau_conj_value)
+    return eta, quadratic(_tau3_value), quadratic(_tau_conj_value)
 
 
 @dataclass(frozen=True)
@@ -137,13 +144,26 @@ class ProfileRow:
     dt_cut: Optional[float]
 
 
+def _mirrors(q: ProfileRow, r: ProfileRow) -> bool:
+    # q holds r's even cells, the same objects, and r's pbar3 and dt_cut negated
+    # and nonzero (pbar3 is, in two distinct rows of a strictly increasing profile)
+    d, e = q.dt_cut, r.dt_cut
+    return (q.tau3 is r.tau3 and q.tau_conj is r.tau_conj and q.t_cut is r.t_cut
+            and q.pbar3 == -r.pbar3
+            and (d is None and e is None or d is not None and e is not None and e != 0.0 and d == -e))
+
+
 @dataclass(frozen=True)
 class CutProfile:
     """Sampled cut profile of one metric over [-1, 1].
 
     Rows are strictly increasing in ``pbar3`` and cover both endpoints.
     Every cut time is positive and at most ``2*pi*sqrt(i1)``, the value
-    of the flat round profile with the same ``i1``.
+    of the flat round profile with the same ``i1``.  Row ``n-1-k`` mirrors
+    row ``k`` when it holds the same ``tau3``, ``tau_conj`` and ``t_cut``
+    objects and ``pbar3`` and ``dt_cut`` negated and nonzero (or both
+    ``dt_cut`` None), as ``sample_profile`` makes it; the writers render it
+    from row ``k``'s text and every other row cell by cell, to the same bytes.
     """
 
     metric: BergerMetric
@@ -172,16 +192,37 @@ class CutProfile:
         # The rows joined by sep, each through the %-template of its shape (which
         # root cells are None) made from row's {} slots.  '%.17g' % x is fmt17(x)
         # for every finite float, and __post_init__ has refused the others.
+        # Row n-1-k that mirrors row k > n-1-k is row k's text with the signs of
+        # its first cell, pbar3, and its last, dt_cut, flipped: '%.17g' % -x is
+        # '-' + '%.17g' % x for x > 0.
+        lead, *_, last, _ = row.format(*"\0" * len(_CELLS)).split("\0")
         shapes: dict = {}
-        out = []
-        for r in self.rows:
+
+        def text(r: ProfileRow) -> str:
             key = (r.tau3 is None, r.tau_conj is None, r.dt_cut is None)
             if key not in shapes:
                 present = [c for c in _CELLS if getattr(r, c) is not None]
                 slots = ("%.17g" if c in present else absent for c in _CELLS)
                 shapes[key] = (row.format(*slots), attrgetter(*present))
             template, cells = shapes[key]
-            out.append(template % cells(r))
+            return template % cells(r)
+
+        rows = self.rows
+        n = len(rows)
+        out = [""] * n
+        for k in range(n // 2, n):
+            r, q = rows[k], rows[n - 1 - k]
+            out[k] = s = text(r)
+            if q is r:
+                continue
+            if not _mirrors(q, r):
+                out[n - 1 - k] = text(q)
+                continue
+            s = lead + "-" + s[len(lead):]
+            if r.dt_cut is not None:
+                i = s.rindex(last) + len(last)  # where dt_cut's text starts
+                s = s[:i] + (s[i + 1:] if s[i] == "-" else "-" + s[i:])
+            out[n - 1 - k] = s
         return sep.join(out)
 
     def to_csv(self) -> str:

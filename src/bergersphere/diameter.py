@@ -60,11 +60,11 @@ def diameter_numeric(m: BergerMetric) -> "tuple[float, float]":
     upper end (to 1e-24 below 1e-12, as the maximizer ``1/eta`` can be
     tiny); the cell's midpoint, never the derivative's undefined
     ``pbar3 = 0``, is the refined point.  Each value is ``t_cut(m, x)``,
-    with its ``tau3`` solve warm-started from the previous root: Newton
-    starts at the secant prediction through the two most recent roots,
-    inside the same bracket.  The best of ``pbar3 = 0``, the refined point
-    and ``pbar3 = 1`` is returned, so boundary maxima report their
-    maximizer exactly; exact ties are broken toward the smaller axis
+    with its ``tau3`` solve warm-started from the previous roots: Newton
+    starts at the quadratic prediction through the three most recent
+    roots, inside the same bracket.  The best of ``pbar3 = 0``, the
+    refined point and ``pbar3 = 1`` is returned, so boundary maxima report
+    their maximizer exactly; exact ties are broken toward the smaller axis
     fraction.  For ``eta <= 0`` the profile ``2*pi*sqrt(i1)*sqrt(1 + eta*x^2)``
     has a derivative of the sign of ``eta*x``, never positive, and its
     maximum is at 0.

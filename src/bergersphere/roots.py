@@ -24,7 +24,7 @@ positive root.
 * Start.  The iteration starts at a given start point held in the
   bracket (an infinite one at an end), or at the midpoint when the start
   is NaN.  The profile's sampled rows and the diameter's bisection pass
-  the secant through the two previous roots.
+  the quadratic through the three previous roots.
 * Bracket invariant.  After each evaluation the end with the same sign
   as the value moves to the evaluated point, so the bracket only
   shrinks and always holds the root, wherever the iteration started.
@@ -53,11 +53,13 @@ positive root.
   draws of ``eta`` in [1e-6, 1e8] and ``pbar3`` down to 1e-300 a
   midpoint start made about 6 on average and at most 13, against about
   44 for bisection.  On 400 diameter maximizations with ``i1/i3``
-  log-uniform in [1e-3, 1e5] (13 856 solves), a start at the secant
-  through the two previous roots made 3.07 on average and at most 17.
-  On 60 profiles with ``eta`` log-uniform in [1e-2, 1e4] and 201 to 1201
-  rows (25 200 solves per root) it made 2.62 per ``tau3`` and 2.90 per
-  ``tau_conj`` solve, against 5.57 and 5.32.
+  log-uniform in [1e-3, 1e5] (12 444 solves), a start at the quadratic
+  through the three previous roots made 2.62 on average and at most 16,
+  against 2.91 for the secant through two.  On 60 profiles with ``eta``
+  log-uniform in [1e-2, 1e4] and 201 to 1201 rows (22 415 ``tau3`` and
+  22 355 ``tau_conj`` solves) it made 2.06 per ``tau3`` and 2.11 per
+  ``tau_conj`` solve, against 2.65 and 2.82 for the secant and 5.19 and
+  5.22 for the midpoint.
 
 The conjugate equation is solved in the singularity-free form
 ``sin(tau) + c*tau*cos(tau) = 0``, whose derivative in ``tau`` is

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import bergersphere
+from bergersphere import cli
 from bergersphere.cli import build_parser, main
 from bergersphere.verify import CheckResult
 
@@ -245,6 +246,39 @@ class TestParsing:
         text = build_parser().format_help()
         for name in ("diameter", "profile", "exp", "verify"):
             assert name in text
+
+    def test_one_parser_serves_every_call(self, capsys, tmp_path):
+        # main keeps one parser; a run of commands through it, a usage error
+        # among them, writes what each command writes through a new parser
+        metric = ["--i1", "2", "--i3", "1"]
+        csv = ["profile", "-n", "21", "--format", "csv", "-o", str(tmp_path / "p.csv")]
+        sequence = [csv, ["profile", "-n", "21", "--format", "xml"], ["profile", "-n", "21"],
+                    ["diameter"], ["exp", "--pbar3", "0.5", "--t", "2"], ["verify"], csv]
+
+        def outputs(argv):
+            try:
+                code = main(metric + argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr().out
+            return code, out, (tmp_path / "p.csv").read_text() if argv is csv else None
+
+        want = []
+        for argv in sequence:
+            cli._parser.cache_clear()
+            want.append(outputs(argv))
+        cli._parser.cache_clear()
+        got = [outputs(argv) for argv in sequence]
+        assert cli._parser.cache_info().misses == 1
+        assert got == want
+        assert [code for code, _, _ in got] == [0, 1, 0, 0, 0, 0, 0]
+        # the default format is JSON after a CSV call, and to stdout after an -o
+        assert json.loads(got[2][1])["metric"] == {"i1": 2.0, "i3": 1.0, "eta": 1.0}
+        assert got[0][2].startswith("pbar3,")
+
+    def test_build_parser_is_a_fresh_factory(self):
+        assert build_parser() is not build_parser()
+        assert build_parser() is not cli._parser()
 
 
 # A child interpreter in which every import of numpy raises ImportError.

@@ -388,6 +388,74 @@ class TestTableBytes:
         _assert_same_text(profile.to_json(), _reference_json(profile))
 
 
+def _near_mirror(n, **changes):
+    # sample_profile's rows at (3, 1) with the changes made to row 2, a negative row
+    # that mirrors row n-3; a change is a function of row 2 and its twin
+    rows = list(sample_profile(BergerMetric(3.0, 1.0), n).rows)
+    r, twin = rows[2], rows[n - 3]
+    rows[2] = dataclasses.replace(r, **{c: f(r, twin) for c, f in changes.items()})
+    return CutProfile(metric=BergerMetric(3.0, 1.0), rows=rows)
+
+
+def _copy(v):
+    # an equal float that is another object
+    w = float.fromhex(v.hex())
+    assert w == v and w is not v
+    return w
+
+
+class TestMirroredRows:
+    """A row is written from its twin's text only when it is the twin's exact mirror."""
+
+    @pytest.mark.parametrize("n", [20, 21])
+    @pytest.mark.parametrize("changes", [
+        {"tau3": lambda r, t: _copy(t.tau3)},
+        {"tau_conj": lambda r, t: _copy(t.tau_conj)},
+        {"t_cut": lambda r, t: _copy(t.t_cut)},
+        {"tau3": lambda r, t: math.nextafter(t.tau3, math.inf)},
+        {"tau_conj": lambda r, t: math.nextafter(t.tau_conj, 0.0)},
+        {"t_cut": lambda r, t: math.nextafter(t.t_cut, 0.0)},
+        {"dt_cut": lambda r, t: t.dt_cut},
+        {"dt_cut": lambda r, t: None},
+        {"dt_cut": lambda r, t: math.nextafter(r.dt_cut, 0.0)},
+        # an asymmetric grid
+        {"pbar3": lambda r, t: math.nextafter(r.pbar3, 0.0)},
+    ], ids=["tau3-copy", "tau_conj-copy", "t_cut-copy",
+            "tau3-ulp", "tau_conj-ulp", "t_cut-ulp", "dt-unflipped", "dt-absent", "dt-ulp", "pbar3-ulp"])
+    def test_near_mirrors_give_the_reference_bytes(self, n, changes):
+        profile = _near_mirror(n, **changes)
+        _assert_same_text(profile.to_csv(), _reference_csv(profile))
+        _assert_same_text(profile.to_json(), _reference_json(profile))
+
+    @pytest.mark.parametrize("n", [20, 21])
+    def test_zero_derivative_twins(self, n):
+        # 0.0 and 0.0 are equal and no mirror; 0.0 and -0.0 are both
+        rows = list(sample_profile(BergerMetric(3.0, 1.0), n).rows)
+        for neg, pos in [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)]:
+            rows[2] = dataclasses.replace(rows[2], dt_cut=neg)
+            rows[n - 3] = dataclasses.replace(rows[n - 3], dt_cut=pos)
+            profile = CutProfile(metric=BergerMetric(3.0, 1.0), rows=rows)
+            _assert_same_text(profile.to_csv(), _reference_csv(profile))
+            _assert_same_text(profile.to_json(), _reference_json(profile))
+
+    def test_hand_built_mirrors_of_mixed_types(self):
+        # shared cells, an int and a numpy pbar3, a negative derivative in the
+        # positive row and rows without a derivative
+        t, c, u, v = 0.75, np.float64(2.0), 4.0, np.float64(6.0)
+        rows = (
+            ProfileRow(-1, t, c, u, np.float64(2.5)),
+            ProfileRow(-0.5, None, None, v, None),
+            ProfileRow(-0.25, None, c, u, 3),
+            ProfileRow(0.0, 1.0, None, 5.0, None),
+            ProfileRow(np.float64(0.25), None, c, u, -3),
+            ProfileRow(0.5, None, None, v, None),
+            ProfileRow(np.float64(1.0), t, c, u, -2.5),
+        )
+        profile = CutProfile(metric=BergerMetric(1, 1), rows=rows)
+        _assert_same_text(profile.to_csv(), _reference_csv(profile))
+        _assert_same_text(profile.to_json(), _reference_json(profile))
+
+
 class TestNonFiniteCellsRefused:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
     @pytest.mark.parametrize("cell", ["tau3", "tau_conj", "dt_cut"])

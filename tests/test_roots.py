@@ -339,5 +339,5 @@ class TestWarmStart:
         sample_profile(BergerMetric(1.0 + eta, 1.0), 1201)
         for name, mine in per_root.items():
             assert len(mine) > 500, name
-            assert sum(n for n, _ in mine) / len(mine) <= 3.5, name
+            assert sum(n for n, _ in mine) / len(mine) <= 2.5, name
             assert all(n <= 2 * bound + 1 for n, bound in mine), name
