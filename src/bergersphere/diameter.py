@@ -13,10 +13,12 @@ The expression is continuous across both regime boundaries and satisfies
 
 ``diameter_numeric`` ignores the branch analysis and maximizes the cut
 profile directly.  For ``eta > 0`` the profile's closed-form derivative
-is positive on ``(0, min(1, 1/eta))`` and negative after it, so bisection
-on its sign over [0, 1] finds the maximizer; values, flat to rounding
-there, would place it only to about ``sqrt(eps)``, while the sign changes
-cleanly.  For ``eta <= 0`` the profile does not rise from ``pbar3 = 0``.
+is positive on ``(0, min(1, 1/eta))`` and negative after it, so the
+maximizer is where that derivative changes sign, found by halving [0, 1]
+to an octave and refining there by the Illinois method; values, flat to
+rounding there, would place it only to about ``sqrt(eps)``, while the
+sign changes cleanly.  For ``eta <= 0`` the profile does not rise from
+``pbar3 = 0``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from operator import itemgetter
 
 # t_cut is not called here; perfbench/tracing.py wraps it
 from .cutprofile import _arc_length, _dt_cut, _warm_roots, t_cut  # noqa: F401
+from .geodesic import _bracketed_root
 from .model import BergerMetric, Regime, classify_regime
 from .serialize import json_text
 
@@ -37,7 +40,7 @@ __all__ = [
     "DiameterReport",
 ]
 
-_REFINE_TOL = 1e-12   # width of the bisected cell, relative to its upper end
+_REFINE_TOL = 1e-24   # no cell [0, hi] at or below this is halved; its midpoint is the maximizer
 
 
 def diameter_closed_form(m: BergerMetric) -> float:
@@ -55,38 +58,50 @@ def diameter_numeric(m: BergerMetric) -> "tuple[float, float]":
 
     Returns ``(value, maximizer)``.  For ``eta > 0`` the profile's
     closed-form derivative ``t_cut_derivative`` is positive on
-    ``(0, min(1, 1/eta))`` and negative after it, so bisection on its sign
-    over all of [0, 1] narrows onto the maximizer, to 1e-12 of the cell's
-    upper end (to 1e-24 below 1e-12, as the maximizer ``1/eta`` can be
-    tiny); the cell's midpoint, never the derivative's undefined
-    ``pbar3 = 0``, is the refined point.  Each value is ``t_cut(m, x)``,
-    with its ``tau3`` solve warm-started from the previous roots: Newton
-    starts at the quadratic prediction through the three most recent
-    roots, inside the same bracket.  The best of ``pbar3 = 0``, the
-    refined point and ``pbar3 = 1`` is returned, so boundary maxima report
-    their maximizer exactly; exact ties are broken toward the smaller axis
-    fraction.  For ``eta <= 0`` the profile ``2*pi*sqrt(i1)*sqrt(1 + eta*x^2)``
-    has a derivative of the sign of ``eta*x``, never positive, and its
-    maximum is at 0.
+    ``(0, min(1, 1/eta))`` and negative after it.  One ``tau3`` solve at
+    ``pbar3 = 1`` gives both the end value and the derivative there; where
+    that derivative is positive (``eta <= 1``) nothing in (0, 1] changes
+    sign and the pole is the candidate.  Otherwise [0, hi] is halved from
+    ``hi = 1`` until the derivative at ``hi/2`` is positive, and the sign
+    change in that octave ``[hi/2, hi]`` is refined by the Illinois method
+    (``geodesic._bracketed_root``) to a zero or to adjacent floats.  The
+    halving comes first because the derivative near 0 is orders of
+    magnitude above its value at 1, where regula falsi crawls.  A maximizer
+    ``1/eta`` below 1e-24 is the midpoint of the last halved cell, never the
+    derivative's undefined ``pbar3 = 0``.  Each root is solved by
+    ``_warm_roots``: Newton starts at the quadratic prediction through the
+    three most recent roots, inside the same bracket.  The best of
+    ``pbar3 = 0``, the refined point and ``pbar3 = 1`` is returned, so
+    boundary maxima report their maximizer exactly; exact ties are broken
+    toward the smaller axis fraction.  For ``eta <= 0`` the profile
+    ``2*pi*sqrt(i1)*sqrt(1 + eta*x^2)`` has a derivative of the sign of
+    ``eta*x``, never positive, and its maximum is at 0.
     """
     eta, tau, _ = _warm_roots(m)
-
-    def f(x: float) -> float:
-        return _arc_length(m, x, tau(x))
-
-    v0 = f(0.0)
+    v0 = _arc_length(m, 0.0, tau(0.0))
     if eta <= 0.0:
         return v0, 0.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > _REFINE_TOL * max(hi, _REFINE_TOL):
-        mid = 0.5 * (lo + hi)
-        if _dt_cut(m, eta, mid, tau(mid)) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    xg = 0.5 * (lo + hi)
+    t1 = tau(1.0)
+    g1 = _dt_cut(m, eta, 1.0, t1)
+    ends = (v0, 0.0), (_arc_length(m, 1.0, t1), 1.0)
+    if g1 > 0.0:
+        return max(ends, key=itemgetter(0))
+
+    def g(x: float) -> float:
+        return _dt_cut(m, eta, x, tau(x))
+
+    hi, ghi = 1.0, g1  # the derivative is not positive on [hi, 1]
+    while hi > _REFINE_TOL:
+        lo = 0.5 * hi
+        glo = g(lo)
+        if glo > 0.0:
+            xg = _bracketed_root(g, lo, hi, glo, ghi)
+            break
+        hi, ghi = lo, glo
+    else:
+        xg = 0.5 * hi
     # in increasing x, so max keeps the smallest of tied maximizers
-    return max((v0, 0.0), (f(xg), xg), (f(1.0), 1.0), key=itemgetter(0))
+    return max(ends[0], (_arc_length(m, xg, tau(xg)), xg), ends[1], key=itemgetter(0))
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ positive root.
 
 * Start.  The iteration starts at a given start point held in the
   bracket (an infinite one at an end), or at the midpoint when the start
-  is NaN.  The profile's sampled rows and the diameter's bisection pass
-  the quadratic through the three previous roots.
+  is NaN.  The profile's sampled rows and the diameter's maximization
+  pass the quadratic through the three previous roots.
 * Bracket invariant.  After each evaluation the end with the same sign
   as the value moves to the evaluated point, so the bracket only
   shrinks and always holds the root, wherever the iteration started.

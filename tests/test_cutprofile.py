@@ -114,7 +114,7 @@ class TestTCutDerivative:
         for pb in _PB_GRID:
             assert t_cut_derivative(m, pb) < 0.0, (eta, pb)
 
-    # diameter_numeric bisects on this sign over all of [0, 1]: positive below
+    # diameter_numeric finds where this sign changes in [0, 1]: positive below
     # min(1, 1/eta) and negative above (an underflow may give -0.0 there), at
     # dyadic points down to 2**-80 and odd multiples of 1/1024, for eta
     # log-uniform in [1e-9, 1e300] and, so that eta <= 1 is drawn, in [1e-9, 1e2]

@@ -312,14 +312,19 @@ class TestWarmStart:
         [(n, bound)] = counts
         assert n <= 2 * bound + 1, (eta, s, start)
 
-    @pytest.mark.parametrize("eta", [0.5, 3.0, 1e3, 1e8])
-    def test_diameter_evaluations_per_call(self, eta, monkeypatch):
-        # a bisection over [0, 1] jumps across scales at huge eta, so its warm
-        # starts gain less per solve than a walk's; the whole call stays cheap
+    # measured 2/13, 2/8, 2/6, 14/33, 28/116 and 43/618 solves/evaluations.  For
+    # eta <= 1 the derivative is positive at the pole, so the call solves only
+    # tau_conj(eta, 0) and tau3 at pbar3 = 1.  Above it, the halving to an octave
+    # jumps across scales at huge eta, so its warm starts gain less per solve
+    # than a walk's; the Illinois refinement then takes a few solves more.
+    @pytest.mark.parametrize("eta,solves,evaluations", [
+        (1e-9, 2, 14), (0.5, 2, 9), (1.0, 2, 7), (3.0, 15, 36), (1e3, 30, 128), (1e8, 45, 680)])
+    def test_diameter_evaluations_per_call(self, eta, solves, evaluations, monkeypatch):
         counts = []
         monkeypatch.setattr(roots_module, "_newton", _counting_newton(counts))
         diameter_numeric(BergerMetric(1.0 + eta, 1.0))
-        assert sum(n for n, _ in counts) <= 1000
+        assert len(counts) <= solves
+        assert sum(n for n, _ in counts) <= evaluations
         assert all(n <= 2 * bound + 1 for n, bound in counts)
 
     @pytest.mark.parametrize("eta", [0.5, 3.0, 1e3, 1e8])
