@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import cached_property
+from itertools import repeat
+from operator import lt
 from typing import Callable, Optional
 
 from .errors import DomainError
@@ -144,92 +146,87 @@ class ProfileRow:
     dt_cut: Optional[float]
 
 
-def _mirrors(q: ProfileRow, r: ProfileRow) -> bool:
-    # q holds r's even cells, the same objects, and r's pbar3 and dt_cut negated
-    # and nonzero (pbar3 is, in two distinct rows of a strictly increasing profile)
-    d, e = q.dt_cut, r.dt_cut
-    return (q.tau3 is r.tau3 and q.tau_conj is r.tau_conj and q.t_cut is r.t_cut
-            and q.pbar3 == -r.pbar3
-            and (d is None and e is None or d is not None and e is not None and e != 0.0 and d == -e))
-
-
 @dataclass(frozen=True)
 class CutProfile:
-    """Sampled cut profile of one metric over [-1, 1].
+    """Sampled cut profile of one metric over [-1, 1], stored as its solved half.
 
-    Rows are strictly increasing in ``pbar3`` and cover both endpoints.
-    Every cut time is positive and at most ``2*pi*sqrt(i1)``, the value
-    of the flat round profile with the same ``i1``.  Row ``n-1-k`` mirrors
-    row ``k`` when it holds the same ``tau3``, ``tau_conj`` and ``t_cut``
-    objects and ``pbar3`` and ``dt_cut`` negated and nonzero (or both
-    ``dt_cut`` None), as ``sample_profile`` makes it; the writers render it
-    from row ``k``'s text and every other row cell by cell, to the same bytes.
+    ``half`` holds the rows with ``pbar3 >= 0`` as tuples ``(pbar3, tau3,
+    tau_conj, t_cut, dt_cut)``, strictly increasing in ``pbar3`` and ending
+    at 1.  Every cell is a finite float except the root cells that are
+    undefined, which are None: all of them for ``eta <= 0``, and ``dt_cut``
+    at ``pbar3 = 0``.  Every cut time is positive and at most
+    ``2*pi*sqrt(i1)``, the value of the flat round profile with the same
+    ``i1``.  The profile is even: the row with ``-pbar3`` mirrors each row
+    with ``pbar3 > 0``, with the same ``tau3``, ``tau_conj`` and ``t_cut``
+    and ``dt_cut`` negated.  ``rows`` is the whole grid, and the writers
+    render each half row once and its mirror from that text.
     """
 
     metric: BergerMetric
-    rows: tuple
+    half: tuple
 
     def __post_init__(self) -> None:
-        rows = tuple(self.rows)
-        object.__setattr__(self, "rows", rows)
-        if len(rows) < 2:
-            raise ValueError("a profile needs at least two rows")
-        if rows[0].pbar3 != -1.0 or rows[-1].pbar3 != 1.0:
-            raise ValueError("profile rows must cover [-1, 1]")
+        half = tuple(map(tuple, self.half))
+        object.__setattr__(self, "half", half)
+        if set(map(len, half)) != {len(_CELLS)}:
+            raise ValueError(f"a profile needs rows, each of the cells {CSV_HEADER}")
+        pbar3, tau3, tau_conj, t_cut, dt_cut = zip(*half)
+        zero = int(pbar3[0] == 0.0)  # the row at 0 has no derivative and no mirror
+        if self.metric.eta() > 0.0:
+            cells, absent = tau3 + tau_conj + dt_cut[zero:], dt_cut[:zero]
+        else:
+            cells, absent = (), tau3 + tau_conj + dt_cut
+        if absent.count(None) != len(absent):
+            raise ValueError("root cells must be None where undefined: "
+                             "all for eta <= 0, and dt_cut at pbar3 = 0")
+        cells += pbar3 + t_cut
+        if not (all(map(isinstance, cells, repeat(float))) and all(map(math.isfinite, cells))):
+            bad = next(v for v in cells if not isinstance(v, float) or not math.isfinite(v))
+            raise ValueError(f"profile cell {bad!r} is not a finite float")
+        if not (0.0 <= pbar3[0] and pbar3[-1] == 1.0 and all(map(lt, pbar3, pbar3[1:]))):
+            raise ValueError("the half grid must increase strictly from pbar3 >= 0 to 1")
         upper = 2.0 * math.pi * math.sqrt(self.metric.i1) * (1.0 + 1e-12)
-        prev, isfinite = None, math.isfinite
-        for row in rows:
-            if prev is not None and not row.pbar3 > prev:
-                raise ValueError("profile rows must be strictly increasing in pbar3")
-            prev = row.pbar3
-            if not 0.0 < row.t_cut <= upper:
-                raise ValueError(f"cut time {row.t_cut!r} outside (0, 2*pi*sqrt(i1)]")
-            for v in (row.tau3, row.tau_conj, row.dt_cut):
-                if v is not None and not isfinite(v):
-                    raise ValueError(f"profile cell {v!r} is not finite")
+        if not (0.0 < min(t_cut) and max(t_cut) <= upper):
+            bad = next(t for t in t_cut if not 0.0 < t <= upper)
+            raise ValueError(f"cut time {bad!r} outside (0, 2*pi*sqrt(i1)]")
+
+    @cached_property
+    def rows(self) -> tuple:
+        """The whole grid over [-1, 1] as ``ProfileRow``s: the mirrored rows, then the half."""
+        half = self.half
+        mirrored = [ProfileRow(-p, t3, tc, t, None if d is None else -d)
+                    for p, t3, tc, t, d in reversed(half[int(half[0][0] == 0.0):])]
+        return tuple(mirrored) + tuple(ProfileRow(*r) for r in half)
 
     def _table(self, row: str, absent: str, sep: str) -> str:
-        # The rows joined by sep, each through the %-template of its shape (which
-        # root cells are None) made from row's {} slots.  '%.17g' % x is fmt17(x)
-        # for every finite float, and __post_init__ has refused the others.
-        # Row n-1-k that mirrors row k > n-1-k is row k's text with the signs of
-        # its first cell, pbar3, and its last, dt_cut, flipped: '%.17g' % -x is
-        # '-' + '%.17g' % x for x > 0.
+        # The rows joined by sep.  Each half row is written once through a
+        # %-template made from row's {} slots; '%.17g' % x is fmt17(x) for every
+        # finite float, and __post_init__ has refused the rest.  Its mirror is that
+        # text with the signs of its first cell, pbar3 > 0, and its last, dt_cut,
+        # flipped: '%.17g' % -x is '-' + '%.17g' % x for x >= +0.0, and the other
+        # way round for x <= -0.0.
         lead, *_, last, _ = row.format(*"\0" * len(_CELLS)).split("\0")
-        shapes: dict = {}
-
-        def text(r: ProfileRow) -> str:
-            key = (r.tau3 is None, r.tau_conj is None, r.dt_cut is None)
-            if key not in shapes:
-                present = [c for c in _CELLS if getattr(r, c) is not None]
-                slots = ("%.17g" if c in present else absent for c in _CELLS)
-                shapes[key] = (row.format(*slots), attrgetter(*present))
-            template, cells = shapes[key]
-            return template % cells(r)
-
-        rows = self.rows
-        n = len(rows)
-        out = [""] * n
-        for k in range(n // 2, n):
-            r, q = rows[k], rows[n - 1 - k]
-            out[k] = s = text(r)
-            if q is r:
-                continue
-            if not _mirrors(q, r):
-                out[n - 1 - k] = text(q)
-                continue
-            s = lead + "-" + s[len(lead):]
-            if r.dt_cut is not None:
+        half = self.half
+        zero = int(half[0][0] == 0.0)
+        if self.metric.eta() > 0.0:
+            template = row.format(*["%.17g"] * 5)
+            texts = [template % r for r in half[zero:]]
+            mirrored = []
+            for s in reversed(texts):
                 i = s.rindex(last) + len(last)  # where dt_cut's text starts
-                s = s[:i] + (s[i + 1:] if s[i] == "-" else "-" + s[i:])
-            out[n - 1 - k] = s
-        return sep.join(out)
+                mirrored.append(lead + "-" + s[len(lead):i] + (s[i + 1:] if s[i] == "-" else "-" + s[i:]))
+            if zero:
+                texts.insert(0, row.format(*["%.17g"] * 4, absent) % half[0][:4])
+        else:
+            template = row.format("%.17g", absent, absent, "%.17g", absent)
+            texts = [template % (r[0], r[3]) for r in half]
+            mirrored = [lead + "-" + s[len(lead):] for s in reversed(texts[zero:])]
+        return sep.join(mirrored + texts)
 
     def to_csv(self) -> str:
         """CSV text with header ``pbar3,tau3,tau_conj,t_cut,dt_cut``, absent cells empty.
 
-        Cells are written as ``fmt17`` writes them; non-finite ones are refused
-        at construction.
+        Cells are written as ``fmt17`` writes them, one line per row of ``rows``.
         """
         return CSV_HEADER + "\n" + self._table("{},{},{},{},{}", "", "\n") + "\n"
 
@@ -237,7 +234,7 @@ class CutProfile:
         """JSON text with the metric header and one object per row.
 
         The bytes of ``json_text`` on the dict of the metric and the list of
-        row dicts; non-finite cells are refused at construction.
+        the dicts of ``rows``.
         """
         m = self.metric
         head = '{\n  "metric": {\n    "i1": %s,\n    "i3": %s,\n    "eta": %s\n  },\n  "rows": [\n'
@@ -257,28 +254,21 @@ def sample_profile(m: BergerMetric, n: int = 201) -> CutProfile:
     antisymmetric: row ``n-1-k`` holds ``-pbar3`` of row ``k``.
 
     Only the rows with ``pbar3 >= 0`` are solved, in increasing order, each
-    root warm-started from the rows before; each negative row mirrors its
-    positive twin: ``tau3``, ``tau_conj`` and ``t_cut`` are even and copied,
-    ``dt_cut`` is odd and negated.  The roots are those of ``tau3`` and
-    ``tau_conj`` to a few ulp, and the other cells are computed from them.
+    root warm-started from the rows before, and the profile stores just
+    that half: ``tau3``, ``tau_conj`` and ``t_cut`` are even in ``pbar3``
+    and ``dt_cut`` is odd, so ``rows`` and the writers mirror it.  The roots
+    are those of ``tau3`` and ``tau_conj`` to a few ulp, and the other cells
+    are computed from them.
     """
     n = _integer("n", n, 3)
     eta, tau3_at, tau_conj_at = _warm_roots(m)
-    solve = eta > 0.0  # else tau = pi and the root columns stay empty
-    half = []  # the rows with pbar3 >= 0, in increasing order
+    half = []
     for k in range(n // 2, n):
         pbar3 = (2 * k - (n - 1)) / (n - 1)
-        tau = tau3_at(pbar3)  # the row's one tau3 solve
-        half.append(ProfileRow(
-            pbar3=pbar3,
-            tau3=tau if solve else None,
-            tau_conj=tau_conj_at(pbar3) if solve else None,
-            t_cut=_arc_length(m, pbar3, tau),
-            dt_cut=_dt_cut(m, eta, pbar3, tau) if solve and pbar3 != 0.0 else None,
-        ))
-    mirrored = [
-        ProfileRow(pbar3=-r.pbar3, tau3=r.tau3, tau_conj=r.tau_conj, t_cut=r.t_cut,
-                   dt_cut=None if r.dt_cut is None else -r.dt_cut)
-        for r in reversed(half) if r.pbar3 > 0.0
-    ]
-    return CutProfile(metric=m, rows=tuple(mirrored + half))
+        tau = tau3_at(pbar3)  # the row's one tau3 solve; pi for eta <= 0
+        if eta > 0.0:
+            half.append((pbar3, tau, tau_conj_at(pbar3), _arc_length(m, pbar3, tau),
+                         _dt_cut(m, eta, pbar3, tau) if pbar3 != 0.0 else None))
+        else:
+            half.append((pbar3, None, None, _arc_length(m, pbar3, tau), None))
+    return CutProfile(metric=m, half=half)

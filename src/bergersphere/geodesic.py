@@ -281,7 +281,7 @@ def initial_momentum(m: BergerMetric, pbar3: float, phi: float) -> Momentum:
     phi = _real("phi", phi, finite=True)
     pbar3 = _pbar3(pbar3)
     norm = momentum_norm(m, pbar3)
-    s = math.sqrt(max(0.0, 1.0 - pbar3 * pbar3))
+    s = math.sqrt((1.0 - pbar3) * (1.0 + pbar3))  # 1 - pbar3^2 cancels as pbar3 -> 1
     return Momentum(
         p1=norm * s * math.cos(phi),
         p2=norm * s * math.sin(phi),
@@ -323,12 +323,16 @@ def endpoint_state(m: BergerMetric, p0: Momentum, t: float, step: float) -> Geod
     n = math.ceil(t / step)
     # in units of sqrt(i1): momenta and times over sqrt(i1), a1 = 1 and a3 = i1/i3
     r1, a3 = math.sqrt(m.i1), m.i1 / m.i3
-    y = _rk4((1.0, 0.0, 0.0, 0.0, p0.p1 / r1, p0.p2 / r1, p0.p3 / r1), 1.0, a3, t / r1 / n, n)
+    p1, p2, p3, h = p0.p1 / r1, p0.p2 / r1, p0.p3 / r1, t / r1 / n
+    y = _rk4((1.0, 0.0, 0.0, 0.0, p1, p2, p3), 1.0, a3, h, n)
     h_end = _hamiltonian(a3, y[4], y[5], y[6])
     # a diverged run gives NaN, in q alone where p is conserved exactly
     if not abs(h_end - 0.5) <= _H_DRIFT_TOL * 0.5 or math.isnan(y[0] + y[1] + y[2] + y[3]):
+        # a step turns q at the body rate |Omega| and p about e3 at b = (a3 - 1)*p3
+        turn = max(math.hypot(p1, p2, a3 * p3), abs((a3 - 1.0) * p3)) * h
         raise NormalizationError(
-            f"Hamiltonian drifted to {h_end!r}, q to {y[:4]!r} over t={t!r} with {n} steps"
+            f"Hamiltonian drifted to {h_end!r}, q to {y[:4]!r} over t={t!r} with {n} steps, "
+            f"the fastest rotation {turn:.3g} rad per step"
         )
     return GeodesicState(
         q=UnitQuaternion(y[0], y[1], y[2], y[3]),

@@ -5,12 +5,12 @@ round-trips exactly and repeated runs produce byte-identical files.
 The JSON writer is a small recursive renderer rather than ``json.dumps``
 because the stdlib encoder offers no hook to control float formatting.
 It serves the small payloads (the diameter report, ``exp``).  Profile
-tables, thousands of cells each, are written by ``CutProfile`` through
-one ``%.17g`` row template per row shape, to the same bytes.  A row that
-mirrors its twin (the same ``tau3``, ``tau_conj`` and ``t_cut`` objects,
-``pbar3`` and ``dt_cut`` negated and nonzero) is the twin's text with the
-signs of those two cells flipped, since ``'%.17g' % -x`` is
-``'-' + '%.17g' % x`` for finite ``x > 0``.
+tables, thousands of cells each, are written by ``CutProfile`` to the
+same bytes.  A profile stores its solved half, the rows with
+``pbar3 >= 0``; each is written once through a ``%.17g`` row template,
+and the row at ``-pbar3`` is that text with the signs of ``pbar3`` and
+``dt_cut`` flipped, since ``'%.17g' % -x`` is ``'-' + '%.17g' % x`` for
+every finite float ``x >= +0.0``.
 """
 
 from __future__ import annotations

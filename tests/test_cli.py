@@ -149,6 +149,20 @@ class TestExpCommand:
         assert code == 2
         assert "quaternion" not in err
 
+    def test_diverged_integration_names_the_rotation_per_step(self, capsys):
+        # p turns about e3 at about 990 rad per unit time, in 2000 steps of 0.5
+        code, _, err = run(capsys, ["--i1", "1e-6", "--i3", "1", "exp",
+                                    "--pbar3", "0.99999999", "--t", "1"])
+        assert code == 2
+        assert "the fastest rotation 495 rad per step" in err
+
+    def test_near_axis_momentum_of_an_oblate_metric(self, capsys):
+        # the momentum is on the unit-speed level, and 2000 steps resolve its turn
+        code, out, _ = run(capsys, ["--i1", "1e-12", "--i3", "1", "exp",
+                                    "--pbar3", "0.999999999", "--t", "1e-9"])
+        assert code == 0
+        assert json.loads(out)["drift"]["hamiltonian_rel"] < 1e-9
+
 
 class TestVerifyCommand:
     def test_quick_suite_passes(self, capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -195,6 +194,18 @@ class TestTCutDerivative:
         assert _dt_cut(m, m.eta(), pb, tau3(m.eta(), pb)) == -math.inf
 
 
+# eta < 0, eta = 0, 0 < eta <= 1 (middle) and eta > 1 (prolate): fixed and drawn
+# ratios at unit scale, and fixed ones at the least subnormal and near the float maximum
+_rng = np.random.default_rng(26)
+_MIRROR_METRICS = [
+    (3.0, 1.0), (1.3, 1.0), (2.0e3, 0.5), (30.0, 1.0), (1.0, 1.0), (1.0, 2.0),
+    (float(_rng.uniform(0.01, 1.0)), 1.0), (float(_rng.uniform(1.0, 2.0)), 1.0),
+    (float(10.0 ** _rng.uniform(0.31, 8.0)), 1.0),
+    (5e-324, 1e-323), (5e-324, 5e-324), (1.5e-323, 1e-323), (3.5e-323, 5e-324),
+    (1e308, 1.7e308), (1e308, 1e308), (1.5e308, 1e308), (1.7e308, 2e307),
+]
+
+
 class TestSampleProfile:
     def test_round_case_flat(self):
         profile = sample_profile(BergerMetric(1.0, 1.0), 5)
@@ -249,21 +260,25 @@ class TestSampleProfile:
         sample_profile(BergerMetric(3.0, 1.0), 20)
         assert len(calls) == 10
 
-    @pytest.mark.parametrize("n", [21, 20, 3, 4])
-    @pytest.mark.parametrize("i1,i3", [(3.0, 1.0), (1.3, 1.0), (2.0e3, 0.5), (30.0, 1.0),
-                                       (1.0, 1.0), (1.0, 2.0)])
+    @pytest.mark.parametrize("n", [3, 4, 5, 20, 21, 1201])
+    @pytest.mark.parametrize("i1,i3", _MIRROR_METRICS)
     def test_negative_rows_mirror_positive_rows(self, i1, i3, n):
         def bits(v):
             return None if v is None else v.hex()
 
         m = BergerMetric(i1, i3)
         eta = m.eta()
-        rows = sample_profile(m, n).rows
-        for r, q in zip(rows, reversed(rows)):
-            assert r.pbar3 == -q.pbar3
+        profile = sample_profile(m, n)
+        rows = profile.rows
+        # the stored half is the rows with pbar3 >= 0 of the exact grid
+        assert rows[n // 2:] == tuple(ProfileRow(*r) for r in profile.half)
+        assert [r.pbar3 for r in rows] == [(2 * k - (n - 1)) / (n - 1) for k in range(n)]
+        # row k < n-1-k is row n-1-k with pbar3 and dt_cut negated and the same even cells
+        for r, q in zip(rows[:n // 2], reversed(rows)):
+            assert (bits(r.pbar3), bits(r.dt_cut)) == (
+                bits(-q.pbar3), bits(None if q.dt_cut is None else -q.dt_cut))
             assert (bits(r.tau3), bits(r.tau_conj), bits(r.t_cut)) == (
                 bits(q.tau3), bits(q.tau_conj), bits(q.t_cut))
-            assert bits(r.dt_cut) == bits(None if q.dt_cut is None else -q.dt_cut)
         # a mirrored row holds the bits of the cut time and its derivative at the
         # row's own tau3, and roots within a few ulp of the cold public solves
         for r in rows:
@@ -274,6 +289,8 @@ class TestSampleProfile:
                 assert abs(r.tau_conj - tau_conj(eta, r.pbar3)) <= 4 * math.ulp(r.tau_conj)
                 if r.pbar3 != 0.0:
                     assert bits(r.dt_cut) == bits(_dt_cut(m, eta, r.pbar3, tau))
+            else:
+                assert r.tau3 is None and r.tau_conj is None and r.dt_cut is None
 
     def test_grid_is_exact(self):
         profile = sample_profile(BergerMetric(1.0, 2.0), 9)
@@ -315,21 +332,6 @@ class TestCutProfileSerialization:
         assert len(parsed["rows"]) == 3
         assert set(parsed["rows"][0]) == {"pbar3", "tau3", "tau_conj", "t_cut", "dt_cut"}
         assert parsed["rows"][1]["dt_cut"] is None  # the pbar3 = 0 row
-
-    def test_rows_validated(self):
-        m = BergerMetric(1.0, 1.0)
-        good = ProfileRow(-1.0, None, None, 2.0 * math.pi, None)
-        with pytest.raises(ValueError):
-            CutProfile(metric=m, rows=(good,))  # does not cover [-1, 1]
-        with pytest.raises(ValueError):
-            CutProfile(metric=m, rows=(good, ProfileRow(1.0, None, None, 100.0, None)))
-
-    @pytest.mark.parametrize("grid,message", [((-1.0, 0.5), "cover"),
-                                              ((-1.0, 0.5, 0.2, 1.0), "strictly increasing")])
-    def test_rows_must_cover_and_increase(self, grid, message):
-        rows = tuple(ProfileRow(pb, None, None, 2.0 * math.pi, None) for pb in grid)
-        with pytest.raises(ValueError, match=message):
-            CutProfile(metric=BergerMetric(1.0, 1.0), rows=rows)
 
 
 def _reference_csv(profile):
@@ -376,92 +378,94 @@ class TestTableBytes:
         _assert_same_text(profile.to_json(), _reference_json(profile))
 
     def test_hand_built_rows_of_mixed_types(self):
-        # numpy floats, ints, a signed zero and every root cell absent somewhere
-        rows = (
-            ProfileRow(-1, np.float64(1.25), 2, np.float64(6.0), np.float64(-0.0)),
-            ProfileRow(np.float64(-0.5), None, np.float64(3.5), 5, None),
-            ProfileRow(0.0, 3, None, np.float64(0.1), 7),
-            ProfileRow(np.float64(1.0), None, None, 1, np.float64(-2.5e-310)),
-        )
-        profile = CutProfile(metric=BergerMetric(1, 1), rows=rows)
-        _assert_same_text(profile.to_csv(), _reference_csv(profile))
-        _assert_same_text(profile.to_json(), _reference_json(profile))
-
-
-def _near_mirror(n, **changes):
-    # sample_profile's rows at (3, 1) with the changes made to row 2, a negative row
-    # that mirrors row n-3; a change is a function of row 2 and its twin
-    rows = list(sample_profile(BergerMetric(3.0, 1.0), n).rows)
-    r, twin = rows[2], rows[n - 3]
-    rows[2] = dataclasses.replace(r, **{c: f(r, twin) for c, f in changes.items()})
-    return CutProfile(metric=BergerMetric(3.0, 1.0), rows=rows)
-
-
-def _copy(v):
-    # an equal float that is another object
-    w = float.fromhex(v.hex())
-    assert w == v and w is not v
-    return w
-
-
-class TestMirroredRows:
-    """A row is written from its twin's text only when it is the twin's exact mirror."""
-
-    @pytest.mark.parametrize("n", [20, 21])
-    @pytest.mark.parametrize("changes", [
-        {"tau3": lambda r, t: _copy(t.tau3)},
-        {"tau_conj": lambda r, t: _copy(t.tau_conj)},
-        {"t_cut": lambda r, t: _copy(t.t_cut)},
-        {"tau3": lambda r, t: math.nextafter(t.tau3, math.inf)},
-        {"tau_conj": lambda r, t: math.nextafter(t.tau_conj, 0.0)},
-        {"t_cut": lambda r, t: math.nextafter(t.t_cut, 0.0)},
-        {"dt_cut": lambda r, t: t.dt_cut},
-        {"dt_cut": lambda r, t: None},
-        {"dt_cut": lambda r, t: math.nextafter(r.dt_cut, 0.0)},
-        # an asymmetric grid
-        {"pbar3": lambda r, t: math.nextafter(r.pbar3, 0.0)},
-    ], ids=["tau3-copy", "tau_conj-copy", "t_cut-copy",
-            "tau3-ulp", "tau_conj-ulp", "t_cut-ulp", "dt-unflipped", "dt-absent", "dt-ulp", "pbar3-ulp"])
-    def test_near_mirrors_give_the_reference_bytes(self, n, changes):
-        profile = _near_mirror(n, **changes)
-        _assert_same_text(profile.to_csv(), _reference_csv(profile))
-        _assert_same_text(profile.to_json(), _reference_json(profile))
-
-    @pytest.mark.parametrize("n", [20, 21])
-    def test_zero_derivative_twins(self, n):
-        # 0.0 and 0.0 are equal and no mirror; 0.0 and -0.0 are both
-        rows = list(sample_profile(BergerMetric(3.0, 1.0), n).rows)
-        for neg, pos in [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)]:
-            rows[2] = dataclasses.replace(rows[2], dt_cut=neg)
-            rows[n - 3] = dataclasses.replace(rows[n - 3], dt_cut=pos)
-            profile = CutProfile(metric=BergerMetric(3.0, 1.0), rows=rows)
+        # numpy floats, signed zeros and the absent cells of both shapes of half
+        solved = CutProfile(metric=BergerMetric(2, 1), half=(
+            (np.float64(0.0), np.float64(1.25), 2.0, np.float64(6.0), None),
+            (0.25, 3.0, np.float64(3.5), 5.0, np.float64(-0.0)),
+            (np.float64(0.5), 1.0, 1.0, np.float64(0.1), 0.0),
+            (1.0, 2.0, 2.0, 1.0, np.float64(-2.5e-310)),
+        ))
+        flat = CutProfile(metric=BergerMetric(1, 1), half=(
+            (np.float64(1 / 3), None, None, 6.0, None),
+            (1.0, None, None, np.float64(0.5), None),
+        ))
+        for profile in (solved, flat):
             _assert_same_text(profile.to_csv(), _reference_csv(profile))
             _assert_same_text(profile.to_json(), _reference_json(profile))
 
-    def test_hand_built_mirrors_of_mixed_types(self):
-        # shared cells, an int and a numpy pbar3, a negative derivative in the
-        # positive row and rows without a derivative
-        t, c, u, v = 0.75, np.float64(2.0), 4.0, np.float64(6.0)
-        rows = (
-            ProfileRow(-1, t, c, u, np.float64(2.5)),
-            ProfileRow(-0.5, None, None, v, None),
-            ProfileRow(-0.25, None, c, u, 3),
-            ProfileRow(0.0, 1.0, None, 5.0, None),
-            ProfileRow(np.float64(0.25), None, c, u, -3),
-            ProfileRow(0.5, None, None, v, None),
-            ProfileRow(np.float64(1.0), t, c, u, -2.5),
-        )
-        profile = CutProfile(metric=BergerMetric(1, 1), rows=rows)
+
+def _changed(half, k, **cells):
+    # the half with the named cells of its row k replaced
+    half = list(half)
+    row = dict(zip(CSV_HEADER.split(","), half[k]))
+    row.update(cells)
+    half[k] = tuple(row.values())
+    return half
+
+
+class TestHalf:
+    """The profile stores the rows with pbar3 >= 0, checked once at construction."""
+
+    @pytest.mark.parametrize("n", [20, 21])
+    def test_zero_derivatives_flip_their_sign(self, n):
+        # the mirror of a dt_cut of 0.0 is -0.0 and the other way round
+        profile = sample_profile(BergerMetric(3.0, 1.0), n)
+        half = _changed(_changed(profile.half, 2, dt_cut=0.0), 3, dt_cut=-0.0)
+        profile = CutProfile(metric=profile.metric, half=half)
         _assert_same_text(profile.to_csv(), _reference_csv(profile))
         _assert_same_text(profile.to_json(), _reference_json(profile))
+
+    @pytest.mark.parametrize("grid", [(), (0.5,), (-0.5, 0.5, 1.0),
+                                      (0.0, 0.75, 0.5, 1.0), (0.0, 0.5, 0.5, 1.0), (0.0, 1.0, 1.0)])
+    def test_grid_rises_strictly_to_one(self, grid):
+        half = tuple((pb, None, None, 2.0 * math.pi, None) for pb in grid)
+        with pytest.raises(ValueError, match="cells|increase strictly"):
+            CutProfile(metric=BergerMetric(1.0, 1.0), half=half)
+
+    def test_the_least_grid(self):
+        # the half (1,) is the profile of the two rows -1 and 1
+        rows = CutProfile(metric=BergerMetric(1.0, 1.0), half=((1.0, None, None, 6.0, None),)).rows
+        assert rows == (ProfileRow(-1.0, None, None, 6.0, None), ProfileRow(1.0, None, None, 6.0, None))
+
+    @pytest.mark.parametrize("t", [0.0, -0.0, -1.0, 2.0 * math.pi * math.sqrt(3.0) * (1.0 + 1e-9), 1e300])
+    def test_cut_time_in_range(self, t):
+        profile = sample_profile(BergerMetric(3.0, 1.0), 5)
+        with pytest.raises(ValueError, match="outside"):
+            CutProfile(metric=profile.metric, half=_changed(profile.half, 1, t_cut=t))
+
+    @pytest.mark.parametrize("i1,k,cells,message", [
+        (3.0, 1, {"tau3": None}, "None is not a finite float"),
+        (3.0, 2, {"tau_conj": None}, "None is not a finite float"),
+        (3.0, 1, {"dt_cut": None}, "None is not a finite float"),
+        (3.0, 0, {"dt_cut": 0.0}, "None where undefined"),
+        (1.0, 1, {"tau3": 1.0}, "None where undefined"),
+        (0.5, 0, {"dt_cut": 0.0}, "None where undefined"),
+    ])
+    def test_root_cells_absent_exactly_where_undefined(self, i1, k, cells, message):
+        profile = sample_profile(BergerMetric(i1, 1.0), 5)
+        with pytest.raises(ValueError, match=message):
+            CutProfile(metric=profile.metric, half=_changed(profile.half, k, **cells))
+
+    @pytest.mark.parametrize("cell,value", [("pbar3", 1), ("tau3", 2), ("t_cut", 3),
+                                            ("dt_cut", 0), ("dt_cut", np.float32(-1.5))])
+    def test_cells_are_floats(self, cell, value):
+        # the mirror of an int 0 would be written -0
+        profile = sample_profile(BergerMetric(3.0, 1.0), 5)
+        with pytest.raises(ValueError, match="not a finite float"):
+            CutProfile(metric=profile.metric, half=_changed(profile.half, 2, **{cell: value}))
+
+    def test_rows_of_the_wrong_length(self):
+        profile = sample_profile(BergerMetric(3.0, 1.0), 5)
+        half = list(profile.half)
+        half[1] = half[1][:4]
+        with pytest.raises(ValueError, match="cells"):
+            CutProfile(metric=profile.metric, half=half)
 
 
 class TestNonFiniteCellsRefused:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
-    @pytest.mark.parametrize("cell", ["tau3", "tau_conj", "dt_cut"])
+    @pytest.mark.parametrize("cell", ["tau3", "tau_conj", "dt_cut", "t_cut", "pbar3"])
     def test_refused_at_construction(self, cell, value):
         profile = sample_profile(BergerMetric(3.0, 1.0), 5)
-        rows = list(profile.rows)
-        rows[1] = dataclasses.replace(rows[1], **{cell: value})
-        with pytest.raises(ValueError, match="not finite"):
-            CutProfile(metric=profile.metric, rows=rows)
+        with pytest.raises(ValueError, match="not a finite float"):
+            CutProfile(metric=profile.metric, half=_changed(profile.half, 1, **{cell: value}))

@@ -301,6 +301,17 @@ class TestInitialMomentum:
         assert h == pytest.approx(0.5, abs=1e-14)
         assert p.norm() == pytest.approx(momentum_norm(m, pb), abs=1e-14)
 
+    def test_on_level_near_the_axis(self):
+        # 1 - pbar3^2 cancels as pbar3 -> 1, and where i1/i3 is small the
+        # equatorial part then puts H off the level by up to 2.5e-10
+        rng = np.random.default_rng(26)
+        for _ in range(2000):
+            m = BergerMetric(10.0 ** rng.uniform(-16.0, 0.0), 1.0)
+            pb = (1.0 - 10.0 ** rng.uniform(-16.0, -1.0)) * rng.choice([-1.0, 1.0])
+            p0 = initial_momentum(m, pb, rng.uniform(0.0, 2.0 * math.pi))
+            geodesic._check_level(m, p0)
+            assert abs(geodesic._energy(m, p0) - 0.5) <= 1e-15, (m, pb)
+
     def test_axis_fraction_recovered(self):
         p = initial_momentum(BergerMetric(2.0, 1.0), 0.6, 0.9)
         assert p.reduced() == pytest.approx(0.6, abs=1e-14)
