@@ -41,14 +41,10 @@ The oracles built on the flow:
   meets.  It agrees with the conjugate equation's root within 1e-12
   relative at every scale;
 * ``shorter_path_search``: the shortest geodesic reaching a given
-  endpoint strictly earlier, from the endpoint map's preimages: the level
-  crossings of one phase along one curve per branch, bracketed on the
-  pieces where the phase is monotone.  On each piece the arrival time is
-  monotone in the phase too, as ``T' = s*G'/sqrt(1 + eta*s^2)``, so only
-  the piece's one level with the earliest arrival is refined, by the
-  Illinois method, and the branches stop at the first whose least
-  arrival, with ``s^2 <= rho^2/(rho^2 + sigma^2)`` on the whole curve,
-  cannot win.
+  endpoint strictly earlier, from the endpoint map's earliest preimage
+  (``_shortest_preimage``): a level crossing of one phase, refined by the
+  Illinois method on a piece where the phase and the arrival are monotone,
+  or on the ``e3`` subgroup, where that chart is singular, a closed form.
 
 The RK4 block loop and the conjugate determinant are written out on
 scalar locals for speed; tests pin them, bit for bit, to compact forms.
@@ -62,7 +58,6 @@ for both.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -244,21 +239,27 @@ def _flow(m: BergerMetric, p0, t: float) -> tuple:
     ``b = (1/i3 - 1/i1)*p3``, the body momentum turns about ``e3`` by the
     angle ``-b*t`` and ``q(t) = exp(t*p0/(2*i1)) * exp(t*b*e3/2)``, where
     ``exp(v) = (cos|v|, sin|v|*v/|v|)``.  ``a = t*|p0|/(2*i1)`` and ``t*b/2 = a*eta*p3/|p0|``
-    are formed in units of ``sqrt(i1)``, so no scale overflows.  Returns
-    ``(qw, qx, qy, qz, p1, p2, p3)``.
+    are formed in units of ``sqrt(i1)``, so no scale overflows.  ``qw + i*qz = exp(i*a*eta*s)*
+    (cos a + i*s*sin a)``, ``s = p3/|p0|``, is formed for ``s >= 0`` as ``exp(i*a*((1 - s) +
+    (i1/i3)*s))*(cos^2 a + s*sin^2 a - i*(1 - s)*sin a*cos a)``, which does not cancel on the axis
+    as ``eta -> -1``, and conjugated for ``s < 0``.  Returns ``(qw, qx, qy, qz, p1, p2, p3)``.
     """
     p1, p2, p3 = p0
     n = math.hypot(p1, p2, p3)
     a = t / (2.0 * math.sqrt(m.i1)) * (n / math.sqrt(m.i1))
     half = a * (m.eta() * (p3 / n))
-    ca, f = math.cos(a), math.sin(a) / n  # exp(t*p0/(2*i1)) = (ca, f*p0)
+    ca, sa, u = math.cos(a), math.sin(a), abs(p3) / n
+    f = sa / n  # exp(t*p0/(2*i1)) = (ca, f*p0)
     cb, sb = math.cos(half), math.sin(half)  # exp(t*b*e3/2) = (cb, sb*e3)
     c, s = math.cos(2.0 * half), math.sin(2.0 * half)
+    w, v, ph = ca * ca + u * (sa * sa), (u - 1.0) * (sa * ca), a * ((1.0 - u) + m.i1 / m.i3 * u)
+    cp, sp = math.cos(ph), math.sin(ph)
+    qz = sp * w + cp * v
     return (
-        ca * cb - f * p3 * sb,
+        cp * w - sp * v,
         f * (p1 * cb + p2 * sb),
         f * (p2 * cb - p1 * sb),
-        ca * sb + f * p3 * cb,
+        -qz if p3 < 0.0 else qz,
         c * p1 + s * p2,
         c * p2 - s * p1,
         p3,
@@ -534,24 +535,61 @@ def shorter_path_search(m: BergerMetric, p0: Momentum, t: float) -> Optional[Sho
     falls to each arrival found; the branches end at the first that cannot beat it.
     ``1 + eta*s^2`` is formed as ``(1 - s^2) + (i1/i3)*s^2``, which does not cancel for
     ``i1 << i3``, and ``eta*s`` before ``a*eta*s``, which does not overflow where ``a*eta``
-    would.  ``sigma`` is raised to the least normal float, which takes in targets on the
-    ``e3`` subgroup (reached by the axis geodesics and at ``a = k*pi``) with an endpoint error
-    below 1e-307.  Times are in units of ``sqrt(i1)`` and the margin is relative, so no scale
-    differs.
+    would.  Times are in units of ``sqrt(i1)`` and the margin is relative, so no scale differs.
+
+    The ``e3`` subgroup (``sigma`` zero or subnormal), where the chart's ``s`` jumps from -1 to 1
+    at ``chi = 0``, takes its preimages in closed form: the axis geodesics, arriving at
+    ``((+-theta) mod 2*pi)/sqrt(i1/i3)`` (a residue of 0 counts as ``2*pi``), and the ``s`` with
+    ``k*pi*(1 + eta*s) = theta + 2*pi*j`` at ``a = k*pi``, which for ``eta >= 0`` never arrive first.
+    For ``eta < 0`` the arrival falls with ``|s|``: the ``j`` nearest an end wins, at ``1 - |s| =
+    delta/(k*pi*(1 - i1/i3))``, ``delta = (+-theta - k*pi*i1/i3) mod 2*pi``, formed so as ``s``
+    rounds to 1.  At fixed ``P = delta + A*i1/i3``, ``A = k*pi``, the squared arrival
+    ``A^2 - (A - P)^2/(1 - i1/i3)`` rises with ``A`` and is ``P^2`` at ``A = P``, so the loop over
+    ``k`` ends where ``(k - 1)*pi`` reaches the least arrival.
     """
     t = _real("t", t, finite=True, positive=True)
     _check_level(m, p0)
-    eta, ratio, r1, pi = m.eta(), m.i1 / m.i3, math.sqrt(m.i1), math.pi
+    r1, ratio = math.sqrt(m.i1), m.i1 / m.i3
     qw, qx, qy, qz = _flow(m, (p0.p1, p0.p2, p0.p3), t)[:4]
-    # |Z| can round past 1 on the e3 subgroup, which would put s = 1 off the chart
-    rho, theta, omega = min(1.0, math.hypot(qw, qz)), math.atan2(qz, qw), math.atan2(qy, qx)
-    sigma = max(math.hypot(qx, qy), sys.float_info.min)
-    limit = t / (2.0 * r1) * (1.0 - _SEARCH_MARGIN)  # in units of 2*sqrt(i1), as arrivals are
+    # |Z| can round past 1 near the e3 subgroup, which would put s = 1 off the chart
+    best = _shortest_preimage(m, min(1.0, math.hypot(qw, qz)), math.atan2(qz, qw), math.hypot(qx, qy),
+                              t / (2.0 * r1) * (1.0 - _SEARCH_MARGIN))  # in units of 2*sqrt(i1)
+    if best is None:
+        return None
+    # initial_momentum's arithmetic, with sqrt(1 - s^2) from the chart where 1 - s*s cancels
+    a, s, cs, k = best
+    phi, norm = math.atan2(qy, qx) + a * (m.eta() * s) + k * math.pi, r1 / _shape(ratio, s, cs)
+    momentum = Momentum(norm * cs * math.cos(phi), norm * cs * math.sin(phi), norm * s)
+    return ShorterPath(momentum=momentum, arrival_time=2.0 * r1 * (a * _shape(ratio, s, cs)))
+
+
+def _shortest_preimage(m: BergerMetric, rho: float, theta: float, sigma: float,
+                       limit: float) -> Optional[tuple]:
+    """``(a, s, sqrt(1 - s^2), k)`` of the earliest preimage of ``rho*exp(i*theta)`` before
+    ``limit``, or None, by ``shorter_path_search``'s method.  ``sigma = sqrt(1 - rho^2)``, and
+    arrivals and ``limit`` are in units of ``2*sqrt(i1)``."""
+    eta, ratio, pi = m.eta(), m.i1 / m.i3, math.pi
+    best = None
+    if sigma < 2.0 ** -1022:  # zero or subnormal: on the e3 subgroup
+        for sign in (1.0, -1.0):  # the axis geodesics, a*i1/i3 = +-theta (mod 2*pi)
+            a = ((sign * theta) % (2.0 * pi) or 2.0 * pi) / ratio
+            if a * math.sqrt(ratio) < limit:
+                limit, best = a * math.sqrt(ratio), (a, sign, 0.0, 0)
+        k = 1
+        while eta < 0.0 and (k - 1) * pi < limit:
+            # the j nearest an end s = sign, where x = 1 - |s| is least, <= 1 but for rounding
+            delta, sign = min(((sgn * theta - k * pi * ratio) % (2.0 * pi), sgn) for sgn in (1.0, -1.0))
+            x = delta / (k * pi * -eta)
+            if x <= 2.0:
+                a, s, cs = k * pi, sign * (1.0 - x), math.sqrt(x * (2.0 - x))
+                if a * _shape(ratio, s, cs) < limit:
+                    limit, best = a * _shape(ratio, s, cs), (a, s, cs, k)
+            k += 1
+        return best
     # least sqrt(1 + eta*s^2), as s^2 <= rho^2/(rho^2 + sigma^2) on every branch's curve
     h = math.hypot(rho, sigma)
     least = min(1.0, _shape(ratio, rho / h, sigma / h))
     alpha0 = math.atan2(sigma, rho)  # least alpha, at chi = 0
-    best = None
 
     def chart(chi: float, base: float, sign: float) -> tuple:
         # (a, s, sqrt(1 - s^2), G) at chi on the sheet a = base + sign*alpha
@@ -592,10 +630,4 @@ def shorter_path_search(m: BergerMetric, p0: Momentum, t: float) -> Optional[Sho
                     if arrival < limit:
                         limit, best = arrival, (a, s, cs, k)
         k += 1
-    if best is None:
-        return None
-    # initial_momentum's arithmetic, with sqrt(1 - s^2) from the chart where 1 - s*s cancels
-    a, s, cs, k = best
-    phi, norm = omega + a * (eta * s) + k * pi, r1 / _shape(ratio, s, cs)
-    momentum = Momentum(norm * cs * math.cos(phi), norm * cs * math.sin(phi), norm * s)
-    return ShorterPath(momentum=momentum, arrival_time=2.0 * r1 * limit)
+    return best

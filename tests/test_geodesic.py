@@ -1,5 +1,8 @@
+import ast
+import inspect
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from bergersphere.geodesic import (
     shorter_path_search,
 )
 from bergersphere.cutprofile import _arc_length, t_cut
-from bergersphere.model import BergerMetric, Momentum, momentum_norm
+from bergersphere.model import BergerMetric, Momentum, _shape, momentum_norm
 from bergersphere.roots import tau_conj
 
 ROUND = BergerMetric(1.0, 1.0)
@@ -247,6 +250,38 @@ def _endpoint_gap(m, p0, t, hit):
     return max(abs(a - b) for a, b in zip(target, reached))
 
 
+def _count_evaluations(monkeypatch) -> list:
+    # wraps geodesic._bracketed_root: one entry per refinement, its count of evaluations
+    evals = []
+    refine = geodesic._bracketed_root
+
+    def counted(f, *args):
+        evals.append(0)
+
+        def g(x):
+            evals[-1] += 1
+            return f(x)
+        return refine(g, *args)
+    monkeypatch.setattr(geodesic, "_bracketed_root", counted)
+    return evals
+
+
+def _e3_arrivals(ratio, theta, k_max):
+    # arrivals, in units of 2*sqrt(i1), of the preimages of exp(i*theta): on the axis
+    # geodesics in their first two turns, and at a = k*pi for k <= k_max, with every j
+    # such that k*pi*(1 + eta*s) = theta + 2*pi*j for some |s| <= 1
+    eta = ratio - 1.0
+    arrivals = [((sgn * theta) % (2.0 * math.pi) + turn) / math.sqrt(ratio)
+                for sgn in (1.0, -1.0) for turn in (0.0, 2.0 * math.pi)]
+    for k in range(1, k_max + 1):
+        lo, hi = k * math.pi * (1.0 - abs(eta)), k * math.pi * (1.0 + abs(eta))
+        j = np.arange(math.ceil((lo - theta) / (2.0 * math.pi)), math.floor((hi - theta) / (2.0 * math.pi)) + 1)
+        s = ((theta + 2.0 * math.pi * j) / (k * math.pi) - 1.0) / eta
+        s = s[np.abs(s) <= 1.0]
+        arrivals.extend(k * math.pi * np.sqrt((1.0 - s * s) + ratio * s * s))
+    return arrivals
+
+
 def _shortest_preimage_by_scan(m, p0, t, n=4001):
     # arrival of the shortest preimage of the target before t*(1 - 1e-4) that a fine
     # scan finds, or None.  It charts each branch by s = |Z|*sin(psi) and
@@ -407,6 +442,20 @@ class TestExpMap:
         assert max(abs(a - b) for a, b in zip(exact[:4], q)) < 1e-9
         p = (state.p.p1, state.p.p2, state.p.p3)
         assert max(abs(a - b) for a, b in zip(exact[4:], p)) < 1e-9 * p0.norm()
+
+    # sin(t*|p3|/(2*i3)) at t = 2.2*pi*i1, which is 1.1*t_cut on the axis, to 50 digits
+    @pytest.mark.parametrize("ratio,want", [(1e-8, 3.455751918948772e-08),
+                                            (1e-12, 3.4557519189487727e-12),
+                                            (1e-16, 3.455751918948773e-16),
+                                            (2.0 ** -53, 3.8366553478094954e-16)])
+    @pytest.mark.parametrize("pb", [-1.0, 1.0])
+    def test_axis_phase_of_a_very_oblate_metric(self, ratio, want, pb):
+        # on the axis qz = sin(a*(1 + eta)), where a*eta cancels against a as eta -> -1
+        # unless the phase is formed as a*((1 - s) + (i1/i3)*s)
+        m = BergerMetric(ratio, 1.0)
+        p0 = initial_momentum(m, pb, 0.0)
+        qz = _flow(m, (p0.p1, p0.p2, p0.p3), 2.2 * math.pi * ratio)[3]
+        assert abs(qz - pb * want) <= 4 * math.ulp(want)
 
     @pytest.mark.parametrize("eta_range", [(-0.9, -0.1), (0.0, 0.0), (0.05, 1.0), (5.0, 49.0)])
     def test_rk4_kernel_keeps_the_bits_of_the_compact_form(self, eta_range):
@@ -691,23 +740,13 @@ class TestShorterPathSearch:
 
     @pytest.mark.parametrize("i1,factor", [(2.0, 1e-295), (2.0, 1e-200), (1e4, 1e-100)])
     def test_few_evaluations_near_the_identity(self, i1, factor, monkeypatch):
-        # the axis target's sigma is raised to the least normal float, so the phase jumps
-        # within chi ~ 1e-308 of 0; steps taken from the end with the larger value round onto
-        # the other end there, and their midpoints took up to 981 evaluations
-        evals = []
-        refine = geodesic._bracketed_root
-
-        def counted(f, *args):
-            evals.append(0)
-
-            def g(x):
-                evals[-1] += 1
-                return f(x)
-            return refine(g, *args)
-        monkeypatch.setattr(geodesic, "_bracketed_root", counted)
+        # an axis target lies on the e3 subgroup, where the chart's s jumps from -1 to 1 at
+        # chi = 0: a refinement of that jump would take up to 981 evaluations, as steps from the
+        # end with the larger value round onto the other end, so such targets take the closed form
+        evals = _count_evaluations(monkeypatch)
         m = BergerMetric(i1, 1.0)
         assert shorter_path_search(m, initial_momentum(m, 1.0, 0.3), factor * t_cut(m, 1.0)) is None
-        assert max(evals) <= 16
+        assert max(evals, default=0) <= 16
 
     def test_round_wrap_recovers_direct_arc(self):
         t = 3.0 * math.pi
@@ -849,6 +888,69 @@ class TestShorterPathSearch:
             hit = shorter_path_search(m, initial_momentum(m, pb, 0.0), factor * t_cut(m, pb))
             assert (hit is None) == (factor < 1.0), (eta, pb, factor)
 
+    @pytest.mark.parametrize("ratio", [1e-8, 1e-12, 1e-15, 3e-16, 2.0 ** -53])
+    @pytest.mark.parametrize("pb", [-1.0, 1.0])
+    def test_axis_search_of_a_very_oblate_metric(self, ratio, pb):
+        # the axis geodesic ends at the phase 1.1*pi*r, r = i1/i3, and the shortest preimage is
+        # at a = pi with 1 - |s| = 0.1*r/(1 - r); the phase cancelled in the target and in s
+        m = BergerMetric(ratio, 1.0)
+        p0 = initial_momentum(m, pb, 0.3)
+        t = 1.1 * t_cut(m, pb)
+        hit = shorter_path_search(m, p0, t)
+        want = math.sqrt(1.2 - 0.01 * ratio / (1.0 - ratio)) / 1.1
+        assert hit.arrival_time / t == pytest.approx(want, rel=1e-10, abs=0.0)
+        assert _endpoint_gap(m, p0, t, hit) < 1e-12
+
+    def test_no_refinement_on_the_e3_subgroup(self, monkeypatch):
+        # a scan of the singular chart would take 974 evaluations for this target
+        evals = _count_evaluations(monkeypatch)
+        m = BergerMetric(1e-6, 1.0)
+        p0 = initial_momentum(m, 1.0, 0.3)
+        t = 1.1 * t_cut(m, 1.0)
+        _, qx, qy, _ = _flow(m, (p0.p1, p0.p2, p0.p3), t)[:4]
+        assert math.hypot(qx, qy) == 0.0
+        assert shorter_path_search(m, p0, t) is not None
+        # a subnormal sigma is the e3 subgroup to within the least normal float
+        assert (geodesic._shortest_preimage(m, 1.0, 0.3, 5e-324, math.pi)
+                == geodesic._shortest_preimage(m, 1.0, 0.3, 0.0, math.pi))
+        assert evals == []
+
+    @pytest.mark.parametrize("ratio", [1e-6, 0.5, 3.0])
+    @pytest.mark.parametrize("theta", [0.3, 2.0, -1.0])
+    def test_target_on_the_e3_subgroup_given_directly(self, ratio, theta):
+        # against every k whose preimages can arrive before pi, k*pi*min(1, sqrt(r)) < pi
+        m = BergerMetric(ratio, 1.0)
+        a, s, cs, _ = geodesic._shortest_preimage(m, 1.0, theta, 0.0, math.pi)
+        k_max = math.ceil(1.0 / min(1.0, math.sqrt(ratio))) - 1
+        want = min(_e3_arrivals(ratio, theta, k_max))
+        assert a * _shape(ratio, s, cs) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("ratio", [1e-6, 0.0012047714325857438, 0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("theta", [0.0, math.pi])
+    def test_identity_and_its_antipode_given_directly(self, ratio, theta):
+        # the identity's preimage of arrival 0 is no path, so its residue counts as 2*pi; at
+        # Z = -1, 1 - |s| of the preimage s = 0 at a = pi can round past 1
+        m = BergerMetric(ratio, 1.0)
+        a, s, cs, _ = geodesic._shortest_preimage(m, 1.0, theta, 0.0, 7.0)
+        k_max = math.ceil(7.0 / math.pi / min(1.0, math.sqrt(ratio))) - 1
+        want = min(x for x in _e3_arrivals(ratio, theta, k_max) if x > 0.0)
+        assert a * _shape(ratio, s, cs) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("theta", [0.3, 2.0, -1.0])
+    def test_target_on_the_e3_subgroup_of_the_most_oblate_metric(self, theta):
+        # every k with k*pi*sqrt(r) < pi would be about 1e8 of them: the routine stops by its
+        # bound, and its preimage beats those of the first 1000 and reaches exp(i*theta)
+        ratio = 2.0 ** -53
+        m = BergerMetric(ratio, 1.0)
+        start = time.perf_counter()
+        a, s, cs, _ = geodesic._shortest_preimage(m, 1.0, theta, 0.0, math.pi)
+        assert time.perf_counter() - start < 1.0
+        arrival = a * _shape(ratio, s, cs)
+        assert arrival <= min(_e3_arrivals(ratio, theta, 1000)) * (1.0 + 1e-13)
+        norm = math.sqrt(m.i1) / _shape(ratio, s, cs)
+        q = _flow(m, (norm * cs, 0.0, norm * s), 2.0 * math.sqrt(m.i1) * arrival)[:4]
+        assert max(abs(q[0] - math.cos(theta)), abs(q[1]), abs(q[2]), abs(q[3] - math.sin(theta))) < 1e-12
+
     @pytest.mark.parametrize("eta", [-0.5, 0.0, 3.0])
     def test_target_with_no_axial_part(self, eta):
         # an equatorial geodesic at a = 3*pi/2 ends at Z = cos(3*pi/2) = -1.8e-16,
@@ -889,3 +991,19 @@ class TestShorterPathSearch:
         if scanned is not None:
             # to 1e-7 of t: a target at the identity has arrivals of rounding size
             assert hit is not None and hit.arrival_time <= scanned + 1e-7 * t
+
+
+def test_geodesic_imports_only_errors_and_model():
+    # the oracles use the geodesic equations alone, never the root, cut or diameter modules
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(geodesic))):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            imported.update([node.module.split(".")[0]] if node.module else
+                            [alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "bergersphere":
+            imported.update([node.module.split(".")[1]] if "." in node.module else
+                            [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[1] for alias in node.names
+                            if alias.name.startswith("bergersphere."))
+    assert imported == {"errors", "model"}
