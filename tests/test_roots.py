@@ -19,6 +19,35 @@ TAU_CONJ_HALF_HALF = 2.455643862879440304037105346314124354
 TAU3_1_TINY = 2.028757833559380532526140452   # eta=1, pbar3=1e-4
 TAU3_1_HALF = 1.910633236249018556327714205   # eta=1, pbar3=0.5
 
+# tau3 at w = eta*pbar3 >= 2, frozen from a 60-digit mpmath bisection in y = pi - w*tau,
+# returned as (pi - y)/w: near pi/w the tau form loses y's digits, the y form does not.
+# (10, 0.05) is left out, as w = 0.5 there.
+TAU3_LARGE_W = {
+    (10.0, 0.5): 5.6671037803107486168e-1,
+    (10.0, 0.9): 3.1715054734639996114e-1,
+    (1e3, 0.05): 6.2769001711336892065e-2,
+    (1e3, 0.5): 6.2769083370150770757e-3,
+    (1e3, 0.9): 3.4871713299730216091e-3,
+    (1e8, 0.05): 6.2831852443477336847e-7,
+    (1e8, 0.5): 6.2831852443477340334e-8,
+    (1e8, 0.9): 3.4906584690820743769e-8,
+    (1e15, 0.05): 6.283185307179579845e-14,
+    (1e15, 0.5): 6.2831853071795801937e-15,
+    (1e15, 0.9): 3.4906585039886555771e-15,
+    (1e17, 0.05): 6.2831853071795860653e-16,
+    (1e17, 0.5): 6.2831853071795864141e-17,
+    (1e17, 0.9): 3.4906585039886590328e-17,
+    (1e100, 0.05): 6.2831853071795860282e-99,
+    (1e100, 0.5): 6.283185307179586377e-100,
+    (1e100, 0.9): 3.4906585039886590122e-100,
+    (1e300, 0.05): 6.2831853071795857982e-299,
+    (1e300, 0.5): 6.283185307179586147e-300,
+    (1e300, 0.9): 3.4906585039886588845e-300,
+    (1.7e308, 0.05): 3.6959913571644625613e-307,
+    (1.7e308, 0.5): 3.6959913571644627665e-308,
+    (1.7e308, 0.9): 2.0533285317580348196e-308,  # subnormal
+}
+
 ETA_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 20.0)
 WIDE_ETA_GRID = tuple(10.0 ** (k / 2) for k in range(-6, 17))   # 1e-3 .. 1e8
 
@@ -111,6 +140,17 @@ class TestTau3:
     ])
     def test_root_within_rounding_of_the_bracket_end(self, eta, pb):
         assert abs(tau3(eta, pb) - math.pi / 2) <= math.ulp(math.pi / 2)
+
+    @pytest.mark.parametrize("eta,pb", sorted(TAU3_LARGE_W))
+    def test_large_w_to_a_few_ulp(self, eta, pb):
+        want = TAU3_LARGE_W[eta, pb]
+        assert abs(tau3(eta, pb) - want) <= 4.0 * math.ulp(want)
+
+    def test_pole_root_is_pi_over_one_plus_eta(self):
+        # at pbar3 = 1 the cut equation is sin((1 + eta)*tau) = 0, and y = pi - eta*tau is tau
+        for eta in np.geomspace(2.0, 1.7e308, 2000).tolist():
+            want = math.pi / (1.0 + eta)
+            assert abs(tau3(eta, 1.0) - want) <= math.ulp(want), eta
 
     @pytest.mark.parametrize("start", [math.nan, 1.5, 1.6, 3.0, math.inf])
     def test_huge_eta_below_w_one(self, start):
@@ -312,13 +352,15 @@ class TestWarmStart:
         [(n, bound)] = counts
         assert n <= 2 * bound + 1, (eta, s, start)
 
-    # measured 2/13, 2/8, 2/6, 14/33, 28/116 and 43/618 solves/evaluations.  For
-    # eta <= 1 the derivative is positive at the pole, so the call solves only
-    # tau_conj(eta, 0) and tau3 at pbar3 = 1.  Above it, the halving to an octave
-    # jumps across scales at huge eta, so its warm starts gain less per solve
-    # than a walk's; the Illinois refinement then takes a few solves more.
+    # measured 2/13, 2/8, 2/6, 14/35, 28/65, 43/63, 67/81 and 82/82
+    # solves/evaluations.  For eta <= 1 the derivative is positive at the pole, so
+    # the call solves only tau_conj(eta, 0) and tau3 at pbar3 = 1.  Above it, the
+    # halving to an octave takes about log2(eta) solves and the Illinois
+    # refinement a few more.  Most of them are at w = eta*pbar3 >= 2, where a cold
+    # solve in y = pi - w*tau takes 1 to 5 evaluations, and 1 from eta = 1e15 on.
     @pytest.mark.parametrize("eta,solves,evaluations", [
-        (1e-9, 2, 14), (0.5, 2, 9), (1.0, 2, 7), (3.0, 15, 36), (1e3, 30, 128), (1e8, 45, 680)])
+        (1e-9, 2, 14), (0.5, 2, 9), (1.0, 2, 7), (3.0, 15, 36), (1e3, 30, 70), (1e8, 45, 68),
+        (1e15, 70, 86), (1e300, 85, 86)])
     def test_diameter_evaluations_per_call(self, eta, solves, evaluations, monkeypatch):
         counts = []
         monkeypatch.setattr(roots_module, "_newton", _counting_newton(counts))
@@ -326,6 +368,26 @@ class TestWarmStart:
         assert len(counts) <= solves
         assert sum(n for n, _ in counts) <= evaluations
         assert all(n <= 2 * bound + 1 for n, bound in counts)
+
+    @pytest.mark.parametrize("eta", [2.5, 3.0, 10.0, 1e3, 1e8, 1e15, 1e17, 1e100, 1e300, 1.7e308])
+    def test_cold_evaluations_from_w_two(self, eta):
+        # near w = 2 with a small pbar3 the root y nears sqrt(2*pbar3), far from pi/eta
+        grid = [w / eta for w in (2.0, math.nextafter(2.0, 3.0), 2.0000001, 2.1, 3.0, 10.0, 1e3)]
+        grid += [0.05, 0.5, 0.9, 1.0]
+        counts = []
+        with mock.patch.object(roots_module, "_newton", _counting_newton(counts)):
+            for pb in grid:
+                if eta * pb >= 2.0 and pb <= 1.0:
+                    tau3(eta, pb)
+        assert len(counts) >= 5
+        assert max(n for n, _ in counts) <= 6, counts
+
+    @pytest.mark.parametrize("i1", [1e308, 1e3 + 1.0])
+    def test_warm_profile_roots_are_the_cold_ones(self, i1):
+        m = BergerMetric(i1, 1.0)
+        for pb, root, *_ in sample_profile(m, 201).half:
+            want = tau3(m.eta(), pb)
+            assert abs(root - want) <= 4.0 * math.ulp(want), pb
 
     @pytest.mark.parametrize("eta", [0.5, 3.0, 1e3, 1e8])
     def test_profile_evaluations_per_solve(self, eta, monkeypatch):
