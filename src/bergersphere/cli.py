@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from .cutprofile import sample_profile
-from .diameter import diameter_report
+from .diameter import _GAP_BUDGET, diameter_report
 from .errors import NormalizationError
 from .geodesic import conservation_drift, endpoint_state, initial_momentum
 from .model import BergerMetric
@@ -22,8 +22,6 @@ from .serialize import fmt17, json_text
 from .verify import run_checks
 
 __all__ = ["build_parser", "main", "entrypoint"]
-
-_GAP_BUDGET = 1e-6  # relative closed-form vs numeric gap treated as disagreement
 
 
 class _Parser(argparse.ArgumentParser):

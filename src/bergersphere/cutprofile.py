@@ -246,7 +246,7 @@ def sample_profile(m: BergerMetric, n: int = 201) -> CutProfile:
     """Sample the cut profile on ``n`` equispaced axis fractions in [-1, 1].
 
     For ``eta > 0`` every row carries ``tau3`` and ``tau_conj`` (at
-    ``pbar3 = 0`` the cut column holds its defining limit value) and the
+    ``pbar3 = 0`` the cut column holds the limit ``tau_conj(eta, 0)``) and the
     derivative column everywhere except ``pbar3 = 0``.  For ``eta <= 0``
     the cut time is the elementary branch and the root columns are empty.
     The grid is generated as ``(2k - (n-1))/(n-1)`` so that the endpoints

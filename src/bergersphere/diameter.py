@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _REFINE_TOL = 1e-24   # no cell [0, hi] at or below this is halved; its midpoint is the maximizer
+_GAP_BUDGET = 1e-8    # a relative closed-form vs numeric gap above this is a disagreement
 
 
 def diameter_closed_form(m: BergerMetric) -> float:

@@ -12,8 +12,8 @@ in ``tau`` control the geometry, with ``w = eta*pbar3``:
 equation.  Both equations are even in ``pbar3``, so an overall sign
 convention for the axis fraction does not change any root; the solvers
 work with ``abs(pbar3)``.  At ``pbar3 = 0`` the cut equation degenerates
-to the zero function and ``tau3`` is defined by its limit, which equals
-``tau_conj(eta, 0)``.
+to the zero function and ``tau3`` is its limit ``tau_conj(eta, 0)``, the
+root of the equation divided by ``pbar3`` (below), with no case of its own.
 
 Both roots are found by one safeguarded Newton iteration (rtsafe, Press
 et al., *Numerical Recipes*, section 9.4) inside an analytic bracket
@@ -45,7 +45,7 @@ positive root.
   root within rounding of an end, where every target falls outside, is
   that end, as ``pi/2`` is for the cut root at ``pbar3 = 1/eta``.  On
   2 000 random draws with ``eta`` up to 1e15 both roots were within 0.83
-  ulp of a 40-digit reference, and midpoint ends up to 373 ulp off.  With
+  ulp of a 40-digit reference.  With
   ``B = ceil(log2((b - a)/tol))``, the evaluation count of plain
   bisection, every Newton step after the B-th evaluation is within
   ``tol``, and so is the B-th bisection.  A start point other than the
@@ -64,7 +64,7 @@ The conjugate equation is solved in the singularity-free form
 ``sin(tau) + c*tau*cos(tau) = 0``, whose derivative in ``tau`` is
 ``(1 + c)*cos(tau) - c*tau*sin(tau)``, on the bracket [pi/2, pi]; the
 left side is 1 at pi/2 and strictly decreasing there, so it has exactly
-one root; ``c = 0`` (pbar3 = +-1) gives exactly pi.  The root
+one root; ``c = 0`` (pbar3 = +-1) gives exactly pi, by the end rule.  The root
 ``pi/2 + 2/(pi*c) + ...`` rounds to ``pi/2`` from ``c`` about 1.3e16 on and is
 returned unsolved from ``c = 2**54`` on, so ``c*tau`` stays finite; so is
 the cut root for ``w < 1``, in ``(pi/2, tau_conj(eta, 0)]``, from ``eta = 2**54``.
@@ -81,8 +81,8 @@ On ``(0, a]``, with ``a`` the left end, the factors ``cos(tau)``,
 the cut function is positive there; it is negative at the right end and
 changes sign once in between, so the bracketed root is the first one.
 Below ``w = 2`` the function is solved divided by ``pbar3``, which
-keeps it from underflowing for subnormal ``pbar3`` and makes it tend to
-the conjugate function of ``pbar3 = 0``, as ``tau3`` itself does.  With
+keeps it from underflowing for subnormal ``pbar3`` and at ``pbar3 = 0``
+is the conjugate function of ``c = eta``, to the bit, on its bracket.  With
 ``so = sin(w*tau)/pbar3`` its derivative in ``tau`` is
 ``cos(tau)*(eta*cos(w*tau) + cos(w*tau)) - sin(tau)*so*(1 + w*pbar3)``;
 below ``w*tau = 1e-8``, where ``sin(u)/u`` rounds to 1, ``so`` is
@@ -177,7 +177,7 @@ def _newton(fg: Callable[[float], tuple[float, float]], a: float, b: float, tol:
 
 
 def _tau3_value(eta: float, s: float, start: float = math.nan) -> float:
-    # s = |pbar3| > 0; the bracket, scaling and derivative are the module docstring's.
+    # s = |pbar3| >= 0; the bracket, scaling and derivative are the module docstring's.
     # start is where Newton begins, held in the bracket, NaN meaning the midpoint; from
     # w = 2 on it is kept only below a bound on the root, as the module docstring says.
     w = eta * s
@@ -220,23 +220,17 @@ def tau3(eta: float, pbar3: float) -> float:
     """First positive root of the cut equation; even in ``pbar3``.
 
     Requires ``eta > 0``.  Decreases strictly from ``tau_conj(eta, 0)``
-    at ``pbar3 = 0`` (its defining limit value) to ``pi/(1 + eta)`` at
-    ``pbar3 = +-1``, and equals ``pi/2`` at ``pbar3 = 1/eta`` when
-    ``eta >= 1``.
+    at ``pbar3 = 0`` (its limit, the root of the equation divided by
+    ``pbar3`` there) to ``pi/(1 + eta)`` at ``pbar3 = +-1``, and equals
+    ``pi/2`` at ``pbar3 = 1/eta`` when ``eta >= 1``.
     """
     eta = _real("eta", eta, finite=True, positive=True)
-    s = abs(_pbar3(pbar3))
-    if s == 0.0:
-        return tau_conj(eta, 0.0)
-    return _tau3_value(eta, s)
+    return _tau3_value(eta, abs(_pbar3(pbar3)))
 
 
 def _tau_conj_value(eta: float, pbar3: float, start: float = math.nan) -> float:
-    # tau_conj for a checked eta > 0 and pbar3; start as for _tau3_value.  c*pi <= sin(pi)
-    # is fg(pi)[0] >= 0, as cos(pi) is -1: c == 0, or the root within an ulp of pi.
+    # tau_conj for a checked eta > 0 and pbar3; start as for _tau3_value
     c = eta * (1.0 - pbar3 * pbar3) / (1.0 + eta * pbar3 * pbar3)
-    if c * math.pi <= math.sin(math.pi):
-        return math.pi
     if c >= _HUGE:  # the root pi/2 + 2/(pi*c) + ... rounds to pi/2
         return 0.5 * math.pi
 
@@ -256,8 +250,8 @@ def tau_conj(eta: float, pbar3: float) -> float:
     so the one root there is the first positive root; the iterate never
     leaves the shrinking bracket and takes at most twice the evaluations
     of bisection (see the module docstring).  Returns exactly pi when
-    ``c == 0``, or when ``c`` is so small that the root is within one ulp
-    of pi, and ``pi/2``, the root rounded, without a solve from ``c = 2**54`` on.
+    ``c == 0`` or the root is within rounding of pi, by the solver's end
+    rule, and ``pi/2``, the root rounded, without a solve from ``c = 2**54`` on.
     """
     return _tau_conj_value(_real("eta", eta, finite=True, positive=True), _pbar3(pbar3))
 

@@ -29,9 +29,9 @@ def fmt17(x: float) -> str:
     return format(x, ".17g")
 
 
-def _render(obj, indent: int, level: int, out: list) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _render(obj, level: int, out: list) -> None:
+    pad = "  " * (level + 1)  # two spaces per level
+    close_pad = "  " * level
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -41,7 +41,7 @@ def _render(obj, indent: int, level: int, out: list) -> None:
             out.append(pad)
             out.append(json.dumps(str(key)))
             out.append(": ")
-            _render(value, indent, level + 1, out)
+            _render(value, level + 1, out)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(close_pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -51,7 +51,7 @@ def _render(obj, indent: int, level: int, out: list) -> None:
         out.append("[\n")
         for i, value in enumerate(obj):
             out.append(pad)
-            _render(value, indent, level + 1, out)
+            _render(value, level + 1, out)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(close_pad + "]")
     elif obj is None:
@@ -68,9 +68,9 @@ def _render(obj, indent: int, level: int, out: list) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def json_text(obj, indent: int = 2) -> str:
-    """Pretty JSON with 17-significant-digit floats and a trailing newline."""
+def json_text(obj) -> str:
+    """JSON indented by two spaces, with 17-significant-digit floats and a trailing newline."""
     out: list = []
-    _render(obj, indent, 0, out)
+    _render(obj, 0, out)
     out.append("\n")
     return "".join(out)

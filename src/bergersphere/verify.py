@@ -14,8 +14,9 @@ import sys
 from dataclasses import dataclass
 
 from .cutprofile import _arc_length, t_cut, t_cut_derivative
-from .diameter import diameter_closed_form, diameter_report
+from .diameter import _GAP_BUDGET, diameter_closed_form, diameter_report
 from .geodesic import (
+    _SEARCH_MARGIN,
     conjugate_time_numeric,
     conservation_drift,
     endpoint_state,
@@ -39,10 +40,11 @@ class CheckResult:
     detail: str
 
 
-def _metric_with_positive_eta(m: BergerMetric) -> BergerMetric:
+def _metric_with_positive_eta(m: BergerMetric) -> "tuple[BergerMetric, str]":
     # the closed forms of tcut-derivative-sign, tcut-below-conjugate-time and
-    # geodesic-conjugate-agreement need eta > 0; fall back to a fixed prolate one
-    return m if m.eta() > 0.0 else BergerMetric(2.0, 1.0)
+    # geodesic-conjugate-agreement need eta > 0; fall back to a fixed prolate one, at
+    # i1 = 1 as the conjugate check runs, and a note for their details that names it
+    return (m, "") if m.eta() > 0.0 else (BergerMetric(1.0, 0.5), " on stand-in i1=1, i3=0.5")
 
 
 def _scaled(m: BergerMetric, factors: "tuple[float, ...]"):
@@ -156,31 +158,31 @@ def _check_tcut_branch_continuity(m: BergerMetric) -> CheckResult:
 
 
 def _check_tcut_derivative_sign(m: BergerMetric) -> CheckResult:
-    mm = _metric_with_positive_eta(m)
+    mm, on = _metric_with_positive_eta(m)
     eta = mm.eta()
     split = min(1.0, 1.0 / eta)
     for pb in _PB_GRID:
         d = t_cut_derivative(mm, pb)
         want_positive = pb < split - 1e-9
         if want_positive and d <= 0.0:
-            return CheckResult("tcut-derivative-sign", False, f"not rising at pbar3={pb}")
+            return CheckResult("tcut-derivative-sign", False, f"not rising at pbar3={pb}{on}")
         if pb > split + 1e-9 and d >= 0.0:
-            return CheckResult("tcut-derivative-sign", False, f"not falling at pbar3={pb}")
+            return CheckResult("tcut-derivative-sign", False, f"not falling at pbar3={pb}{on}")
     return CheckResult("tcut-derivative-sign", True,
-                       f"rises below {split:.4g}, falls above (eta={eta:.4g})")
+                       f"rises below {split:.4g}, falls above (eta={eta:.4g}){on}")
 
 
 def _check_tcut_below_conjugate(m: BergerMetric) -> CheckResult:
-    mm = _metric_with_positive_eta(m)
+    mm, on = _metric_with_positive_eta(m)
     eta = mm.eta()
     margin = min(_arc_length(mm, pb, tau_conj(eta, pb)) - t_cut(mm, pb)
                  for pb in _PB_GRID)
-    return CheckResult("tcut-below-conjugate-time", margin > 0.0, f"min margin {margin:.3e}")
+    return CheckResult("tcut-below-conjugate-time", margin > 0.0, f"min margin {margin:.3e}{on}")
 
 
 def _check_diameter_agreement(m: BergerMetric) -> CheckResult:
     rep = diameter_report(m)
-    ok = rep.abs_gap <= 1e-8 * rep.closed_form
+    ok = rep.abs_gap <= _GAP_BUDGET * rep.closed_form
     return CheckResult("diameter-oracle-agreement", ok,
                        f"gap {rep.abs_gap:.3e} vs closed {rep.closed_form:.12g}")
 
@@ -235,14 +237,15 @@ def _check_conservation(m: BergerMetric) -> CheckResult:
 
 def _check_conjugate_agreement(m: BergerMetric) -> CheckResult:
     # at i1 = 1, as times scale with sqrt(i1): the horizon can pass the float maximum
-    eta = _metric_with_positive_eta(m).eta()
+    base, on = _metric_with_positive_eta(m)
+    eta = base.eta()
     mm = BergerMetric(1.0, 1.0 / (1.0 + eta))
     worst = 0.0
     for pb in (0.0, 0.5):
         expected = _arc_length(mm, pb, tau_conj(eta, pb))
         got = conjugate_time_numeric(mm, pb, 1.02 * _arc_length(mm, pb, math.pi))
         worst = max(worst, abs(got - expected) / expected)
-    return CheckResult("geodesic-conjugate-agreement", worst < 1e-3, f"max rel dev {worst:.3e}")
+    return CheckResult("geodesic-conjugate-agreement", worst < 1e-3, f"max rel dev {worst:.3e}{on}")
 
 
 def _check_cut_sandwich(m: BergerMetric) -> CheckResult:
@@ -252,7 +255,7 @@ def _check_cut_sandwich(m: BergerMetric) -> CheckResult:
     early = shorter_path_search(m, p0, 0.9 * tc)
     late = shorter_path_search(m, p0, 1.1 * tc)
     # the search's own relative margin: an absolute one exceeds t_cut where i1 is tiny
-    ok = early is None and late is not None and late.arrival_time < 1.1 * tc * (1.0 - 1e-4)
+    ok = early is None and late is not None and late.arrival_time < 1.1 * tc * (1.0 - _SEARCH_MARGIN)
     detail = (
         f"0.9*t_cut: {'empty' if early is None else 'hit'}; "
         f"1.1*t_cut: {'empty' if late is None else f'arrival {late.arrival_time:.6g}'}"

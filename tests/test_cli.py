@@ -81,6 +81,26 @@ class TestDiameterCommand:
         assert code == 2
         assert "disagrees" in err
 
+    def test_one_gap_budget_for_diameter_and_verify(self, capsys, monkeypatch):
+        # a relative gap of 1e-7 is above the one budget, 1e-8: the diameter command
+        # and verify's diameter-oracle-agreement check both reject it
+        import bergersphere.diameter as diameter_module
+        real = diameter_module.diameter_numeric
+
+        def skewed(m):
+            value, maximizer = real(m)
+            return value * (1.0 - 1e-7), maximizer
+
+        monkeypatch.setattr(diameter_module, "diameter_numeric", skewed)
+        code, out, err = run(capsys, ["--i1", "3", "--i3", "1", "diameter"])
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["abs_gap"] == pytest.approx(1e-7 * payload["closed_form"], rel=1e-6)
+        code, out, err = run(capsys, ["--i1", "3", "--i3", "1", "verify"])
+        assert code == 3
+        assert "FAIL  diameter-oracle-agreement" in out
+        assert err == "error: failing checks: diameter-oracle-agreement\n"
+
 
 class TestProfileCommand:
     def test_csv_shape_and_maximum(self, capsys):

@@ -65,9 +65,27 @@ class TestTau3:
     def test_critical_point_value(self, eta):
         assert tau3(eta, 1.0 / eta) == pytest.approx(math.pi / 2, abs=1e-11)
 
-    def test_zero_delegates_to_tau_conj(self):
-        assert tau3(1.0, 0.0) == tau_conj(1.0, 0.0)
+    def test_zero_is_the_conjugate_root_to_the_bit(self):
+        # at pbar3 = 0 the cut equation divided by pbar3 is the conjugate equation, c = eta,
+        # on both sides of 2**54, from where both roots round to pi/2 unsolved
         assert tau3(1.0, 0.0) == pytest.approx(TAU_CONJ_1_0, abs=1e-11)
+        big = 2.0 ** 54
+        grid = np.geomspace(2.0 ** -52, 1.7e308, 2000).tolist()
+        for eta in grid + [math.nextafter(big, 0.0), big, math.nextafter(big, math.inf)]:
+            assert tau3(eta, 0.0) == tau3(eta, -0.0) == tau_conj(eta, 0.0), eta
+
+    def test_zero_solves_as_the_conjugate_root(self):
+        # the same Newton evaluations, at the same points, as tau_conj(eta, 0)
+        for eta, evaluations in ((3.0, 6), (2.0 ** -52, None), (1e8, None)):
+            points = {}
+            for name, solve in (("tau3", tau3), ("tau_conj", tau_conj)):
+                mine = points[name] = []
+                newton = roots_module._newton
+                with mock.patch.object(roots_module, "_newton", lambda fg, *args: newton(
+                        lambda x: mine.append(x) or fg(x), *args)):
+                    solve(eta, 0.0)
+            assert points["tau3"] == points["tau_conj"], eta
+            assert evaluations is None or len(points["tau3"]) == evaluations
 
     def test_small_pbar3_limit(self):
         assert tau3(1.0, 1e-4) == pytest.approx(TAU3_1_TINY, abs=1e-11)
@@ -171,6 +189,22 @@ class TestTauConj:
         # c = 0 at pbar3 = +-1; the branch is exact, not a bisection result
         assert tau_conj(eta, 1.0) == math.pi
         assert tau_conj(eta, -1.0) == math.pi
+
+    @pytest.mark.parametrize("eta", [2.0 ** -52, 1e-16, 0.1])
+    @pytest.mark.parametrize("pb", [1.0, -1.0, math.nextafter(1.0, 0.0), -math.nextafter(1.0, 0.0)])
+    def test_pi_within_rounding_of_the_pole(self, eta, pb):
+        # c = 0 at the pole, and c about eta*2**-52/(1 + eta) next to it: the root is pi
+        # to rounding, which Newton's end rule returns exactly
+        assert tau_conj(eta, pb) == math.pi
+
+    @pytest.mark.parametrize("eta", [2.0 ** -52, 0.5, 3.0, 1e300])
+    @pytest.mark.parametrize("pb", [1.0, -1.0])
+    def test_cold_pole_solve_within_the_bound(self, eta, pb):
+        counts = []
+        with mock.patch.object(roots_module, "_newton", _counting_newton(counts)):
+            assert tau_conj(eta, pb) == math.pi
+        [(n, bound)] = counts
+        assert n <= 2 * bound + 1
 
     @given(eta=eta_strategy, pb=st.floats(min_value=-1.0, max_value=1.0))
     @settings(max_examples=60)

@@ -25,6 +25,18 @@ class TestRunChecks:
         detail = {r.name: r for r in run_checks(m, "full")}["geodesic-cut-sandwich"].detail
         assert float(detail.split("arrival ")[1]) < 1.1 * t_cut(m, 0.6)
 
+    @pytest.mark.parametrize("i1,i3,stand_in", [
+        (1.0, 2.0, dict.fromkeys(["tcut-derivative-sign", "tcut-below-conjugate-time",
+                                  "geodesic-conjugate-agreement"], " on stand-in i1=1, i3=0.5")),
+        (3.0, 1.0, {}),
+    ])
+    def test_details_name_the_stand_in_metric(self, i1, i3, stand_in):
+        # for eta <= 0 three checks run on a prolate stand-in, and say so
+        details = {r.name: r.detail for r in run_checks(BergerMetric(i1, i3), "full")}
+        named = {name: detail[detail.index(" on stand-in"):]
+                 for name, detail in details.items() if "stand-in" in detail}
+        assert named == stand_in
+
     def test_names_are_unique_and_stable(self):
         results = run_checks(BergerMetric(1.5, 1.0), "quick")
         names = [r.name for r in results]
