@@ -59,7 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="equatorial angle of the initial momentum (default 0)")
     p_exp.add_argument("--t", type=float, required=True, help="integration time, >= 0")
     p_exp.add_argument("--step", type=float, default=None,
-                       help="integrator step (default t/2000, at most t/1000)")
+                       help="integrator step (default t/2000, at most t/1000); a run fails "
+                            "(exit 2) where p turns by more than about (72e-6/n)^(1/6) rad "
+                            "a step, n = t/step: 0.057 rad at 2000 steps")
     p_exp.add_argument("-o", "--output", help="write JSON here instead of stdout")
 
     p_ver = sub.add_parser("verify", help="run the named self-check suite")

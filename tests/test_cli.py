@@ -149,6 +149,23 @@ class TestExpCommand:
         assert code == 0
         assert json.loads(out)["endpoint"] == {"w": 1.0, "x": 0.0, "y": 0.0, "z": 0.0}
 
+    def test_zero_time_keeps_its_bytes(self, capsys):
+        code, out, _ = run(capsys, ["--i1", "2", "--i3", "1", "exp", "--pbar3", "0.5", "--t", "0"])
+        assert code == 0
+        assert out == ('{\n  "i1": 2,\n  "i3": 1,\n  "pbar3": 0.5,\n  "phi": 0,\n  "t": 0,\n'
+                       '  "step": 0,\n  "endpoint": {\n    "w": 1,\n    "x": 0,\n    "y": 0,\n'
+                       '    "z": 0\n  },\n  "drift": {\n    "hamiltonian_rel": 2.2204460492503131e-16,\n'
+                       '    "momentum_norm_rel": 0,\n    "axis_momentum_rel": 0\n  }\n}\n')
+
+    @pytest.mark.parametrize("step", ["-1", "nan"])
+    def test_invalid_step_at_zero_time_exits_one(self, capsys, step):
+        # no step is taken at t = 0, but the step is still checked
+        code, out, err = run(capsys, ["--i1", "2", "--i3", "1", "exp",
+                                      "--pbar3", "0.5", "--t", "0", "--step", step])
+        assert code == 1
+        assert out == ""
+        assert "error: step must be" in err
+
     def test_out_of_range_axis_fraction_exits_one(self, capsys):
         code, _, err = run(capsys, ["--i1", "1", "--i3", "1", "exp",
                                     "--pbar3", "2", "--t", "1"])

@@ -122,9 +122,9 @@ def _horner_reference(c, m):
     return acc
 
 
-def _rk4_compact(y, a1, a3, h, n):
-    # the compact form of the kernel, with lists for q, u and the polynomials and one
-    # composition per doubling; the written-out loop must reproduce it bit for bit
+def _blocks_reference(y, a1, a3, h):
+    # |p0| and the step and block polynomials (P, G, R) of the kernel, with one
+    # composition per doubling
     s = math.hypot(*y[4:])
     at = [_identity_step(0.5 * a1 * s, 0.5 * a3 * y[6], (a3 - a1) * y[6], h, k)
           for k in (0.0, 1.0, 2.0)]
@@ -142,20 +142,95 @@ def _rk4_compact(y, a1, a3, h, n):
     block = step
     for _ in range(3):
         block = _compose_reference(block, block)
+    return s, step, block
+
+
+def _taylor_reference(c, m):
+    # the coefficients of 1, dm and dm^2 in c(m + dm), by repeated synthetic division by
+    # (x - m): the remainder is the value and the quotient's coefficients are the
+    # partial values of Horner's scheme
+    out = []
+    for _ in range(3):
+        partial = [c[-1]]
+        for x in reversed(c[:-1]):
+            partial.append(x + m * partial[-1])
+        out.append(partial[-1])
+        c = partial[-2::-1] or [0j]
+    return out
+
+
+def _run_blocks_reference(y, s, step, block, n, evaluate):
+    # n steps as n // 8 blocks and n % 8 steps, with lists for q and u; evaluate(p, g, m, first)
+    # gives (P(m), G(m)) for the block polynomials (p, g), first on a run's first block
     q, u = list(y[:4]), [y[4] / s, y[5] / s]
-    for p, g, r in [block] * (n // 8) + [step] * (n % 8):
-        m = u[0] * u[0] + u[1] * u[1]
-        d0, dz = (_horner_reference([c.real for c in p], m),
-                  _horner_reference([c.imag for c in p], m))
-        al, be = (_horner_reference([c.real for c in g], m),
-                  _horner_reference([c.imag for c in g], m))
-        d = (d0, al * u[0] - be * u[1], al * u[1] + be * u[0], dz)
-        q = [a + b for a, b in zip(q, _q_times_reference(q, d))]
-        u = [a + b for a, b in zip(u, (r.real * u[0] - r.imag * u[1],
-                                       r.real * u[1] + r.imag * u[0]))]
-        r = 1.0 / math.hypot(*q)
-        q = [a * r for a in q]
+    for count, (p, g, r) in ((n // 8, block), (n % 8, step)):
+        for i in range(count):
+            pv, gv = evaluate(p, g, u[0] * u[0] + u[1] * u[1], i == 0)
+            al, be = gv.real, gv.imag
+            d = (pv.real, al * u[0] - be * u[1], al * u[1] + be * u[0], pv.imag)
+            q = [a + b for a, b in zip(q, _q_times_reference(q, d))]
+            u = [a + b for a, b in zip(u, (r.real * u[0] - r.imag * u[1],
+                                           r.real * u[1] + r.imag * u[0]))]
+            norm = 1.0 / math.hypot(*q)
+            q = [a * norm for a in q]
     return (*q, u[0] * s, u[1] * s, y[6])
+
+
+def _rk4_compact(y, a1, a3, h, n):
+    # the compact form of the kernel: each block's polynomials as quadratics in
+    # dm = m - centre, taken afresh at a run's first block and where m leaves the
+    # window |dm| <= 2**-18*centre; the written-out loop must reproduce it bit for bit
+    s, step, block = _blocks_reference(y, a1, a3, h)
+    centre = jets = None
+
+    def evaluate(p, g, m, first):
+        nonlocal centre, jets
+        if first or not abs(m - centre) <= 2.0 ** -18 * centre:
+            centre, jets = m, [_taylor_reference(c, m) for c in (p, g)]
+        dm = m - centre
+        return tuple(complex(_horner_reference([c.real for c in jet], dm),
+                             _horner_reference([c.imag for c in jet], dm)) for jet in jets)
+    return _run_blocks_reference(y, s, step, block, n, evaluate)
+
+
+def _rk4_full_degree(y, a1, a3, h, n):
+    # the full-degree evaluation: each block's polynomials by Horner's scheme at every m,
+    # the reference for the error of the kernel's quadratics
+    s, step, block = _blocks_reference(y, a1, a3, h)
+
+    def evaluate(p, g, m, first):
+        return tuple(complex(_horner_reference([c.real for c in cs], m),
+                             _horner_reference([c.imag for c in cs], m)) for cs in (p, g))
+    return _run_blocks_reference(y, s, step, block, n, evaluate)
+
+
+def _turning_args(m, p0, n, angle):
+    # _rk4's arguments for n steps that each turn q or p by at most `angle` radians: the
+    # rotation rates are |Omega| for q and |b| for p
+    a1, a3 = 1.0 / m.i1, 1.0 / m.i3
+    rate = max(math.hypot(p0.p1 * a1, p0.p2 * a1, p0.p3 * a3), abs((a3 - a1) * p0.p3))
+    return (1.0, 0.0, 0.0, 0.0, p0.p1, p0.p2, p0.p3), a1, a3, angle / rate, n
+
+
+# 2003 steps in which p turns by 0.1 rad: RK4 shrinks |u|^2 by about 1.2e-7 a block, so
+# it leaves the window of 2**-18 about every 31 blocks, and the kernel takes 8 centres for
+# the 250 blocks and 1 for the 3 steps left
+_FAST_TURN = BergerMetric(1001.0, 1.0)
+_RECENTRING = (_FAST_TURN, initial_momentum(_FAST_TURN, 0.9, 0.4), 2003, 0.1)
+
+
+def _count_centres(monkeypatch) -> list:
+    # wraps geodesic._jet, which the kernel calls for P and then for G at each centre:
+    # one entry per centre, its m
+    centres = []
+    jet = geodesic._jet
+
+    def counted(c, m):
+        if len(c) % 2:  # P has odd length, G even
+            centres.append(m)
+        return jet(c, m)
+    monkeypatch.setattr(geodesic, "_jet", counted)
+    return centres
 
 
 def _rel_log_reference(base, other):
@@ -470,13 +545,15 @@ class TestExpMap:
                 args = (1.0 / m.i1, 1.0 / m.i3, h, n)
                 assert _rk4(y, *args) == _rk4_compact(y, *args)
 
+    def test_rk4_kernel_keeps_the_bits_of_the_compact_form_as_it_recentres(self, monkeypatch):
+        centres = _count_centres(monkeypatch)
+        args = _turning_args(*_RECENTRING)
+        assert _rk4(*args) == _rk4_compact(*args)
+        assert len(centres) == 9
+
     @staticmethod
     def _kernel_and_textbook(m, p0, n, angle):
-        # n steps that each turn q or p by at most `angle` radians: the rotation
-        # rates are |Omega| for q and |b| for p
-        a1, a3 = 1.0 / m.i1, 1.0 / m.i3
-        rate = max(math.hypot(p0.p1 * a1, p0.p2 * a1, p0.p3 * a3), abs((a3 - a1) * p0.p3))
-        args = ((1.0, 0.0, 0.0, 0.0, p0.p1, p0.p2, p0.p3), a1, a3, angle / rate, n)
+        args = _turning_args(m, p0, n, angle)
         return _rk4(*args), _rk4_textbook(*args)
 
     @settings(max_examples=40, deadline=None)
@@ -513,6 +590,55 @@ class TestExpMap:
         got, want = self._kernel_and_textbook(m, initial_momentum(m, pb, 0.7), 2000, 0.1)
         assert max(abs(a - b) for a, b in zip(got[:4], want[:4])) < 1e-12
 
+    # the quadratics about a centre against the full-degree evaluation: p is the same to the
+    # bit, as only q's update changes, and q within 1e-14.  Measured over 900 draws of the
+    # textbook test's domain, 900 with steps from 1e-4 to 0.2 rad (up to 250 centres) and the
+    # long runs: at most 6.2e-15, and 5.3e-15 on the long runs
+    @staticmethod
+    def _assert_within_the_full_degree_bound(args):
+        got, want = _rk4(*args), _rk4_full_degree(*args)
+        assert [math.isnan(a) for a in got] == [math.isnan(b) for b in want]
+        assert not any(abs(a - b) > 1e-14 for a, b in zip(got[:4], want[:4]))
+        assert [a for a in got[4:] if a == a] == [b for b in want[4:] if b == b]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([1000, 1001, 1003, 1007, 2000]),
+        i1=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+        eta=st.one_of(st.floats(-0.95, 1.0, exclude_min=True),
+                      st.floats(0.0, 8.0).map(lambda e: 10.0 ** e)),
+        pb=st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 1e-310]), st.floats(-1.0, 1.0)),
+        phi=st.floats(0.0, 2.0 * math.pi),
+        turns=st.floats(0.05, 1.0),
+    )
+    @example(n=1000, i1=1e-300, eta=0.0, pb=1.0, phi=0.0, turns=1.0)
+    def test_rk4_kernel_is_near_the_full_degree_form(self, n, i1, eta, pb, phi, turns):
+        m = BergerMetric(i1, i1 / (1.0 + eta))
+        p0 = initial_momentum(m, pb, phi)
+        self._assert_within_the_full_degree_bound(_turning_args(m, p0, n, turns * 2.0 * math.pi / n))
+
+    @pytest.mark.parametrize("eta,pb", [(-0.5, 0.3), (0.5, 0.3), (0.5, 0.6), (3.0, 0.3)])
+    def test_rk4_kernel_is_near_the_full_degree_form_over_long_runs(self, eta, pb):
+        m = BergerMetric(2.0, 2.0 / (1.0 + eta))
+        self._assert_within_the_full_degree_bound(_turning_args(m, initial_momentum(m, pb, 0.7), 2000, 0.1))
+
+    def test_rk4_kernel_is_near_the_full_degree_form_as_it_recentres(self, monkeypatch):
+        centres = _count_centres(monkeypatch)
+        self._assert_within_the_full_degree_bound(_turning_args(*_RECENTRING))
+        assert len(centres) == 9
+
+    @pytest.mark.parametrize("t,diverged", [(5e-9, False), (5.2e-9, True)])
+    def test_drift_check_caps_the_turn_per_step(self, t, diverged):
+        # the energy is nearly all equatorial, and in 2000 steps p turns by 0.0559 and
+        # 0.0581 rad a step, either side of the cap (72e-6/2000)^(1/6) = 0.057
+        m = BergerMetric(1e-12, 1.0)
+        p0 = initial_momentum(m, 0.999999999, 0.0)
+        if diverged:
+            with pytest.raises(NormalizationError, match="0.0581 rad per step"):
+                endpoint_state(m, p0, t, t / 2000.0)
+        else:
+            assert endpoint_state(m, p0, t, t / 2000.0).t == t
+
     def test_diverged_run_is_a_normalization_error(self):
         # RK4 at step 50 diverges to NaN; a NaN energy must fail the drift
         # test rather than reach UnitQuaternion's validation
@@ -537,6 +663,16 @@ class TestExpMap:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             exp_map(ROUND, Momentum(0.0, 0.0, 1.0), -1.0, 1e-4)
+
+    @pytest.mark.parametrize("step", [-1.0, math.nan, math.inf])
+    def test_rejects_an_invalid_step_at_zero_time(self, step):
+        with pytest.raises(DomainError, match="step"):
+            endpoint_state(ROUND, Momentum(0.0, 0.0, 1.0), 0.0, step)
+
+    def test_zero_step_only_at_zero_time(self):
+        assert endpoint_state(ROUND, Momentum(0.0, 0.0, 1.0), 0.0, 0.0).q == UnitQuaternion(1.0, 0.0, 0.0, 0.0)
+        with pytest.raises(DomainError, match="step"):
+            endpoint_state(ROUND, Momentum(0.0, 0.0, 1.0), 1.0, 0.0)
 
     def test_rejects_coarse_step(self):
         with pytest.raises(ValueError):
