@@ -670,9 +670,10 @@ class TestExpMap:
             endpoint_state(ROUND, Momentum(0.0, 0.0, 1.0), 0.0, step)
 
     def test_zero_step_only_at_zero_time(self):
-        assert endpoint_state(ROUND, Momentum(0.0, 0.0, 1.0), 0.0, 0.0).q == UnitQuaternion(1.0, 0.0, 0.0, 0.0)
+        p0 = Momentum(0.0, 0.0, 1.0)
+        assert endpoint_state(ROUND, p0, 0.0, 0.0).q == UnitQuaternion(1.0, 0.0, 0.0, 0.0)
         with pytest.raises(DomainError, match="step"):
-            endpoint_state(ROUND, Momentum(0.0, 0.0, 1.0), 1.0, 0.0)
+            endpoint_state(ROUND, p0, 1.0, 0.0)
 
     def test_rejects_coarse_step(self):
         with pytest.raises(ValueError):
