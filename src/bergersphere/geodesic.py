@@ -350,7 +350,7 @@ def endpoint_state(m: BergerMetric, p0: Momentum, t: float, step: float) -> Geod
     if t == 0.0:
         return GeodesicState(q=UnitQuaternion(1.0, 0.0, 0.0, 0.0), p=p0, t=0.0)
     if step > t / 1000.0:
-        raise ValueError(f"step {step!r} exceeds t/1000 = {t / 1000.0!r}")
+        raise DomainError(f"step {step!r} exceeds t/1000 = {t / 1000.0!r}")
     n = math.ceil(t / step)
     # in units of sqrt(i1): momenta and times over sqrt(i1), a1 = 1 and a3 = i1/i3
     r1, a3 = math.sqrt(m.i1), m.i1 / m.i3

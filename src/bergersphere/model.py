@@ -146,7 +146,7 @@ class Momentum:
         p1, p2, p3 = (math.ldexp(v, -k) for v in (self.p1, self.p2, self.p3))
         n = math.hypot(p1, p2, p3)
         if n == 0.0:
-            raise ValueError("the zero momentum has no axis fraction")
+            raise DomainError("the zero momentum has no axis fraction")
         # roundoff can push the quotient a few ulp past 1
         return _pbar3(min(1.0, max(-1.0, p3 / n)))
 

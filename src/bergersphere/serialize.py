@@ -2,15 +2,9 @@
 
 Floats are printed with 17 significant digits so that every value
 round-trips exactly and repeated runs produce byte-identical files.
-The JSON writer is a small recursive renderer rather than ``json.dumps``
-because the stdlib encoder offers no hook to control float formatting.
-It serves the small payloads (the diameter report, ``exp``).  Profile
-tables, thousands of cells each, are written by ``CutProfile`` to the
-same bytes.  A profile stores its solved half, the rows with
-``pbar3 >= 0``; each is written once through a ``%.17g`` row template,
-and the row at ``-pbar3`` is that text with the signs of ``pbar3`` and
-``dt_cut`` flipped, since ``'%.17g' % -x`` is ``'-' + '%.17g' % x`` for
-every finite float ``x >= +0.0``.
+``json.dumps`` writes every other JSON value, but the stdlib encoder has
+no hook for the digits of a float, so a small recursive renderer lays
+out dicts and lists and hands floats to ``fmt17``.
 """
 
 from __future__ import annotations
@@ -29,48 +23,22 @@ def fmt17(x: float) -> str:
     return format(x, ".17g")
 
 
-def _render(obj, level: int, out: list) -> None:
-    pad = "  " * (level + 1)  # two spaces per level
-    close_pad = "  " * level
+def _render(obj, pad: str) -> str:
+    # pad indents obj's closing bracket; its items sit two spaces deeper
+    if isinstance(obj, float):
+        return fmt17(obj)
+    inner = pad + "  "
     if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            out.append(pad)
-            out.append(json.dumps(str(key)))
-            out.append(": ")
-            _render(value, level + 1, out)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(close_pad + "}")
+        items, ends = [json.dumps(str(k)) + ": " + _render(v, inner) for k, v in obj.items()], "{}"
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(obj):
-            out.append(pad)
-            _render(value, level + 1, out)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(close_pad + "]")
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(repr(obj))
-    elif isinstance(obj, float):
-        out.append(fmt17(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        items, ends = [_render(v, inner) for v in obj], "[]"
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        return json.dumps(obj)  # str, int, bool, None; TypeError for anything else
+    if not items:
+        return ends
+    return ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + ends[1]
 
 
 def json_text(obj) -> str:
     """JSON indented by two spaces, with 17-significant-digit floats and a trailing newline."""
-    out: list = []
-    _render(obj, 0, out)
-    out.append("\n")
-    return "".join(out)
+    return _render(obj, "") + "\n"

@@ -10,6 +10,8 @@ import pytest
 import bergersphere
 from bergersphere import cli
 from bergersphere.cli import build_parser, main
+from bergersphere.geodesic import _flow, initial_momentum
+from bergersphere.model import BergerMetric
 from bergersphere.verify import CheckResult
 
 
@@ -199,6 +201,18 @@ class TestExpCommand:
                                     "--pbar3", "0.999999999", "--t", "1e-9"])
         assert code == 0
         assert json.loads(out)["drift"]["hamiltonian_rel"] < 1e-9
+
+    def test_turn_under_the_drift_cap_follows_the_exact_flow(self, capsys):
+        # p turns by 0.05 rad a step, under the drift check's cap of 0.057 rad at 2000 steps:
+        # the run passes, with its endpoint within 1e-9 of the exact flow
+        code, out, err = run(capsys, ["--i1", "1e-12", "--i3", "1", "exp",
+                                      "--pbar3", "0.999999999", "--t", "4.5e-9"])
+        assert code == 0, err
+        e = json.loads(out)["endpoint"]
+        m = BergerMetric(1e-12, 1.0)
+        p = initial_momentum(m, 0.999999999, 0.0)
+        q = _flow(m, (p.p1, p.p2, p.p3), 4.5e-9)[:4]
+        assert max(abs(a - b) for a, b in zip(q, (e["w"], e["x"], e["y"], e["z"]))) <= 1e-9
 
 
 class TestVerifyCommand:

@@ -393,6 +393,19 @@ class TestTableBytes:
             _assert_same_text(profile.to_csv(), _reference_csv(profile))
             _assert_same_text(profile.to_json(), _reference_json(profile))
 
+    @pytest.mark.parametrize("n", [1200, 1201])
+    def test_csv_rows_mirror_in_the_text(self, n):
+        # row k and row n-1-k of the CSV differ only by the signs of pbar3 and dt_cut,
+        # for odd n, with its unmirrored row at 0, and for even n
+        def neg(cell):
+            return cell[1:] if cell.startswith("-") else "-" + cell
+
+        text = sample_profile(BergerMetric(2.0, 1.0), n).to_csv()
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert len(rows) == n
+        assert all(q == [neg(r[0]), *r[1:4], neg(r[4])]
+                   for r, q in zip(rows, reversed(rows)) if r[0] != "0")
+
 
 def _changed(half, k, **cells):
     # the half with the named cells of its row k replaced

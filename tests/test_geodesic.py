@@ -676,7 +676,7 @@ class TestExpMap:
             endpoint_state(ROUND, p0, 1.0, 0.0)
 
     def test_rejects_coarse_step(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match=r"step 0\.002 exceeds t/1000 = 0\.001"):
             exp_map(ROUND, Momentum(0.0, 0.0, 1.0), 1.0, 0.002)
 
     def test_state_carries_time_and_momentum(self):

@@ -84,7 +84,7 @@ class TestMomentum:
         assert p.reduced() == pytest.approx(0.8)
 
     def test_reduced_rejects_zero(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="the zero momentum has no axis fraction"):
             Momentum(0.0, 0.0, 0.0).reduced()
 
     def test_reduced_clamps_rounding(self):

@@ -71,7 +71,7 @@ class TestTau3:
         assert tau3(1.0, 0.0) == pytest.approx(TAU_CONJ_1_0, abs=1e-11)
         big = 2.0 ** 54
         grid = np.geomspace(2.0 ** -52, 1.7e308, 2000).tolist()
-        for eta in grid + [math.nextafter(big, 0.0), big, math.nextafter(big, math.inf)]:
+        for eta in grid + [1.0, math.nextafter(big, 0.0), big, math.nextafter(big, math.inf)]:
             assert tau3(eta, 0.0) == tau3(eta, -0.0) == tau_conj(eta, 0.0), eta
 
     def test_zero_solves_as_the_conjugate_root(self):

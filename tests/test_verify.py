@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from bergersphere import verify
 from bergersphere.cutprofile import t_cut
 from bergersphere.model import BergerMetric
 from bergersphere.verify import FULL_CHECKS, QUICK_CHECKS, CheckResult, run_checks
@@ -63,3 +66,29 @@ class TestExtremeScales:
     def test_quick_near_float_max(self):
         failing = [r.name for r in run_checks(BergerMetric(1.7e308, 1e308)) if not r.passed]
         assert failing == []
+
+
+class TestFailureDetails:
+    # each check's failing return, forced by a stand-in for the function it checks
+    @pytest.mark.parametrize("stub,value,check,want", [
+        ("tau3", lambda eta, pb: 2.0, verify._check_tau3_monotone,
+         ("tau3-monotone-decreasing", "not decreasing at eta=0.1, pbar3=0.025")),
+        ("tau_conj", lambda eta, pb: 0.5 * math.pi, verify._check_tau_conj_range,
+         ("tau-conj-range", "out of range at eta=0.1, pbar3=0.0")),
+        ("tau_conj", lambda eta, pb: math.nextafter(math.pi, 0.0), verify._check_tau_conj_range,
+         ("tau-conj-range", "pbar3=1 not pi at eta=0.1")),
+    ])
+    def test_root_checks(self, monkeypatch, stub, value, check, want):
+        monkeypatch.setattr(verify, stub, value)
+        result = check(BergerMetric(3.0, 1.0))
+        assert (result.name, result.passed, result.detail) == (want[0], False, want[1])
+
+    @pytest.mark.parametrize("i1,i3,slope,detail", [
+        (3.0, 1.0, -1.0, "not rising at pbar3=0.025"),
+        (1.0, 2.0, -1.0, "not rising at pbar3=0.025 on stand-in i1=1, i3=0.5"),
+        (3.0, 1.0, 1.0, "not falling at pbar3=0.525"),
+    ])
+    def test_tcut_derivative_sign(self, monkeypatch, i1, i3, slope, detail):
+        monkeypatch.setattr(verify, "t_cut_derivative", lambda m, pb: slope)
+        result = verify._check_tcut_derivative_sign(BergerMetric(i1, i3))
+        assert (result.name, result.passed, result.detail) == ("tcut-derivative-sign", False, detail)
