@@ -169,7 +169,7 @@ class CutProfile:
         half = tuple(map(tuple, self.half))
         object.__setattr__(self, "half", half)
         if set(map(len, half)) != {len(_CELLS)}:
-            raise ValueError(f"a profile needs rows, each of the cells {CSV_HEADER}")
+            raise DomainError(f"a profile needs rows, each of the cells {CSV_HEADER}")
         pbar3, tau3, tau_conj, t_cut, dt_cut = zip(*half)
         zero = int(pbar3[0] == 0.0)  # the row at 0 has no derivative and no mirror
         if self.metric.eta() > 0.0:
@@ -177,18 +177,18 @@ class CutProfile:
         else:
             cells, absent = (), tau3 + tau_conj + dt_cut
         if absent.count(None) != len(absent):
-            raise ValueError("root cells must be None where undefined: "
-                             "all for eta <= 0, and dt_cut at pbar3 = 0")
+            raise DomainError("root cells must be None where undefined: "
+                              "all for eta <= 0, and dt_cut at pbar3 = 0")
         cells += pbar3 + t_cut
         if not (all(map(isinstance, cells, repeat(float))) and all(map(math.isfinite, cells))):
             bad = next(v for v in cells if not isinstance(v, float) or not math.isfinite(v))
-            raise ValueError(f"profile cell {bad!r} is not a finite float")
+            raise DomainError(f"profile cell {bad!r} is not a finite float")
         if not (0.0 <= pbar3[0] and pbar3[-1] == 1.0 and all(map(lt, pbar3, pbar3[1:]))):
-            raise ValueError("the half grid must increase strictly from pbar3 >= 0 to 1")
+            raise DomainError("the half grid must increase strictly from pbar3 >= 0 to 1")
         upper = 2.0 * math.pi * math.sqrt(self.metric.i1) * (1.0 + 1e-12)
         if not (0.0 < min(t_cut) and max(t_cut) <= upper):
             bad = next(t for t in t_cut if not 0.0 < t <= upper)
-            raise ValueError(f"cut time {bad!r} outside (0, 2*pi*sqrt(i1)]")
+            raise DomainError(f"cut time {bad!r} outside (0, 2*pi*sqrt(i1)]")
 
     @cached_property
     def rows(self) -> tuple:

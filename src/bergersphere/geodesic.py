@@ -99,7 +99,7 @@ class UnitQuaternion:
     def __post_init__(self) -> None:
         n = math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
         if not math.isfinite(n) or abs(n - 1.0) > 1e-9:
-            raise ValueError(f"quaternion norm {n!r} is not 1 within 1e-9")
+            raise DomainError(f"quaternion norm {n!r} is not 1 within 1e-9")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,15 @@ fixed shape-parameter grids plus profile and diameter invariants for the
 requested metric.  The full level adds the geodesic oracles, which
 integrate the flow and are therefore slower.  Every check reports a
 stable kebab-case name so failures can be cited precisely.
+
+Checks that read one grid share one pass over it and return a tuple of
+results, which ``run_checks`` flattens in place: the five root checks
+solve ``tau3`` and ``tau_conj`` once per point of the fixed grid, and the
+two ``tcut-*`` checks read one pass over ``pbar3``.  Each still reports
+its own first failure.  The sign of ``t_cut'`` is read on the metric's
+copy scaled by a power of two to ``i1`` near ``2**1000``, which keeps
+``eta`` to the bit: the slope scales with ``sqrt(i1)``, and at small
+scales it can round to zero, as at ``i1 = 1, i3 = 1e-300``.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from dataclasses import dataclass
 
 from .cutprofile import _arc_length, t_cut, t_cut_derivative
 from .diameter import _GAP_BUDGET, diameter_closed_form, diameter_report
+from .errors import DomainError
 from .geodesic import (
     _SEARCH_MARGIN,
     conjugate_time_numeric,
@@ -78,55 +88,40 @@ def _check_regime_scale_invariance(m: BergerMetric) -> CheckResult:
     return CheckResult("regime-scale-invariance", not bad, f"regime {base.value}")
 
 
-def _check_tau3_evenness(m: BergerMetric) -> CheckResult:
-    worst = 0.0
-    for eta in _ETA_GRID:
-        for pb in (0.2, 0.55, 0.9, 1.0):
-            worst = max(worst, abs(tau3(eta, pb) - tau3(eta, -pb)))
-    return CheckResult("tau3-evenness", worst <= 1e-11, f"max asymmetry {worst:.3e}")
-
-
-def _check_tau3_monotone(m: BergerMetric) -> CheckResult:
-    for eta in _ETA_GRID:
-        prev = tau3(eta, 0.0)
-        for pb in _PB_GRID:
-            cur = tau3(eta, pb)
-            if not cur < prev:
-                return CheckResult("tau3-monotone-decreasing", False,
-                                   f"not decreasing at eta={eta}, pbar3={pb}")
-            prev = cur
-    return CheckResult("tau3-monotone-decreasing", True,
-                       f"{len(_ETA_GRID)}x{len(_PB_GRID)} grid strict")
-
-
-def _check_tau3_below_tau_conj(m: BergerMetric) -> CheckResult:
+def _check_root_grid(m: BergerMetric) -> "tuple[CheckResult, ...]":
+    # each check reports its first failure in eta-major order with pbar3 rising;
+    # tau-conj-range checks the pole after each eta's row
+    asymmetry = residual = 0.0
     margin = math.inf
+    order_fault = range_fault = ""
     for eta in _ETA_GRID:
+        prev, tc = tau3(eta, 0.0), tau_conj(eta, 0.0)
+        if not (range_fault or 0.5 * math.pi < tc <= math.pi):
+            range_fault = f"out of range at eta={eta}, pbar3=0.0"
         for pb in _PB_GRID:
-            margin = min(margin, tau_conj(eta, pb) - tau3(eta, pb))
-    return CheckResult("tau3-below-tau-conj", margin > 0.0, f"min margin {margin:.3e}")
-
-
-def _check_tau_conj_range(m: BergerMetric) -> CheckResult:
-    for eta in _ETA_GRID:
-        for pb in (0.0,) + _PB_GRID:
-            v = tau_conj(eta, pb)
-            if not 0.5 * math.pi < v <= math.pi:
-                return CheckResult("tau-conj-range", False, f"out of range at eta={eta}, pbar3={pb}")
-        if tau_conj(eta, 1.0) != math.pi:
-            return CheckResult("tau-conj-range", False, f"pbar3=1 not pi at eta={eta}")
-    return CheckResult("tau-conj-range", True, "(pi/2, pi] on all grids, pi at the pole")
-
-
-def _check_tau3_residual(m: BergerMetric) -> CheckResult:
-    worst = 0.0
-    for eta in _ETA_GRID:
-        for pb in _PB_GRID:
-            t = tau3(eta, pb)
+            t, tc = tau3(eta, pb), tau_conj(eta, pb)
+            if pb in (0.2, 0.55, 0.9, 1.0):
+                asymmetry = max(asymmetry, abs(t - tau3(eta, -pb)))
+            if not (order_fault or t < prev):
+                order_fault = f"not decreasing at eta={eta}, pbar3={pb}"
+            prev = t
+            margin = min(margin, tc - t)
+            if not (range_fault or 0.5 * math.pi < tc <= math.pi):
+                range_fault = f"out of range at eta={eta}, pbar3={pb}"
             w = eta * pb
             res = abs(math.cos(t) * math.sin(w * t) + pb * math.sin(t) * math.cos(w * t))
-            worst = max(worst, res)
-    return CheckResult("tau3-equation-residual", worst < 1e-11, f"max residual {worst:.3e}")
+            residual = max(residual, res)
+        if not (range_fault or tc == math.pi):  # the last pbar3 of the grid is 1.0
+            range_fault = f"pbar3=1 not pi at eta={eta}"
+    return (
+        CheckResult("tau3-evenness", asymmetry <= 1e-11, f"max asymmetry {asymmetry:.3e}"),
+        CheckResult("tau3-monotone-decreasing", not order_fault,
+                    order_fault or f"{len(_ETA_GRID)}x{len(_PB_GRID)} grid strict"),
+        CheckResult("tau3-below-tau-conj", margin > 0.0, f"min margin {margin:.3e}"),
+        CheckResult("tau-conj-range", not range_fault,
+                    range_fault or "(pi/2, pi] on all grids, pi at the pole"),
+        CheckResult("tau3-equation-residual", residual < 1e-11, f"max residual {residual:.3e}"),
+    )
 
 
 def _check_tau3_derivative_fd(m: BergerMetric) -> CheckResult:
@@ -157,27 +152,26 @@ def _check_tcut_branch_continuity(m: BergerMetric) -> CheckResult:
                        f"max jump {worst:.3e} across eta=0")
 
 
-def _check_tcut_derivative_sign(m: BergerMetric) -> CheckResult:
+def _check_tcut_grid(m: BergerMetric) -> "tuple[CheckResult, CheckResult]":
     mm, on = _metric_with_positive_eta(m)
     eta = mm.eta()
     split = min(1.0, 1.0 / eta)
+    k = 1000 - math.frexp(mm.i1)[1]
+    big = BergerMetric(math.ldexp(mm.i1, k), math.ldexp(mm.i3, k))
+    sign_fault, gaps = "", []
     for pb in _PB_GRID:
-        d = t_cut_derivative(mm, pb)
-        want_positive = pb < split - 1e-9
-        if want_positive and d <= 0.0:
-            return CheckResult("tcut-derivative-sign", False, f"not rising at pbar3={pb}{on}")
-        if pb > split + 1e-9 and d >= 0.0:
-            return CheckResult("tcut-derivative-sign", False, f"not falling at pbar3={pb}{on}")
-    return CheckResult("tcut-derivative-sign", True,
-                       f"rises below {split:.4g}, falls above (eta={eta:.4g}){on}")
-
-
-def _check_tcut_below_conjugate(m: BergerMetric) -> CheckResult:
-    mm, on = _metric_with_positive_eta(m)
-    eta = mm.eta()
-    margin = min(_arc_length(mm, pb, tau_conj(eta, pb)) - t_cut(mm, pb)
-                 for pb in _PB_GRID)
-    return CheckResult("tcut-below-conjugate-time", margin > 0.0, f"min margin {margin:.3e}{on}")
+        d = t_cut_derivative(big, pb)
+        if not sign_fault and pb < split - 1e-9 and d <= 0.0:
+            sign_fault = f"not rising at pbar3={pb}{on}"
+        elif not sign_fault and pb > split + 1e-9 and d >= 0.0:
+            sign_fault = f"not falling at pbar3={pb}{on}"
+        gaps.append(_arc_length(mm, pb, tau_conj(eta, pb)) - t_cut(mm, pb))
+    margin = min(gaps)
+    return (
+        CheckResult("tcut-derivative-sign", not sign_fault,
+                    sign_fault or f"rises below {split:.4g}, falls above (eta={eta:.4g}){on}"),
+        CheckResult("tcut-below-conjugate-time", margin > 0.0, f"min margin {margin:.3e}{on}"),
+    )
 
 
 def _check_diameter_agreement(m: BergerMetric) -> CheckResult:
@@ -245,7 +239,7 @@ def _check_conjugate_agreement(m: BergerMetric) -> CheckResult:
         expected = _arc_length(mm, pb, tau_conj(eta, pb))
         got = conjugate_time_numeric(mm, pb, 1.02 * _arc_length(mm, pb, math.pi))
         worst = max(worst, abs(got - expected) / expected)
-    return CheckResult("geodesic-conjugate-agreement", worst < 1e-3, f"max rel dev {worst:.3e}{on}")
+    return CheckResult("geodesic-conjugate-agreement", worst < 1e-12, f"max rel dev {worst:.3e}{on}")
 
 
 def _check_cut_sandwich(m: BergerMetric) -> CheckResult:
@@ -267,16 +261,11 @@ QUICK_CHECKS = (
     _check_eta_scale_invariance,
     _check_momentum_norm_bracket,
     _check_regime_scale_invariance,
-    _check_tau3_evenness,
-    _check_tau3_monotone,
-    _check_tau3_below_tau_conj,
-    _check_tau_conj_range,
-    _check_tau3_residual,
+    _check_root_grid,
     _check_tau3_derivative_fd,
     _check_tcut_evenness,
     _check_tcut_branch_continuity,
-    _check_tcut_derivative_sign,
-    _check_tcut_below_conjugate,
+    _check_tcut_grid,
     _check_diameter_agreement,
     _check_diameter_bounds,
     _check_diameter_scale_covariance,
@@ -294,6 +283,9 @@ FULL_CHECKS = QUICK_CHECKS + (
 def run_checks(m: BergerMetric, level: str = "quick") -> "list[CheckResult]":
     """Run the named suite for ``m``; level is ``quick`` or ``full``."""
     if level not in ("quick", "full"):
-        raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
-    checks = QUICK_CHECKS if level == "quick" else FULL_CHECKS
-    return [check(m) for check in checks]
+        raise DomainError(f"level must be 'quick' or 'full', got {level!r}")
+    results = []
+    for check in QUICK_CHECKS if level == "quick" else FULL_CHECKS:
+        result = check(m)  # a check over a shared grid returns a tuple of results
+        results.extend(result if isinstance(result, tuple) else (result,))
+    return results

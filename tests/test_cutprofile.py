@@ -432,7 +432,7 @@ class TestHalf:
                                       (0.0, 0.75, 0.5, 1.0), (0.0, 0.5, 0.5, 1.0), (0.0, 1.0, 1.0)])
     def test_grid_rises_strictly_to_one(self, grid):
         half = tuple((pb, None, None, 2.0 * math.pi, None) for pb in grid)
-        with pytest.raises(ValueError, match="cells|increase strictly"):
+        with pytest.raises(DomainError, match="cells|increase strictly"):
             CutProfile(metric=BergerMetric(1.0, 1.0), half=half)
 
     def test_the_least_grid(self):
@@ -443,7 +443,7 @@ class TestHalf:
     @pytest.mark.parametrize("t", [0.0, -0.0, -1.0, 2.0 * math.pi * math.sqrt(3.0) * (1.0 + 1e-9), 1e300])
     def test_cut_time_in_range(self, t):
         profile = sample_profile(BergerMetric(3.0, 1.0), 5)
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(DomainError, match="outside"):
             CutProfile(metric=profile.metric, half=_changed(profile.half, 1, t_cut=t))
 
     @pytest.mark.parametrize("i1,k,cells,message", [
@@ -456,7 +456,7 @@ class TestHalf:
     ])
     def test_root_cells_absent_exactly_where_undefined(self, i1, k, cells, message):
         profile = sample_profile(BergerMetric(i1, 1.0), 5)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(DomainError, match=message):
             CutProfile(metric=profile.metric, half=_changed(profile.half, k, **cells))
 
     @pytest.mark.parametrize("cell,value", [("pbar3", 1), ("tau3", 2), ("t_cut", 3),
@@ -464,14 +464,14 @@ class TestHalf:
     def test_cells_are_floats(self, cell, value):
         # the mirror of an int 0 would be written -0
         profile = sample_profile(BergerMetric(3.0, 1.0), 5)
-        with pytest.raises(ValueError, match="not a finite float"):
+        with pytest.raises(DomainError, match="not a finite float"):
             CutProfile(metric=profile.metric, half=_changed(profile.half, 2, **{cell: value}))
 
     def test_rows_of_the_wrong_length(self):
         profile = sample_profile(BergerMetric(3.0, 1.0), 5)
         half = list(profile.half)
         half[1] = half[1][:4]
-        with pytest.raises(ValueError, match="cells"):
+        with pytest.raises(DomainError, match="cells"):
             CutProfile(metric=profile.metric, half=half)
 
 
@@ -480,5 +480,5 @@ class TestNonFiniteCellsRefused:
     @pytest.mark.parametrize("cell", ["tau3", "tau_conj", "dt_cut", "t_cut", "pbar3"])
     def test_refused_at_construction(self, cell, value):
         profile = sample_profile(BergerMetric(3.0, 1.0), 5)
-        with pytest.raises(ValueError, match="not a finite float"):
+        with pytest.raises(DomainError, match="not a finite float"):
             CutProfile(metric=profile.metric, half=_changed(profile.half, 1, **{cell: value}))

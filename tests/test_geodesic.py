@@ -396,7 +396,8 @@ def _shortest_preimage_by_scan(m, p0, t, n=4001):
 
 class TestUnitQuaternion:
     def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError,
+                           match=r"quaternion norm 1\.4142135623730951 is not 1 within 1e-9"):
             UnitQuaternion(1.0, 1.0, 0.0, 0.0)
 
 
