@@ -15,14 +15,15 @@ the round-case calibration: for ``i1 = i3 = I`` the flow must reach
 The module solves this system two ways:
 
 * ``exp_map`` and ``endpoint_state`` integrate the joint system with
-  fixed-step classical RK4 in units of ``sqrt(i1)``.  For ``i1 = i2`` the
-  steps are taken in blocks of 8, each composed exactly from the textbook
-  step into one polynomial in ``m = |p1 + i*p2|^2/|p|^2``, one quaternion
-  product and one renormalization.  ``m`` moves only by rounding and by
-  RK4's slow shrinking of the turning ``p``, so each block evaluates the
-  polynomial as a quadratic about a centre, taken afresh where ``m`` leaves
-  a window of ``2**-18`` relative (see ``_rk4``).  The drift in the
-  conserved quantities is this reference integrator's error estimate.
+  fixed-step classical RK4 in units of ``sqrt(i1)``.  For ``i1 = i2`` a
+  block of steps composes exactly from the textbook step into polynomials
+  in ``m = |p1 + i*p2|^2/|p|^2``, taken as one quaternion product and one
+  renormalization.  ``m`` moves only by rounding and by RK4's slow
+  shrinking of the turning ``p``, so the blocks of 1, 2, 4, ... steps are
+  kept as quadratic jets at a centre, each doubled from the one before, and
+  a run takes one block per set bit of its step count (see ``_rk4``).  The
+  drift in the conserved quantities is this reference integrator's error
+  estimate.
 * ``conjugate_time_numeric`` and ``shorter_path_search`` use the exact
   flow.  With ``i1 = i2`` the system is the free symmetric top, whose
   solution is a product of two one-parameter subgroups (see ``_flow``);
@@ -83,8 +84,8 @@ _H_LEVEL_TOL = 1e-10     # admissible deviation of H(p0) from 1/2
 _H_DRIFT_TOL = 1e-6      # relative drift of H that aborts an integration
 _CONJ_GRID_N = 400       # sign-scan resolution for the determinant
 _SEARCH_MARGIN = 1e-4    # required arrival-time advantage, relative to t
-_BLOCK = 8               # RK4 steps that _rk4 composes exactly into one
-_WINDOW = 2.0 ** -18     # reach of _rk4's quadratics about their centre, relative to it
+_WINDOW = 2.0 ** -20     # reach of _rk4's quadratics about their centre, relative, times L*theta_eq
+_SHRINK = 2.0 ** -30     # the most a block of more than 8 steps may shrink |u|^2 by, relative
 
 
 @dataclass(frozen=True)
@@ -134,49 +135,50 @@ def _identity_step(c1s: float, w3: float, b: float, h: float, k: float) -> tuple
     return tuple(h / 6.0 * (a + 2.0 * (b2 + c3) + d) for a, b2, c3, d in zip(*stages))
 
 
-def _convolve(a: list, b: list) -> list:
-    """Coefficients of the product of the polynomials with coefficients ``a`` and ``b``."""
-    out = [0j] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b, i):
-            out[j] += x * y
-    return out
+def _double(p0: complex, p1: complex, p2: complex, g0: complex, g1: complex, g2: complex,
+            r: complex, mc: float) -> tuple:
+    """Jets at ``mc`` of ``_rk4``'s ``(P, G)`` for the block with jets ``(p*, g*)`` and ``r`` taken twice.
 
-
-def _double(p: list, g: list, r: complex) -> tuple:
-    """``(P, G, R)`` of ``_rk4`` for the block ``(p, g, r)`` taken twice.
-
-    Block ``a`` then block ``b`` is ``q*(1 + E_a(u))*(1 + E_b(lam*u))`` with
-    ``lam = 1 + R_a``.  With ``mu = |lam|^2``, ``P_b'(m) = P_b(mu*m)`` and
-    ``H(m) = G_b(mu*m)*lam``, the product is ``P = P_a + P_b' + P_a*P_b' - m*G_a*conj(H)``,
-    ``G = G_a + (1 + P_a)*H + G_a*conj(P_b')`` and ``R = R_a + R_b + R_a*R_b``.
+    A jet is ``(c(mc), c'(mc), c''(mc)/2)``.  Block ``a`` then block ``b`` is
+    ``q*(1 + E_a(u))*(1 + E_b(lam*u))`` with ``lam = 1 + r``.  With ``mu = |lam|^2``,
+    ``P_b'(m) = P_b(mu*m)`` and ``H(m) = G_b(mu*m)*lam``, the product is
+    ``P = P_a + P_b' + P_a*P_b' - m*G_a*conj(H)`` and
+    ``G = G_a + (1 + P_a)*H + G_a*conj(P_b')``.  ``mu*m = mc + d + mu*(m - mc)``
+    with ``d = (mu - 1)*mc``, so ``P_b'`` is the jet moved to ``mc + d`` and
+    scaled by ``mu`` and ``mu^2``; products drop their terms past ``(m - mc)^2``.
     """
     lam = 1.0 + r
-    mu = lam.real * lam.real + lam.imag * lam.imag
-    w = [1.0]
-    for _ in g:
-        w.append(w[-1] * mu)
-    ps = [c * x for c, x in zip(p, w)]
-    h = [c * x * lam for c, x in zip(g, w)]
-    pp, gh = _convolve(p, ps), _convolve(g, [c.conjugate() for c in h])
-    ph, gp = _convolve([1.0 + p[0]] + p[1:], h), _convolve(g, [c.conjugate() for c in ps])
-    pad = [0j] * len(g)
-    return ([a + b + c - d for a, b, c, d in zip(p + pad, ps + pad, pp, [0j] + gh + [0j])],
-            [a + b + c for a, b, c in zip(g + pad, ph, gp)], r + r + r * r)
+    e = r.real * (2.0 + r.real) + r.imag * r.imag  # mu - 1, without cancelling
+    mu = 1.0 + e
+    mu2, d = mu * mu, e * mc
+    t = p1 + d * p2
+    s0, s1, s2 = p0 + d * t, (t + d * p2) * mu, p2 * mu2
+    t = g1 + d * g2
+    h0, h1, h2 = (g0 + d * t) * lam, (t + d * g2) * mu * lam, g2 * mu2 * lam
+    c0, c1, c2 = h0.conjugate(), h1.conjugate(), h2.conjugate()
+    k0, k1, k2 = g0 * c0, g0 * c1 + g1 * c0, g0 * c2 + g1 * c1 + g2 * c0  # G_a*conj(H)
+    c0, c1, c2 = s0.conjugate(), s1.conjugate(), s2.conjugate()
+    a = 1.0 + p0
+    return (p0 + s0 + p0 * s0 - mc * k0,
+            p1 + s1 + (p0 * s1 + p1 * s0) - (mc * k1 + k0),
+            p2 + s2 + (p0 * s2 + p1 * s1 + p2 * s0) - (mc * k2 + k1),
+            g0 + a * h0 + g0 * c0,
+            g1 + (a * h1 + p1 * h0) + (g0 * c1 + g1 * c0),
+            g2 + (a * h2 + p1 * h1 + p2 * h0) + (g0 * c2 + g1 * c1 + g2 * c0))
 
 
-def _jet(c: list, m: float) -> tuple:
-    """``(c(m), c'(m), c''(m)/2)`` of the polynomial with coefficients ``c``, by Horner's scheme."""
-    v, d, s = c[-1], 0j, 0j
-    for x in reversed(c[:-1]):
-        s = d + m * s
-        d = v + m * d
-        v = x + m * v
-    return v, d, s
+def _ladder(c: tuple, rs: list, top: int, mc: float) -> list:
+    """Jets at ``mc`` of the blocks of ``1, 2, ..., 2**top`` steps; ``c`` holds the step's ``P`` and ``G``."""
+    c0, c1, c2, d0, d1 = c
+    t = c1 + mc * c2  # the step's polynomials moved to mc by synthetic division
+    jets = [(c0 + mc * t, t + mc * c2, c2, d0 + mc * d1, d1, 0j)]
+    for r in rs[:top]:
+        jets.append(_double(*jets[-1], r, mc))
+    return jets
 
 
 def _rk4(y: tuple, a1: float, a3: float, h: float, n: int) -> tuple:
-    """n fixed classical RK4 steps of the joint flow, taken in exactly composed blocks of 8.
+    """n fixed classical RK4 steps of the joint flow, taken in about log2(n) exactly composed blocks.
 
     ``y = (qw, qx, qy, qz, p1, p2, p3)``, ``a1 = 1/i1``, ``a3 = 1/i3``.  For
     ``i1 = i2`` and ``u = (p1, p2)/|p0|``, ``dq = q*(0, c1s*u1, c1s*u2, w3)``
@@ -191,29 +193,58 @@ def _rk4(y: tuple, a1: float, a3: float, h: float, n: int) -> tuple:
     Their coefficients come from the textbook step at ``u = 0, e1, 2*e1``
     (``_identity_step``), never from the exact flow.
 
-    ``L`` steps have the same shape, with ``P`` of degree ``2L`` and ``G`` of
-    degree ``2L - 1``: three exact doublings (``_double``) give the block of
-    ``_BLOCK = 8`` steps, taken as one evaluation, one quaternion product and
-    one renormalization, as the norm is multiplicative.  The ``n mod 8``
-    remaining steps take the same loop body with the step's polynomials.
+    Ladder.  ``L`` steps have the same shape, with ``P`` of degree ``2L``, ``G``
+    of degree ``2L - 1`` and ``R_2L = 2*R_L + R_L^2``.  ``m`` is constant along
+    the exact flow and moves here only by rounding and by RK4's modulus error
+    for the turn of ``u``: a block shrinks it by the known factor
+    ``mu = |1 + R_L|^2``, about ``1 - L*(b*h)^6/72``.  So the blocks of 1, 2,
+    4, ... steps are kept only as jets ``(c(m_c), c'(m_c), c''(m_c)/2)`` at a
+    centre ``m_c``: the step's from its coefficients, each next one by
+    ``_double``, exact but for the terms past ``(m - m_c)^2``.  The ladder
+    goes past 8 steps only while a block shrinks ``m`` by at most
+    ``_SHRINK = 2**-30``, and up to the top bit of ``n``.  A run takes its
+    largest block ``n // L`` times, then one block per set bit of the rest,
+    largest first, each as one evaluation of the jets at ``dm = m - m_c``,
+    one quaternion product and one renormalization, as the norm is
+    multiplicative: 2000 steps that barely shrink ``m`` take 10 doublings and
+    6 blocks.
 
-    ``m`` is constant along the exact flow; here it moves only by rounding
-    and by RK4's modulus error for the turn of ``u``, about ``(b*h)^6/72`` a
-    step.  So each block evaluates ``P`` and ``G`` as quadratics in
-    ``dm = m - m_c``, from their jets at a centre ``m_c`` (``_jet``): the
-    ``m`` of each polynomial's first block, taken afresh wherever
-    ``|dm| <= _WINDOW*m_c`` fails (a NaN ``m`` too, so divergence stays NaN).
-    At a centre the value is Horner's, bit for bit.  The dropped terms,
-    ``m_c^3*P3*(dm/m_c)^3`` and smaller with ``P3`` the third Taylor
-    coefficient, stay below 2e-20 a block for steps up to 0.2 rad, where
-    ``|m_c^3*P3| <= 3.5e-4``.  Against the full-degree evaluation ``p``
-    agrees to the bit and ``q`` within 6.2e-15 (steps from 1e-4 to 0.2 rad,
-    up to 250 centres); against the textbook step, one turn in 1000 to 2000
-    steps over ``i1`` from 1e-300 to 1e300 within 5.9e-15 and 32 turns in
-    2000 steps within 1.5e-13 (step by step: 6.8e-15, 1.3e-13).  A centre
-    costs about six blocks, so where ``p`` turns by more than about 0.12 rad
-    a step, and leaves the window within ten blocks, a run takes longer
-    than the full-degree evaluation would.
+    Window.  ``m`` enters a step only through the turn of ``q``'s
+    equatorial part, ``theta_eq = h*a1*|p0|*sqrt(m)``.  A block of ``L``
+    steps evaluates its jets only where ``|dm| <= w*m_c``, with
+    ``w = min(1, _WINDOW/(L*theta_eq))``, ``_WINDOW = 2**-20`` and
+    ``theta_eq`` taken at the ``m`` that placed the centre.  Elsewhere, a NaN
+    ``m`` too, so that divergence stays NaN, the ladder is rebuilt at a new
+    centre, placed ahead along the drift: at the midpoint of ``m`` and
+    ``m*mu^k``, with ``k`` the blocks of this size still to come after this
+    one, or as far down as puts ``m`` at the window's top.  Where ``p`` turns
+    fast about a mostly axial momentum, ``theta_eq`` is small and one centre
+    holds the run: at ``BergerMetric(1001, 1)``, ``pbar3 = 0.9``, 2000 steps
+    of up to 0.2 rad take one, where a window of ``2**-18`` centred on ``m``
+    takes 250.
+
+    Bound.  A block drops ``m_c^3*P3*(dm/m_c)^3`` and smaller terms, with
+    ``P3`` the third Taylor coefficient of ``P`` at ``m_c``, and the same of
+    ``G*u``.  Continued to complex ``m = m_c*(1 + z)``, each of the block's
+    ``L`` step factors moves from its value at ``z = 0``, a near-unit
+    quaternion, by ``O(theta_eq*|z|)``; so the block stays bounded on
+    ``|z| = 1/(L*theta_eq)``, and by Cauchy's estimate
+    ``|m_c^k*P_k| <= C_k*(L*theta_eq)^k``.  Measured with jets of order 6
+    over 4 500 draws (steps of up to 0.2 rad, ``eta`` from -0.95 to 1e8,
+    ``pbar3`` up to 1e-12 from the axis, ``L`` up to 2048): ``C_3 <= 3.0e-3``
+    (2.99e-3 at most, on the equator, from ``L = 64`` on), ``C_4 <= 2e-4``
+    and ``C_5 <= 1e-5``.  As ``L*theta_eq*|dm|/m_c <= 2**-20``, a block
+    drops at most ``3.0e-3*2**-60 = 2.6e-21``; the terms at the window's
+    edge, summed to order 6 over 2 000 more draws with ``eta`` up to 1e300,
+    reached 2.58e-21.  A doubling moves its jets by ``d = (mu - 1)*m_c``
+    and drops ``3*P3*d*dm^2`` and smaller: past 8 steps ``|d| <= 2**-30*m_c``,
+    below ``2e-24*L*theta_eq``, and up to 8 steps of 0.2 rad
+    ``|d| <= 3.6e-6*m_c`` with ``C_3 <= 1.1e-5`` at 4 steps, below 1e-22.
+    Against the same ladder with jets of order 6 (in the tests) ``p`` is the
+    same to the bit and ``q`` was too in 1 800 runs (steps from 1e-4 to 0.2
+    rad, up to 63 centres); against the textbook step, one turn in 1000 to
+    2000 steps over ``i1`` from 1e-300 to 1e300 agrees within 6.0e-15 and 32
+    turns in 2000 steps within 1.7e-13.
     """
     qw, qx, qy, qz, p1, p2, p3 = y
     s = math.hypot(p1, p2, p3)
@@ -224,19 +255,40 @@ def _rk4(y: tuple, a1: float, a3: float, h: float, n: int) -> tuple:
     v0, v1, v2 = (complex(a[0], a[3]) for a in (at0, at1, at2))
     f1, f2 = complex(at1[1], at1[2]), complex(at2[1], at2[2])
     c2, c1 = (v2 - v0 - 4.0 * (v1 - v0)) / 12.0, (0.5 * f2 - f1) / 3.0
-    step = block = ([v0, v1 - v0 - c2, c2], [f1 - c1, c1], complex(*at1[4:]))
-    for _ in range(_BLOCK.bit_length() - 1):
-        block = _double(*block)
-    for count, (p, g, r) in ((n // _BLOCK, block), (n % _BLOCK, step)):
-        r0, r1 = r.real, r.imag
-        mc = win = math.nan  # no centre yet: the first block takes one
-        for _ in range(count):
+    step, r = (v0, v1 - v0 - c2, c2, f1 - c1, c1), complex(*at1[4:])
+    rs, mus = [], []  # R and |1 + R|^2 of the blocks of 1, 2, 4, ... steps
+    while True:
+        e = r.real * (2.0 + r.real) + r.imag * r.imag  # |1 + R|^2 - 1, without cancelling
+        if len(rs) > 3 and not abs(e) <= _SHRINK:  # past 8 steps, only while m barely shrinks
+            break
+        rs.append(r); mus.append(1.0 + e)
+        if 1 << len(rs) > n:
+            break
+        r = r + r + r * r
+    top = len(rs) - 1
+    eq = h * a1 * s  # the turn of q's equatorial part in one step, over |u|
+    mc = teq = math.nan  # no centre yet: the first block takes one
+    jets = None
+    for j, count in ((top, n >> top), *((j, 1) for j in range(top - 1, -1, -1) if n >> j & 1)):
+        r0, r1, mu = rs[j].real, rs[j].imag, mus[j]
+        w = _WINDOW / max(_WINDOW, teq * (1 << j))
+        win = w * mc
+        if jets:  # the centre's ladder holds this block too
+            (e0, z0), (e1, z1), (e2, z2), (g0, k0), (g1, k1), (g2, k2) = (
+                (c.real, c.imag) for c in jets[j])
+        for i in range(count, 0, -1):
             m = u1 * u1 + u2 * u2
             dm = m - mc
             if not abs(dm) <= win:  # also where m is NaN, so a divergent run stays NaN
-                (e0, z0), (e1, z1), (e2, z2) = ((c.real, c.imag) for c in _jet(p, m))
-                (g0, k0), (g1, k1), (g2, k2) = ((c.real, c.imag) for c in _jet(g, m))
-                mc, win, dm = m, _WINDOW * m, 0.0
+                teq = eq * math.sqrt(m)
+                w = _WINDOW / max(_WINDOW, teq * (1 << j))
+                # ahead along the drift: the midpoint of m and the m of the last of the i blocks
+                # left that the window can hold, as m shrinks by mu a block
+                nu = max((1.0 - w) / (1.0 + w), mu ** (i - 1)) if mu < 1.0 else 1.0
+                mc = m * (0.5 + 0.5 * nu)
+                win, dm, jets = w * mc, m - mc, _ladder(step, rs, j, mc)
+                (e0, z0), (e1, z1), (e2, z2), (g0, k0), (g1, k1), (g2, k2) = (
+                    (c.real, c.imag) for c in jets[j])
             d0 = e0 + dm * (e1 + dm * e2)
             dz = z0 + dm * (z1 + dm * z2)
             al = g0 + dm * (g1 + dm * g2)

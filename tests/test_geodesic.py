@@ -78,43 +78,6 @@ def _q_times_reference(a, b):
             a[0] * b[3] + a[1] * b[2] - a[2] * b[1] + a[3] * b[0])
 
 
-def _convolve_reference(a, b):
-    # the product of two polynomials, each coefficient summed in ascending powers of a
-    out = []
-    for k in range(len(a) + len(b) - 1):
-        acc = 0j
-        for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1):
-            acc += a[i] * b[k - i]
-        out.append(acc)
-    return out
-
-
-def _compose_reference(a, b):
-    # block a, then block b from u*(1 + R_a): the composition rule of _double's docstring,
-    # with polynomials as lists of complex coefficients in ascending powers of m
-    (pa, ga, ra), (pb, gb, rb) = a, b
-    lam = 1.0 + ra
-    mu = lam.real * lam.real + lam.imag * lam.imag
-
-    def at_mu_m(c):  # the coefficients of c(mu*m)
-        out, w = [], 1.0
-        for x in c:
-            out.append(x * w)
-            w *= mu
-        return out
-
-    pb, h = at_mu_m(pb), [x * lam for x in at_mu_m(gb)]
-    n = len(pa) + len(pb) - 1
-    pad = lambda c: c + [0j] * (n - len(c))
-    m_gh = [0j] + _convolve_reference(ga, [x.conjugate() for x in h])  # m*G_a*conj(H)
-    p = [x + y + z - w for x, y, z, w in
-         zip(pad(pa), pad(pb), _convolve_reference(pa, pb), pad(m_gh))]
-    g = [x + y + z for x, y, z in zip(pad(ga)[:n - 1],
-                                      _convolve_reference([1.0 + pa[0]] + pa[1:], h),
-                                      _convolve_reference(ga, [x.conjugate() for x in pb]))]
-    return p, g, ra + rb + ra * rb
-
-
 def _horner_reference(c, m):
     acc = c[-1]
     for x in reversed(c[:-1]):
@@ -122,9 +85,58 @@ def _horner_reference(c, m):
     return acc
 
 
-def _blocks_reference(y, a1, a3, h):
-    # |p0| and the step and block polynomials (P, G, R) of the kernel, with one
-    # composition per doubling
+def _taylor_reference(c, d, order):
+    # the coefficients of 1, x, ..., x^order in c(d + x), by repeated synthetic division by
+    # (x - d): the remainder is the value and the quotient's coefficients are the partial
+    # values of Horner's scheme
+    out = []
+    for _ in range(order + 1):
+        partial = [c[-1]]
+        for x in reversed(c[:-1]):
+            partial.append(x + d * partial[-1])
+        out.append(partial[-1])
+        c = partial[-2::-1] or [0j]
+    return out
+
+
+def _jet_product(a, b):
+    # the product of two jets of the same order, truncated there, each coefficient summed
+    # in ascending powers of a
+    out = []
+    for k in range(len(a)):
+        acc = a[0] * b[k]
+        for i in range(1, k + 1):
+            acc += a[i] * b[k - i]
+        out.append(acc)
+    return out
+
+
+def _double_reference(pa, ga, r, mc):
+    # the jets at mc of the block (pa, ga, r) taken twice, by the composition rule of
+    # _double's docstring; jets are lists of complex Taylor coefficients about mc
+    lam = 1.0 + r
+    e = r.real * (2.0 + r.real) + r.imag * r.imag  # mu - 1
+    mu, d = 1.0 + e, e * mc
+
+    def at_mu_m(c):  # the jet of c(mu*m) = c(mc + d + mu*(m - mc))
+        out, w = [], 1.0
+        for i, x in enumerate(_taylor_reference(c, d, len(c) - 1)):
+            if i:
+                w *= mu
+            out.append(x * w if i else x)
+        return out
+
+    pb, h = at_mu_m(pa), [x * lam for x in at_mu_m(ga)]
+    gh = _jet_product(ga, [x.conjugate() for x in h])
+    m_gh = [mc * gh[0]] + [mc * x + y for x, y in zip(gh[1:], gh)]  # m*G_a*conj(H)
+    p = [w + x + y - z for w, x, y, z in zip(pa, pb, _jet_product(pa, pb), m_gh)]
+    g = [x + y + z for x, y, z in zip(ga, _jet_product([1.0 + pa[0]] + pa[1:], h),
+                                      _jet_product(ga, [x.conjugate() for x in pb]))]
+    return p, g
+
+
+def _step_reference(y, a1, a3, h):
+    # |p0|, and the step's P and G, as coefficients in ascending powers of m, and R
     s = math.hypot(*y[4:])
     at = [_identity_step(0.5 * a1 * s, 0.5 * a3 * y[6], (a3 - a1) * y[6], h, k)
           for k in (0.0, 1.0, 2.0)]
@@ -137,71 +149,74 @@ def _blocks_reference(y, a1, a3, h):
         c1 = (0.5 * at[2][i] - at[1][i]) / 3.0
         return at[1][i] - c1, c1
 
-    step = ([complex(*c) for c in zip(quadratic(0), quadratic(3))],
+    return (s, [complex(*c) for c in zip(quadratic(0), quadratic(3))],
             [complex(*c) for c in zip(line(1), line(2))], complex(*at[1][4:]))
-    block = step
-    for _ in range(3):
-        block = _compose_reference(block, block)
-    return s, step, block
 
 
-def _taylor_reference(c, m):
-    # the coefficients of 1, dm and dm^2 in c(m + dm), by repeated synthetic division by
-    # (x - m): the remainder is the value and the quotient's coefficients are the
-    # partial values of Horner's scheme
-    out = []
-    for _ in range(3):
-        partial = [c[-1]]
-        for x in reversed(c[:-1]):
-            partial.append(x + m * partial[-1])
-        out.append(partial[-1])
-        c = partial[-2::-1] or [0j]
-    return out
+def _shrink_reference(r):
+    # 1 - |1 + r|^2, by which a block shrinks |u|^2, relative
+    return -(r.real * (2.0 + r.real) + r.imag * r.imag)
 
 
-def _run_blocks_reference(y, s, step, block, n, evaluate):
-    # n steps as n // 8 blocks and n % 8 steps, with lists for q and u; evaluate(p, g, m, first)
-    # gives (P(m), G(m)) for the block polynomials (p, g), first on a run's first block
+def _rk4_ladder(y, a1, a3, h, n, order):
+    # the kernel's ladder with jets of the given order, lists for q and u and one list of the
+    # blocks taken: R of the blocks of 1, 2, 4, ... steps, doubled past 8 only while a block
+    # shrinks |u|^2 by at most 2**-30; the largest block n // L times, then one block per
+    # set bit of n mod L, largest first.  Each block evaluates its jets at dm = m - centre.
+    # The centre is taken afresh where |dm| exceeds the window w*centre, w = 2**-20/(L*teq)
+    # up to 1, with teq = h*a1*|p0|*sqrt(m) at the m that took the centre; it is placed
+    # ahead along the drift: at the midpoint of m and the predicted m of the last block of
+    # the same size that the window can hold
+    s, p, g, r = _step_reference(y, a1, a3, h)
+    rs = [r]
+    while 2 ** len(rs) <= n:
+        r = rs[-1] + rs[-1] + rs[-1] * rs[-1]
+        if len(rs) > 3 and not abs(_shrink_reference(r)) <= 2.0 ** -30:
+            break
+        rs.append(r)
+    top = len(rs) - 1
+    blocks = [top] * (n >> top) + [j for j in range(top - 1, -1, -1) if n >> j & 1]
     q, u = list(y[:4]), [y[4] / s, y[5] / s]
-    for count, (p, g, r) in ((n // 8, block), (n % 8, step)):
-        for i in range(count):
-            pv, gv = evaluate(p, g, u[0] * u[0] + u[1] * u[1], i == 0)
-            al, be = gv.real, gv.imag
-            d = (pv.real, al * u[0] - be * u[1], al * u[1] + be * u[0], pv.imag)
-            q = [a + b for a, b in zip(q, _q_times_reference(q, d))]
-            u = [a + b for a, b in zip(u, (r.real * u[0] - r.imag * u[1],
-                                           r.real * u[1] + r.imag * u[0]))]
-            norm = 1.0 / math.hypot(*q)
-            q = [a * norm for a in q]
+    teq = None
+
+    def window(j):
+        return 2.0 ** -20 / max(2.0 ** -20, teq * 2 ** j)
+
+    centre = jets = None
+    for i, j in enumerate(blocks):
+        r = rs[j]
+        mu = 1.0 - _shrink_reference(r)
+        m = u[0] * u[0] + u[1] * u[1]
+        if centre is None or not abs(m - centre) <= window(j) * centre:
+            teq = h * a1 * s * math.sqrt(m)
+            w = window(j)
+            nu = max((1.0 - w) / (1.0 + w), mu ** (blocks[i:].count(j) - 1)) if mu < 1.0 else 1.0
+            centre = m * (0.5 + 0.5 * nu)
+            jets = [(_taylor_reference(p, centre, order), _taylor_reference(g, centre, order))]
+            for rr in rs[:j]:
+                jets.append(_double_reference(*jets[-1], rr, centre))
+        dm = m - centre
+        pv, gv = (complex(_horner_reference([c.real for c in jet], dm),
+                          _horner_reference([c.imag for c in jet], dm)) for jet in jets[j])
+        al, be = gv.real, gv.imag
+        d = (pv.real, al * u[0] - be * u[1], al * u[1] + be * u[0], pv.imag)
+        q = [a + b for a, b in zip(q, _q_times_reference(q, d))]
+        u = [a + b for a, b in zip(u, (r.real * u[0] - r.imag * u[1], r.real * u[1] + r.imag * u[0]))]
+        norm = 1.0 / math.hypot(*q)
+        q = [a * norm for a in q]
     return (*q, u[0] * s, u[1] * s, y[6])
 
 
 def _rk4_compact(y, a1, a3, h, n):
-    # the compact form of the kernel: each block's polynomials as quadratics in
-    # dm = m - centre, taken afresh at a run's first block and where m leaves the
-    # window |dm| <= 2**-18*centre; the written-out loop must reproduce it bit for bit
-    s, step, block = _blocks_reference(y, a1, a3, h)
-    centre = jets = None
-
-    def evaluate(p, g, m, first):
-        nonlocal centre, jets
-        if first or not abs(m - centre) <= 2.0 ** -18 * centre:
-            centre, jets = m, [_taylor_reference(c, m) for c in (p, g)]
-        dm = m - centre
-        return tuple(complex(_horner_reference([c.real for c in jet], dm),
-                             _horner_reference([c.imag for c in jet], dm)) for jet in jets)
-    return _run_blocks_reference(y, s, step, block, n, evaluate)
+    # the compact form of the kernel: quadratic jets; the written-out loop must reproduce it
+    # bit for bit
+    return _rk4_ladder(y, a1, a3, h, n, 2)
 
 
-def _rk4_full_degree(y, a1, a3, h, n):
-    # the full-degree evaluation: each block's polynomials by Horner's scheme at every m,
-    # the reference for the error of the kernel's quadratics
-    s, step, block = _blocks_reference(y, a1, a3, h)
-
-    def evaluate(p, g, m, first):
-        return tuple(complex(_horner_reference([c.real for c in cs], m),
-                             _horner_reference([c.imag for c in cs], m)) for cs in (p, g))
-    return _run_blocks_reference(y, s, step, block, n, evaluate)
+def _rk4_order_six(y, a1, a3, h, n):
+    # the same ladder and centres with jets of order 6, the reference for the terms the
+    # kernel's quadratics drop, in its evaluations and in its doublings' moved jets
+    return _rk4_ladder(y, a1, a3, h, n, 6)
 
 
 def _turning_args(m, p0, n, angle):
@@ -212,25 +227,28 @@ def _turning_args(m, p0, n, angle):
     return (1.0, 0.0, 0.0, 0.0, p0.p1, p0.p2, p0.p3), a1, a3, angle / rate, n
 
 
-# 2003 steps in which p turns by 0.1 rad: RK4 shrinks |u|^2 by about 1.2e-7 a block, so
-# it leaves the window of 2**-18 about every 31 blocks, and the kernel takes 8 centres for
-# the 250 blocks and 1 for the 3 steps left
+# 2003 steps in which q turns by 0.15 rad and p by 0.107: RK4 shrinks |u|^2 by 1.6e-7 a
+# block of 8, so the ladder stops at 8 steps; the equatorial turn is 0.047 rad a step, so a
+# window of 2.5e-6 either side of a centre placed ahead holds about 30 blocks, and the
+# kernel takes 9 centres for the 250 blocks and the blocks of 2 and 1 steps left
+_RECENTRING_METRIC = BergerMetric(2.0, 0.5)
+_RECENTRING = (_RECENTRING_METRIC, initial_momentum(_RECENTRING_METRIC, 0.6, 0.7), 2003, 0.15)
+# p turns fast about a mostly axial momentum: the equatorial turn is 1e-4 rad a step at
+# most, and one centre holds each run, where a window of 2**-18 centred on m takes up to 250
 _FAST_TURN = BergerMetric(1001.0, 1.0)
-_RECENTRING = (_FAST_TURN, initial_momentum(_FAST_TURN, 0.9, 0.4), 2003, 0.1)
 
 
-def _count_centres(monkeypatch) -> list:
-    # wraps geodesic._jet, which the kernel calls for P and then for G at each centre:
-    # one entry per centre, its m
-    centres = []
-    jet = geodesic._jet
+def _count_calls(monkeypatch, name) -> list:
+    # wraps geodesic.<name>, which the kernel calls by its global name: one entry per call,
+    # its last argument (the centre of _ladder and _double)
+    calls = []
+    fn = getattr(geodesic, name)
 
-    def counted(c, m):
-        if len(c) % 2:  # P has odd length, G even
-            centres.append(m)
-        return jet(c, m)
-    monkeypatch.setattr(geodesic, "_jet", counted)
-    return centres
+    def counted(*args):
+        calls.append(args[-1])
+        return fn(*args)
+    monkeypatch.setattr(geodesic, name, counted)
+    return calls
 
 
 def _rel_log_reference(base, other):
@@ -541,16 +559,46 @@ class TestExpMap:
         for pb in (-1.0, 0.0, 1.0, float(rng.uniform(-1.0, 1.0))):
             p0 = initial_momentum(m, pb, float(rng.uniform(0.0, 2.0 * math.pi)))
             y = (1.0, 0.0, 0.0, 0.0, p0.p1, p0.p2, p0.p3)
-            for n in (1, 7, 8, 9, 15, 2000, 2003):
+            for n in (1, 7, 8, 9, 15, 16, 17, 40, 1024, 2000, 2003):
                 h = float(rng.uniform(6.0, 12.0)) / n
                 args = (1.0 / m.i1, 1.0 / m.i3, h, n)
                 assert _rk4(y, *args) == _rk4_compact(y, *args)
 
     def test_rk4_kernel_keeps_the_bits_of_the_compact_form_as_it_recentres(self, monkeypatch):
-        centres = _count_centres(monkeypatch)
+        centres = _count_calls(monkeypatch, "_ladder")
         args = _turning_args(*_RECENTRING)
         assert _rk4(*args) == _rk4_compact(*args)
         assert len(centres) == 9
+
+    @pytest.mark.parametrize("angle", [0.05, 0.1, 0.15, 0.2])
+    def test_one_centre_where_p_turns_fast_about_the_axis(self, angle, monkeypatch):
+        centres = _count_calls(monkeypatch, "_ladder")
+        args = _turning_args(_FAST_TURN, initial_momentum(_FAST_TURN, 0.9, 0.4), 2000, angle)
+        assert _rk4(*args) == _rk4_compact(*args)
+        assert len(centres) == 1
+
+    def test_one_ladder_of_ten_doublings_per_run(self, monkeypatch):
+        # a benchmark-like run of 2000 steps: 10 doublings give the block of 1024 steps, all
+        # at one centre, and the run takes the blocks of 1024, 512, 256, 128, 64 and 16
+        doublings = _count_calls(monkeypatch, "_double")
+        m = BergerMetric(2.0, 1.0)
+        p0 = initial_momentum(m, 0.6, 0.3)
+        t = 1.3 * t_cut(m, 0.6)
+        endpoint_state(m, p0, t, t / 2000.0)
+        assert len(doublings) <= 10
+        assert len(set(doublings)) == 1
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_rk4_kernel_agrees_with_the_textbook_step_for_every_short_run(self, n):
+        # every bit pattern of n up to 40: the blocks of one set bit each, and for n >= 16 the
+        # ladder past 8 steps where a block barely shrinks |u|^2 (0.01 rad) and the largest
+        # block repeated where it does (0.2 rad)
+        for eta, pb, angle in ((-0.5, 0.3, 0.01), (0.5, 0.6, 0.2), (3.0, 0.9, 0.1), (1e3, 0.9, 0.2)):
+            m = BergerMetric(2.0, 2.0 / (1.0 + eta))
+            p0 = initial_momentum(m, pb, 0.7)
+            got, want = self._kernel_and_textbook(m, p0, n, angle)
+            assert not any(abs(a - b) > 1e-12 for a, b in zip(got[:4], want[:4]))
+            assert not any(abs(a - b) > 1e-12 * p0.norm() for a, b in zip(got[4:], want[4:]))
 
     @staticmethod
     def _kernel_and_textbook(m, p0, n, angle):
@@ -591,13 +639,14 @@ class TestExpMap:
         got, want = self._kernel_and_textbook(m, initial_momentum(m, pb, 0.7), 2000, 0.1)
         assert max(abs(a - b) for a, b in zip(got[:4], want[:4])) < 1e-12
 
-    # the quadratics about a centre against the full-degree evaluation: p is the same to the
-    # bit, as only q's update changes, and q within 1e-14.  Measured over 900 draws of the
-    # textbook test's domain, 900 with steps from 1e-4 to 0.2 rad (up to 250 centres) and the
-    # long runs: at most 6.2e-15, and 5.3e-15 on the long runs
+    # the quadratic jets against the same ladder with jets of order 6, which keeps the terms
+    # the kernel drops up to (m - centre)^6: p is the same to the bit, as only q's update
+    # changes, and q within 1e-14.  Measured over 900 draws of the textbook test's domain,
+    # 900 with steps from 1e-4 to 0.2 rad (up to 63 centres) and the long runs, q was the
+    # same to the bit too
     @staticmethod
     def _assert_within_the_full_degree_bound(args):
-        got, want = _rk4(*args), _rk4_full_degree(*args)
+        got, want = _rk4(*args), _rk4_order_six(*args)
         assert [math.isnan(a) for a in got] == [math.isnan(b) for b in want]
         assert not any(abs(a - b) > 1e-14 for a, b in zip(got[:4], want[:4]))
         assert [a for a in got[4:] if a == a] == [b for b in want[4:] if b == b]
@@ -624,7 +673,7 @@ class TestExpMap:
         self._assert_within_the_full_degree_bound(_turning_args(m, initial_momentum(m, pb, 0.7), 2000, 0.1))
 
     def test_rk4_kernel_is_near_the_full_degree_form_as_it_recentres(self, monkeypatch):
-        centres = _count_centres(monkeypatch)
+        centres = _count_calls(monkeypatch, "_ladder")
         self._assert_within_the_full_degree_bound(_turning_args(*_RECENTRING))
         assert len(centres) == 9
 
