@@ -38,12 +38,13 @@ The oracles built on the flow:
 * ``conjugate_time_numeric``: first vanishing of the determinant of the
   differential of the endpoint map, assembled from the endpoint velocity
   and the flow's exact derivatives in two level-set directions.  The
-  determinant is ``sin(a)*D`` with ``a = t*|p0|/(2*i1)``: the first
-  conjugate time is the first zero of ``D``, which is positive before it:
-  a scan finds the first negative sample and the Illinois method refines
-  it, or else ``t_pi``, where ``a = pi`` and every geodesic of the family
-  meets.  It agrees with the conjugate equation's root within 1e-12
-  relative at every scale;
+  determinant is ``sin(a)*D`` with ``a = t*|p0|/(2*i1)``.  ``D`` is
+  positive up to ``a = pi/2`` and changes sign at most once on
+  ``(0, pi)`` (proved at ``_conjugate_determinant``), so the first
+  conjugate time is the zero of ``D`` that one Illinois solve finds on
+  ``[pi/4, pi)`` in ``a``, or else ``t_pi``, where ``a = pi`` and every
+  geodesic of the family meets.  It agrees with the conjugate equation's
+  root within 1e-12 relative at every scale;
 * ``shorter_path_search``: the shortest geodesic reaching a given
   endpoint strictly earlier, from the endpoint map's earliest preimage
   (``_shortest_preimage``): a level crossing of one phase, refined by the
@@ -62,6 +63,7 @@ for both.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -81,8 +83,7 @@ __all__ = [
 ]
 
 _H_LEVEL_TOL = 1e-10     # admissible deviation of H(p0) from 1/2
-_H_DRIFT_TOL = 1e-6      # relative drift of H that aborts an integration
-_CONJ_GRID_N = 400       # sign-scan resolution for the determinant
+_H_DRIFT_TOL = 1e-6      # relative drift of H or |p| that aborts an integration
 _SEARCH_MARGIN = 1e-4    # required arrival-time advantage, relative to t
 _WINDOW = 2.0 ** -20     # reach of _rk4's quadratics about their centre, relative, times L*theta_eq
 _SHRINK = 2.0 ** -30     # the most a block of more than 8 steps may shrink |u|^2 by, relative
@@ -386,10 +387,16 @@ def endpoint_state(m: BergerMetric, p0: Momentum, t: float, step: float) -> Geod
     (``conservation_drift``) is the integrator's error estimate.  RK4 turns
     ``p`` about ``e3`` with a factor of modulus about ``1 - (b*h)^6/144`` a
     step, so over ``n`` steps the equatorial energy drifts by about
-    ``n*(b*h)^6/72`` of itself.  A run whose energy is mostly equatorial
-    therefore raises NormalizationError where ``p`` turns by more than about
-    ``(72e-6/n)^(1/6)`` rad a step (``_H_DRIFT_TOL = 1e-6``): 0.057 rad at
-    2000 steps, 0.064 at 1000.  The error names the fastest rotation per step.
+    ``n*(b*h)^6/72`` of itself, and ``|p|`` by about ``n*(b*h)^6/144`` times
+    the equatorial share ``1 - pbar3^2`` of ``|p|^2``.  A run raises
+    NormalizationError where either drift passes ``_H_DRIFT_TOL = 1e-6``,
+    relative.  One whose energy is mostly equatorial raises where ``p``
+    turns by more than about ``(72e-6/n)^(1/6)`` rad a step: 0.057 rad at
+    2000 steps, 0.064 at 1000.  One whose energy is mostly axial but whose
+    ``|p|`` is not, where the energy check alone is blind, raises at about
+    ``(144e-6/(n*(1 - pbar3^2)))^(1/6)``: 0.085 rad at 2000 steps for
+    ``BergerMetric(1001, 1)`` and ``pbar3 = 0.9``.  The error names the
+    fastest rotation per step.
     """
     t = _real("t", t, finite=True)
     if t < 0.0:
@@ -409,13 +416,16 @@ def endpoint_state(m: BergerMetric, p0: Momentum, t: float, step: float) -> Geod
     p1, p2, p3, h = p0.p1 / r1, p0.p2 / r1, p0.p3 / r1, t / r1 / n
     y = _rk4((1.0, 0.0, 0.0, 0.0, p1, p2, p3), 1.0, a3, h, n)
     h_end = _hamiltonian(a3, y[4], y[5], y[6])
+    norm0 = math.hypot(p1, p2, p3)
+    norm_rel = abs(math.hypot(y[4], y[5], y[6]) - norm0) / norm0
     # a diverged run gives NaN, in q alone where p is conserved exactly
-    if not abs(h_end - 0.5) <= _H_DRIFT_TOL * 0.5 or math.isnan(y[0] + y[1] + y[2] + y[3]):
+    if (not (abs(h_end - 0.5) <= _H_DRIFT_TOL * 0.5 and norm_rel <= _H_DRIFT_TOL)
+            or math.isnan(y[0] + y[1] + y[2] + y[3])):
         # a step turns q at the body rate |Omega| and p about e3 at b = (a3 - 1)*p3
         turn = max(math.hypot(p1, p2, a3 * p3), abs((a3 - 1.0) * p3)) * h
         raise NormalizationError(
-            f"Hamiltonian drifted to {h_end!r}, q to {y[:4]!r} over t={t!r} with {n} steps, "
-            f"the fastest rotation {turn:.3g} rad per step"
+            f"Hamiltonian drifted to {h_end!r}, |p| by {norm_rel:.3g} of itself, q to {y[:4]!r} "
+            f"over t={t!r} with {n} steps, the fastest rotation {turn:.3g} rad per step"
         )
     return GeodesicState(
         q=UnitQuaternion(y[0], y[1], y[2], y[3]),
@@ -472,8 +482,32 @@ def _conjugate_determinant(m: BergerMetric, pbar3: float) -> "tuple[Callable, fl
     ``s``, 1 below ``eta = 2**1000``, keeps ``a*eta*v3`` finite up to the
     float maximum; it scales ``c(v2)`` exactly.  Times are in units of
     ``sqrt(i1)`` through ``rate``, so the columns are the same at every
-    scale.  ``D`` is left as a triple product and its zeros to the scan,
-    so the oracle never uses the conjugate equation.
+    scale.
+
+    Sign of ``D``.  Let ``w = (-pbar3, 0, e0)``, the unit vector across
+    ``e`` in its plane with ``e3``, and ``B = 1 + eta*pbar3^2``.  The proof
+    uses only ``e0^2 + pbar3^2 = 1``, ``u = (e0, 0, (1 + eta)*pbar3)/n``
+    and ``v = s*(-u2, 0, u0)``, which is orthogonal to ``u``.  Then
+    ``e.v = -(s/n)*eta*pbar3*e0``, so ``g = (s/n)*eta*e0^2*w``,
+    ``h = (s/n)*B*w`` and ``e x v = -(s/n)*B*e2``; and ``c(v1)/sin(a) =
+    -sin(a)*w + cos(a)*e2``.  As ``e2 x w = e`` and ``u.e = B/n``, the
+    terms gather to
+
+        D = kappa*(B*sin(a) + c*a*cos(a)),  kappa = s*B/n^2 > 0,  c = eta*e0^2,
+
+    and ``B + c = 1 + eta``.  Three facts follow.  (i) For ``eta > 0``,
+    ``c >= 0``, so ``D >= kappa*B*sin(a) > 0`` on ``(0, pi/2]``.  (ii) For
+    ``|pbar3| < 1``, ``c > 0`` and ``D' = kappa*((1 + eta)*cos(a) -
+    c*a*sin(a)) < 0`` on ``[pi/2, pi)``, where ``cos(a) <= 0 < sin(a)``;
+    with ``D(pi) = -kappa*c*pi < 0``, ``D`` has exactly one zero on
+    ``(0, pi)``, past ``pi/2``.  (iii) On the axis ``c = 0`` and
+    ``D = kappa*(1 + eta)*sin(a) > 0`` on ``(0, pi)``.  The gathered form
+    is the conjugate equation, but the code never evaluates it: ``D`` is
+    the triple product of the flow's columns, a test checks it against
+    differences of ``_flow``, and the proof only tells the oracle where to
+    bracket its one zero.  The zero itself is refined on the triple
+    product, and ``tau_conj`` solves the equation apart from it, so their
+    agreement still checks this derivation end to end.
     """
     eta = m.eta()
     e0 = math.sqrt(max(0.0, 1.0 - pbar3 * pbar3))
@@ -510,33 +544,33 @@ def conjugate_time_numeric(m: BergerMetric, pbar3: float, t_max: float) -> float
     the derivatives in two level-set directions, is ``sin(a)*D(t)``
     (``_conjugate_determinant``).  ``sin(a)`` first vanishes at ``t_pi``,
     where all geodesics of the family meet, so the first conjugate time is
-    the first zero of ``D`` before ``t_pi``, or else ``t_pi``.  ``D(0) = 0``,
-    as every geodesic starts at a degenerate point of the exponential map,
-    and ``D > 0`` until the first conjugate time, as
-    ``D ~ a*s*(u0^2*(1 + eta) + u2^2)`` near ``a = 0``: a ``D`` that
-    underflows to 0 is no conjugate point.  ``D`` is sampled on 400 cells of
-    ``(0, min(t_max, t_pi)]``, at their midpoints and at the end; the scan
-    stops at the first negative sample, which ``_bracketed_root`` brackets
-    from the sample before and refines to within one float.  Over metrics
-    from subnormal to the float maximum and ``eta`` from 1e-9 to 1e300, the
-    time agrees with the conjugate equation's root to within 1e-12 relative.
-    Defined for ``eta > 0``; raises NoConjugatePoint when ``D`` stays
-    nonnegative up to ``t_max < t_pi``.
+    the first zero of ``D`` before ``t_pi``, or else ``t_pi``.  ``D`` is
+    positive on ``(0, t_pi/2]`` and, off the axis, falls through its one
+    zero on ``(t_pi/2, t_pi)``; on the axis it has none.  So with
+    ``end = min(t_max, t_pi)``, a ``D(end) < 0`` brackets that zero on
+    ``[t_pi/4, end]``, and ``_bracketed_root`` refines it to within one
+    float.  The bracket starts at ``a = pi/4``, not ``pi/2``: at huge
+    ``eta``, ``D(t_pi/2)`` is ``kappa*B`` plus ``c*a*cos(a)`` with ``cos``
+    of a rounded ``pi/2``, which can round to ``D <= 0``.  Otherwise no zero
+    lies before ``end``: a ``D`` that is 0 there has underflowed, and on the
+    axis ``D``'s sign at ``t_pi`` is only that of ``sin(a)`` rounded near
+    ``pi``.  Over metrics from subnormal to the float maximum and ``eta``
+    from 1e-9 to 1e308, the time agrees with the conjugate equation's root
+    to within 1e-12 relative.  Defined for ``eta > 0``; raises
+    NoConjugatePoint when no zero lies before ``t_max < t_pi``.
     """
     eta = m.eta()
     if eta <= 0.0:
         raise DomainError(f"conjugate times require eta > 0, got eta={eta!r}")
     t_max = _real("t_max", t_max, finite=True, positive=True)
-    det_at, t_pi = _conjugate_determinant(m, _pbar3(pbar3))
-    end = min(t_max, t_pi)
-    dt = end / _CONJ_GRID_N
-    t0 = d0 = None
-    for k in range(_CONJ_GRID_N + 1):
-        t1 = min(end, (k + 0.5) * dt)  # the last point is the end itself
-        d1 = det_at(t1)
-        if d1 < 0.0:
-            return _bracketed_root(det_at, t0, t1, d0, d1)
-        t0, d0 = t1, d1
+    pbar3 = _pbar3(pbar3)
+    det_at, t_pi = _conjugate_determinant(m, pbar3)
+    # t_pi may overflow where the conjugate time does not; a is at most pi/4 at lo all the same
+    lo, end = 0.25 * min(t_pi, sys.float_info.max), min(t_max, t_pi)
+    if end > lo and abs(pbar3) < 1.0:
+        d_end = det_at(end)
+        if d_end < 0.0:
+            return _bracketed_root(det_at, lo, end, det_at(lo), d_end)
     if t_pi <= t_max:
         return t_pi
     raise NoConjugatePoint(f"determinant kept its sign on (0, {t_max}]")

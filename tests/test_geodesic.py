@@ -318,9 +318,9 @@ def _determinant_by_differences(m, pbar3, delta=1e-6):
 
 # (i1, i3) at which the conjugate agreement check once failed: differences with
 # an absolute step at extreme scales (the first six) and at huge eta (the next
-# two), and the zero of D in the grid cell just before a = pi, where the
-# unreduced det = sin(a)*D had two zeros in one cell (the last).  At each of them
-# the scan of D and its bracketed refinement agree with tau_conj within 1e-12.
+# two), and the zero of D within t_pi/400 of a = pi, where the unreduced
+# det = sin(a)*D had two zeros in the last cell of a 400-cell grid (the last).
+# At each of them the bracketed solve on D agrees with tau_conj within 1e-12.
 _HARD_METRICS = [(1e-150, 1e-151), (1e200, 1e199), (1e-300, 1e-301), (1.7e308, 1e308),
                  (2e-323, 1e-323), (1e-310, 1e-311), (1e100, 1.0), (1e300, 1.0),
                  (1.0016710069985971, 1.0)]
@@ -333,6 +333,41 @@ def _conjugate_deviation(m, pbar3):
     expected = _arc_length(m, pbar3, tau_conj(eta, pbar3))
     got = conjugate_time_numeric(m, pbar3, 1.02 * _arc_length(m, pbar3, math.pi))
     return abs(got - expected) / expected
+
+
+def _conjugate_time_by_scan(m, pbar3, t_max, n=400):
+    # the oracle's former search, kept as a reference: D sampled at the midpoints of n cells
+    # of (0, min(t_max, t_pi)] and at the end, the first negative sample bracketed from the
+    # one before and refined by _bracketed_root; else t_pi, or None past the horizon
+    det, t_pi = geodesic._conjugate_determinant(m, pbar3)
+    end = min(t_max, t_pi)
+    dt = end / n
+    t0 = d0 = None
+    for k in range(n + 1):
+        t1 = min(end, (k + 0.5) * dt)
+        d1 = det(t1)
+        if d1 < 0.0:
+            return geodesic._bracketed_root(det, t0, t1, d0, d1)
+        t0, d0 = t1, d1
+    return t_pi if t_pi <= t_max else None
+
+
+def _wide_conjugate_draws(seed, count):
+    # (metric, pbar3): log-uniform eta from 1e-9 to 1e308 and i3 from subnormal to where
+    # i1 = (1 + eta)*i3 reaches 1e308, with pbar3's edge values among the uniform ones;
+    # draws whose eta rounds to 0 at a subnormal i3 are skipped
+    rng = np.random.default_rng(seed)
+    edges = [1.0, -1.0, 0.0, 1e-310, 1.0 - 1e-12, -(1.0 - 2.0 ** -53)]
+    draws = []
+    while len(draws) < count:
+        eta = 10.0 ** rng.uniform(-9.0, 308.0)
+        i3 = 10.0 ** rng.uniform(-323.0, 308.0 - math.log10(1.0 + eta))
+        m = BergerMetric((1.0 + eta) * i3, i3)
+        k = len(draws) % 10
+        pb = edges[k] if k < len(edges) else float(rng.uniform(-1.0, 1.0))
+        if m.eta() > 0.0:
+            draws.append((m, pb))
+    return draws
 
 
 def _endpoint_gap(m, p0, t, hit):
@@ -677,14 +712,21 @@ class TestExpMap:
         self._assert_within_the_full_degree_bound(_turning_args(*_RECENTRING))
         assert len(centres) == 9
 
-    @pytest.mark.parametrize("t,diverged", [(5e-9, False), (5.2e-9, True)])
-    def test_drift_check_caps_the_turn_per_step(self, t, diverged):
+    @pytest.mark.parametrize("i1,pb,t,turn", [
         # the energy is nearly all equatorial, and in 2000 steps p turns by 0.0559 and
         # 0.0581 rad a step, either side of the cap (72e-6/2000)^(1/6) = 0.057
-        m = BergerMetric(1e-12, 1.0)
-        p0 = initial_momentum(m, 0.999999999, 0.0)
-        if diverged:
-            with pytest.raises(NormalizationError, match="0.0581 rad per step"):
+        (1e-12, 0.999999999, 5e-9, None), (1e-12, 0.999999999, 5.2e-9, "0.0581"),
+        # 2.3e-4 of the energy is equatorial but 0.19 of |p|^2: p turns by 0.0829 and
+        # 0.0879 rad a step, either side of |p|'s cap (144e-6/(2000*0.19))^(1/6) = 0.085;
+        # at 0.2 rad a step the energy drifts by only 4.1e-7 of itself, |p| by 1.7e-4
+        (1001.0, 0.9, 100.0, None), (1001.0, 0.9, 166.0, None),
+        (1001.0, 0.9, 176.0, "0.0879"), (1001.0, 0.9, 400.0, "0.2"),
+    ])
+    def test_drift_check_caps_the_turn_per_step(self, i1, pb, t, turn):
+        m = BergerMetric(i1, 1.0)
+        p0 = initial_momentum(m, pb, 0.4)
+        if turn:
+            with pytest.raises(NormalizationError, match=f"{turn} rad per step"):
                 endpoint_state(m, p0, t, t / 2000.0)
         else:
             assert endpoint_state(m, p0, t, t / 2000.0).t == t
@@ -758,8 +800,9 @@ class TestConjugateTime:
         assert got == pytest.approx(2.0 * math.pi * math.sqrt(2.0), rel=1e-3)
 
     def test_scan_stops_at_the_first_event(self, monkeypatch):
-        # the event lies well inside the horizon, so the scan and its
-        # refinement together evaluate fewer determinants than the 400-point grid
+        # one bracketed solve: D at both ends of [t_pi/4, t_pi], then the Illinois steps, at
+        # most 15 evaluations in all (13 here; 15 over 20 000 draws with eta from 1e-9 to
+        # 1e308 and i3 from subnormal to the float maximum), the same at every eta and scale
         calls = []
         factory = geodesic._conjugate_determinant
 
@@ -775,17 +818,71 @@ class TestConjugateTime:
         norm = momentum_norm(ETA_ONE, 0.5)
         got = conjugate_time_numeric(ETA_ONE, 0.5, 1.02 * 2.0 * math.pi * ETA_ONE.i1 / norm)
         assert got == pytest.approx(_arc_length(ETA_ONE, 0.5, tau_conj(1.0, 0.5)), rel=1e-12)
-        assert 0 < len(calls) < 400
+        assert 0 < len(calls) <= 15
+        for i1, i3 in [(1.000000001, 1.0), (2.0, 1.0), (1e-300, 1e-301), (1e-310, 1e-311),
+                       (1e200, 1e199), (1e21, 1.0), (1e100, 1.0), (1.0, 1e-300), (1.7e308, 1.0)]:
+            m = BergerMetric(i1, i3)
+            for pb in (0.0, 0.5, -0.9, 1.0 - 1e-12, 1e-310):
+                calls.clear()
+                t_max = min(1.02 * _arc_length(m, pb, math.pi), sys.float_info.max)
+                try:
+                    conjugate_time_numeric(m, pb, t_max)
+                except NoConjugatePoint:  # at (1.7e308, 1) the time passes the float maximum
+                    assert i1 == 1.7e308
+                assert 0 < len(calls) <= 15, (m, pb)
+
+    def test_one_solve_agrees_with_the_scan_over_wide_draws(self):
+        # D is positive at t_pi/4 and changes sign at most once before t_pi, so the one
+        # bracketed solve lands on the zero that the 400-cell scan found first
+        worst = 0.0
+        for m, pb in _wide_conjugate_draws(34, 2000):
+            det, t_pi = geodesic._conjugate_determinant(m, pb)
+            assert det(0.25 * min(t_pi, sys.float_info.max)) > 0.0, (m, pb)
+            t_max = min(1.02 * t_pi, sys.float_info.max)
+            want = _conjugate_time_by_scan(m, pb, t_max)
+            if want is None:
+                with pytest.raises(NoConjugatePoint):
+                    conjugate_time_numeric(m, pb, t_max)
+                continue
+            worst = max(worst, abs(conjugate_time_numeric(m, pb, t_max) - want) / want)
+        assert worst <= 1e-15
+
+    def test_bracket_starts_below_a_half_turn(self):
+        # c = eta = 1e21 times a*cos(a) at a rounded pi/2, about 1e-16, outweighs B = 1, so
+        # D(t_pi/2) rounds below 0: a bracket from t_pi/2 would hold no sign change
+        m = BergerMetric(1e21, 1.0)
+        det, t_pi = geodesic._conjugate_determinant(m, 0.0)
+        assert det(0.5 * t_pi) <= 0.0 < det(0.25 * t_pi)
+        assert _conjugate_deviation(m, 0.0) < 1e-12
+
+    @pytest.mark.parametrize("i1,i3", [(2.0, 1.0), (3.125, 1.0), (1e-300, 1e-301), (1.7e308, 1e308)])
+    @pytest.mark.parametrize("pb", [1.0, -1.0])
+    def test_axis_geodesic_meets_its_family_at_t_pi(self, i1, i3, pb):
+        # D = kappa*(1 + eta)*sin(a) on the axis: no zero before t_pi, where at (3.125, 1)
+        # sin(a) rounds to -3.2e-16
+        m = BergerMetric(i1, i3)
+        det, t_pi = geodesic._conjugate_determinant(m, pb)
+        assert (det(t_pi) < 0.0) == (i1 == 3.125)
+        assert conjugate_time_numeric(m, pb, 1.02 * t_pi) == t_pi
+
+    def test_t_pi_past_the_float_maximum(self):
+        # t_pi overflows but the conjugate time, 1.09e308, does not: the bracket starts at a
+        # quarter of the float maximum, where a is below pi/4
+        m, pb, t_max = BergerMetric(1.7e308, 1.0), 0.2, sys.float_info.max
+        assert geodesic._conjugate_determinant(m, pb)[1] == math.inf
+        got = conjugate_time_numeric(m, pb, t_max)
+        assert got == _conjugate_time_by_scan(m, pb, t_max)
+        assert got == pytest.approx(_arc_length(m, pb, tau_conj(m.eta(), pb)), rel=1e-12)
 
     def test_conjugate_point_in_the_last_half_cell(self):
-        # the time lies past the last cell's midpoint, 399.5/400 of the horizon
+        # the time lies at 0.999 of the horizon, which ends the bracket before t_pi
         expect = _arc_length(ETA_ONE, 0.5, tau_conj(1.0, 0.5))
         got = conjugate_time_numeric(ETA_ONE, 0.5, 4.9544721468990565 / 0.999)
         assert got == pytest.approx(expect, rel=1e-12)
 
     @pytest.mark.parametrize("pb", [0.0, 0.5, 0.9])
     def test_long_horizon_scans_only_up_to_a_pi(self, pb):
-        # a horizon of a thousand times t_pi would put several zeros of D in one cell
+        # a horizon of a thousand times t_pi holds many zeros of D; the bracket ends at t_pi
         m = BergerMetric(3.0, 1.0)
         eta = m.eta()
         horizon = 1000.0 * 1.02 * _arc_length(m, pb, math.pi)
@@ -843,8 +940,8 @@ class TestConjugateTime:
         (1.1508008516160818, 1.0, 0.9968260965283151),
     ])
     def test_two_zeros_in_one_cell(self, i1, i3, pb):
-        # D's zero lies in the grid cell just before sin(a)'s at a = pi, so
-        # det = sin(a)*D has two zeros in one cell; the scan of D sees a sign change
+        # D's zero lies within t_pi/400 of sin(a)'s at a = pi, so det = sin(a)*D has two
+        # zeros close together; the bracket on D sees one sign change
         assert _conjugate_deviation(BergerMetric(i1, i3), pb) < 1e-5
 
     @settings(max_examples=40, deadline=None)
