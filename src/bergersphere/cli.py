@@ -60,8 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--t", type=float, required=True, help="integration time, >= 0")
     p_exp.add_argument("--step", type=float, default=None,
                        help="integrator step (default t/2000, at most t/1000); a run fails "
-                            "(exit 2) where p turns by more than about (72e-6/n)^(1/6) rad "
-                            "a step, n = t/step: 0.057 rad at 2000 steps")
+                            "(exit 2) where an error estimate passes 1e-6, n = t/step: where "
+                            "p turns by more than about (72e-6/n)^(1/6) rad a step, 0.057 rad "
+                            "at 2000 steps ((144e-6/(n*(1 - pbar3^2)))^(1/6) where the energy "
+                            "is mostly axial), or q by more than 2*(120e-6/n)^(1/5) rad a "
+                            "step, 0.072 rad at 2000 steps")
     p_exp.add_argument("-o", "--output", help="write JSON here instead of stdout")
 
     p_ver = sub.add_parser("verify", help="run the named self-check suite")

@@ -83,7 +83,7 @@ __all__ = [
 ]
 
 _H_LEVEL_TOL = 1e-10     # admissible deviation of H(p0) from 1/2
-_H_DRIFT_TOL = 1e-6      # relative drift of H or |p| that aborts an integration
+_H_DRIFT_TOL = 1e-6      # relative drift of H or |p|, or predicted error of q, that aborts an integration
 _SEARCH_MARGIN = 1e-4    # required arrival-time advantage, relative to t
 _WINDOW = 2.0 ** -20     # reach of _rk4's quadratics about their centre, relative, times L*theta_eq
 _SHRINK = 2.0 ** -30     # the most a block of more than 8 steps may shrink |u|^2 by, relative
@@ -395,8 +395,14 @@ def endpoint_state(m: BergerMetric, p0: Momentum, t: float, step: float) -> Geod
     2000 steps, 0.064 at 1000.  One whose energy is mostly axial but whose
     ``|p|`` is not, where the energy check alone is blind, raises at about
     ``(144e-6/(n*(1 - pbar3^2)))^(1/6)``: 0.085 rad at 2000 steps for
-    ``BergerMetric(1001, 1)`` and ``pbar3 = 0.9``.  The error names the
-    fastest rotation per step.
+    ``BergerMetric(1001, 1)`` and ``pbar3 = 0.9``.  Neither drift shows
+    RK4's error in ``q``'s own turn, about ``n*(|Omega|*h/2)^5/120`` with
+    ``|Omega|*h`` the body rotation per step; a run raises where that
+    passes ``_H_DRIFT_TOL`` too, where ``q`` turns by more than
+    ``2*(120e-6/n)^(1/5)`` rad a step: 0.072 rad at 2000 steps.  On the
+    round metric ``p`` does not turn, and a run to ``t = 1000`` in 2000
+    steps, 0.5 rad a step, would leave ``q`` 1.3e-2 off.  The error names
+    the fastest rotation per step.
     """
     t = _real("t", t, finite=True)
     if t < 0.0:
@@ -418,14 +424,19 @@ def endpoint_state(m: BergerMetric, p0: Momentum, t: float, step: float) -> Geod
     h_end = _hamiltonian(a3, y[4], y[5], y[6])
     norm0 = math.hypot(p1, p2, p3)
     norm_rel = abs(math.hypot(y[4], y[5], y[6]) - norm0) / norm0
+    # a step turns q at the body rate |Omega| and p about e3 at b = (a3 - 1)*p3; RK4's
+    # error in q's turn, n*(|Omega|*h/2)^5/120, passes the tolerance where |Omega|*h
+    # passes q_cap
+    q_turn = math.hypot(p1, p2, a3 * p3) * h
+    q_cap = 2.0 * (120.0 * _H_DRIFT_TOL / n) ** 0.2
     # a diverged run gives NaN, in q alone where p is conserved exactly
-    if (not (abs(h_end - 0.5) <= _H_DRIFT_TOL * 0.5 and norm_rel <= _H_DRIFT_TOL)
-            or math.isnan(y[0] + y[1] + y[2] + y[3])):
-        # a step turns q at the body rate |Omega| and p about e3 at b = (a3 - 1)*p3
-        turn = max(math.hypot(p1, p2, a3 * p3), abs((a3 - 1.0) * p3)) * h
+    if (not (abs(h_end - 0.5) <= _H_DRIFT_TOL * 0.5 and norm_rel <= _H_DRIFT_TOL
+             and q_turn <= q_cap) or math.isnan(y[0] + y[1] + y[2] + y[3])):
+        turn = max(q_turn, abs((a3 - 1.0) * p3) * h)
         raise NormalizationError(
             f"Hamiltonian drifted to {h_end!r}, |p| by {norm_rel:.3g} of itself, q to {y[:4]!r} "
-            f"over t={t!r} with {n} steps, the fastest rotation {turn:.3g} rad per step"
+            f"over t={t!r} with {n} steps, q turning {q_turn:.3g} rad a step against a cap of "
+            f"{q_cap:.3g}, the fastest rotation {turn:.3g} rad per step"
         )
     return GeodesicState(
         q=UnitQuaternion(y[0], y[1], y[2], y[3]),

@@ -19,13 +19,21 @@ Both roots are found by one safeguarded Newton iteration (rtsafe, Press
 et al., *Numerical Recipes*, section 9.4) inside an analytic bracket
 ``[a, b]``: the function is positive at ``a``, negative at ``b`` and
 changes sign exactly once in between, so the root there is the first
-positive root.
+positive root.  One loop, ``_newton``, holds the safeguard once, with the
+conjugate function and both forms of the cut function below written out
+in it on scalar locals: a solve builds no closure and an evaluation calls
+no Python function.
 
 * Start.  The iteration starts at a given start point held in the
-  bracket (an infinite one at an end), or at the midpoint when the start
-  is NaN; the cut root from ``w = 2`` on has its own start, below.  The
-  profile's sampled rows and the diameter's maximization pass the
-  quadratic through the three previous roots.
+  bracket (an infinite one at an end).  A NaN start is a cold one: the
+  midpoint, except for the conjugate root and the cut root at
+  ``pbar3 = 0``, which is the conjugate root of ``c = eta``.  Those start
+  at ``pi/2 + (pi/2)/(1 + c*pi^2/4)``, which has the root's asymptotes at
+  both ends of ``c``: ``pi`` as ``c -> 0`` and ``pi/2 + 2/(pi*c)`` for
+  large ``c``.  The cut root from ``w = 2`` on has its own start, below.
+  The profile's sampled rows and the diameter's maximization pass the
+  quadratic through the three previous roots.  A start never moves the
+  bracket, so it changes the cost of a solve, not which root it finds.
 * Bracket invariant.  After each evaluation the end with the same sign
   as the value moves to the evaluated point, so the bracket only
   shrinks and always holds the root, wherever the iteration started.
@@ -44,21 +52,26 @@ positive root.
   at Newton's target held in the bracket, after a bisection step too: a
   root within rounding of an end, where every target falls outside, is
   that end, as ``pi/2`` is for the cut root at ``pbar3 = 1/eta``.  On
-  2 000 random draws with ``eta`` up to 1e15 both roots were within 0.83
-  ulp of a 40-digit reference.  With
+  2 000 draws with ``eta`` log-uniform in [1e-6, 1e15], and ``pbar3``
+  uniform in [0, 1] or log-uniform in [1e-8, 1], ``tau_conj`` and ``tau3``
+  below ``w = 2`` were within 0.79 ulp of a 60-digit bisection, and
+  ``tau3`` from ``w = 2`` on within 1.65 ulp.  With
   ``B = ceil(log2((b - a)/tol))``, the evaluation count of plain
   bisection, every Newton step after the B-th evaluation is within
   ``tol``, and so is the B-th bisection.  A start point other than the
   midpoint does not halve the bracket and can cost one evaluation more,
-  so there are at most ``2*B + 1`` evaluations.  On 20 000 log-uniform
-  draws of ``eta`` in [1e-6, 1e8] and ``pbar3`` down to 1e-300 a cold
-  start made 5.8 on average and at most 13, against about 44 for
-  bisection.  On 400 diameter maximizations with ``i1/i3`` log-uniform
-  in [1e-3, 1e5] (5 805 solves), a start at the quadratic through the
-  three previous roots made 2.27 on average and at most 9.  On 60
-  profiles with ``eta`` log-uniform in [1e-2, 1e4] and 201 to 1201 rows
-  (20 284 solves of each root) it made 2.09 per ``tau3`` and 2.18 per
-  ``tau_conj`` solve, and at most 6.
+  so there are at most ``2*B + 1`` evaluations.  On 20 000 draws with
+  ``eta`` log-uniform in [1e-6, 1e8] and ``pbar3`` log-uniform in
+  [1e-300, 1], a cold ``tau3`` solve made 6.1 evaluations on average and
+  at most 9, and a cold ``tau_conj`` solve 2.2 and at most 4, against
+  about 44 for bisection.  With ``c`` log-uniform in [1e-6, 1e15] a cold
+  conjugate solve made 1.8 on average and at most 4, against 6.1 and 9
+  from the midpoint.  On 400 diameter maximizations with ``i1/i3``
+  log-uniform in [1e-3, 1e5] (5 667 solves), a start at the quadratic
+  through the three previous roots made 2.13 on average and at most 11.
+  On 60 profiles with ``eta`` log-uniform in [1e-2, 1e4] and 201 to 1201
+  rows (about 21 700 solves of each root) it made 2.06 per ``tau3`` and
+  2.14 per ``tau_conj`` solve, and at most 5.
 
 The conjugate equation is solved in the singularity-free form
 ``sin(tau) + c*tau*cos(tau) = 0``, whose derivative in ``tau`` is
@@ -129,7 +142,6 @@ returned as a plain float.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 from .errors import DomainError
 from .model import _pbar3, _real
@@ -146,14 +158,46 @@ _SMALL_ARG = 1e-8  # below it sin(u)/u rounds to 1
 _HUGE = 2.0 ** 54  # from it on, tau_conj(c, 0) rounds to pi/2
 
 
-def _newton(fg: Callable[[float], tuple[float, float]], a: float, b: float, tol: float,
+_CONJ, _CUT, _CUT_Y = 0, 1, 2  # the forms _newton solves
+
+
+def _newton(form: int, p: float, q: float, a: float, b: float, tol: float,
             start: float = math.nan) -> float:
-    # Safeguarded Newton on [a, b]: fg(x) gives the function, positive at a and
-    # negative at b, and its derivative; the module docstring states the rules.
+    # Safeguarded Newton on [a, b] for one of the module docstring's three functions,
+    # each positive at a and negative at b, written out below with its derivative:
+    #   _CONJ   the conjugate function in tau, c = p;
+    #   _CUT    the cut function over pbar3 in tau, eta = p and s = q;
+    #   _CUT_Y  g(y), s = p and w = q.
+    # The module docstring states the rules.
+    cos, sin, pi = math.cos, math.sin, math.pi
+    if form == _CUT:
+        w = p * q
+        m = 1.0 + w * q
+    elif form == _CUT_Y:
+        r = 1.0 / q
+        k1, k2 = p + r, 1.0 + p * r  # p/q is 1/eta
+    else:
+        c1 = 1.0 + p
     x = start if a <= start <= b else a if start < a else b if start > b else 0.5 * (a + b)
     allow = b - a  # halved before each step: the step bisection would take
     while True:
-        f, df = fg(x)
+        if form == _CUT:
+            u = w * x
+            cu = cos(u)
+            if u < _SMALL_ARG:  # sin(u)/s = eta*x*sin(u)/u
+                so, dso = p * x, p
+            else:
+                so, dso = sin(u) / q, p * cu
+            cx, sx = cos(x), sin(x)
+            f, df = cx * so + sx * cu, cx * (dso + cu) - sx * so * m
+        elif form == _CUT_Y:  # x is y, and v is tau = (pi - y)/w
+            v = (pi - x) * r
+            cy, sy = cos(x), sin(x)
+            cv, sv = cos(v), sin(v)
+            f, df = p * cy * sv - sy * cv, -(sy * sv * k1 + cy * cv * k2)
+        else:
+            cx, sx = cos(x), sin(x)
+            f, df = sx + p * x * cx, c1 * cx - p * x * sx
         if f == 0.0:
             return x
         if f > 0.0:
@@ -178,42 +222,27 @@ def _newton(fg: Callable[[float], tuple[float, float]], a: float, b: float, tol:
 
 def _tau3_value(eta: float, s: float, start: float = math.nan) -> float:
     # s = |pbar3| >= 0; the bracket, scaling and derivative are the module docstring's.
-    # start is where Newton begins, held in the bracket, NaN meaning the midpoint; from
-    # w = 2 on it is kept only below a bound on the root, as the module docstring says.
+    # start is where Newton begins, held in the bracket, NaN meaning a cold start (the
+    # module docstring's Start); from w = 2 on it is kept only below a bound on the
+    # root, as the module docstring says.
     w = eta * s
     if w < 1.0:
         if eta >= _HUGE:  # the root lies in (pi/2, tau_conj(eta, 0)], which rounds to pi/2
             return 0.5 * math.pi
-        a, b = 0.5 * math.pi, math.pi
-    elif w < 2.0:
-        a, b = 0.5 * math.pi / w, 0.5 * math.pi
-    else:  # in y = pi - w*tau
-        r = 1.0 / w
-        k1, k2 = s + r, 1.0 + s * r  # s/w is 1/eta
-        y = math.pi - w * start
-        if not (0.0 <= y and y * (w - 4.0 * r) <= math.pi * s):  # y in [0, U]
-            t = math.tan(math.pi * r)
-            y = 2.0 * s * t / (k2 + math.sqrt(k2 * k2 + 4.0 * s * t * t * r))
-
-        def fy(y: float) -> tuple[float, float]:
-            x = (math.pi - y) * r
-            cy, sy, cx, sx = math.cos(y), math.sin(y), math.cos(x), math.sin(x)
-            return s * cy * sx - sy * cx, -(sy * sx * k1 + cy * cx * k2)
-
-        tol = BISECT_TOL * (w if w < math.pi else math.pi)
-        return (math.pi - _newton(fy, 0.0, 0.5 * math.pi, tol, y)) / w
-
-    def fg(x: float) -> tuple[float, float]:
-        u = w * x
-        cu = math.cos(u)
-        if u < _SMALL_ARG:
-            so, dso = eta * x, eta  # sin(u)/s = eta*x*sin(u)/u
-        else:
-            so, dso = math.sin(u) / s, eta * cu
-        cx, sx = math.cos(x), math.sin(x)
-        return cx * so + sx * cu, cx * (dso + cu) - sx * so * (1.0 + w * s)
-
-    return _newton(fg, a, b, BISECT_TOL, start)
+        if s == 0.0 and start != start:  # tau_conj(eta, 0)'s cold start
+            start = _conj_start(eta)
+        return _newton(_CUT, eta, s, 0.5 * math.pi, math.pi, BISECT_TOL, start)
+    if w < 2.0:
+        return _newton(_CUT, eta, s, 0.5 * math.pi / w, 0.5 * math.pi, BISECT_TOL, start)
+    # in y = pi - w*tau
+    r = 1.0 / w
+    k2 = 1.0 + s * r  # s/w is 1/eta
+    y = math.pi - w * start
+    if not (0.0 <= y and y * (w - 4.0 * r) <= math.pi * s):  # y in [0, U]
+        t = math.tan(math.pi * r)
+        y = 2.0 * s * t / (k2 + math.sqrt(k2 * k2 + 4.0 * s * t * t * r))
+    tol = BISECT_TOL * (w if w < math.pi else math.pi)
+    return (math.pi - _newton(_CUT_Y, s, w, 0.0, 0.5 * math.pi, tol, y)) / w
 
 
 def tau3(eta: float, pbar3: float) -> float:
@@ -228,17 +257,20 @@ def tau3(eta: float, pbar3: float) -> float:
     return _tau3_value(eta, abs(_pbar3(pbar3)))
 
 
+def _conj_start(c: float) -> float:
+    # the cold start of the conjugate root: pi/2 + (pi/2)/(1 + c*pi^2/4), which has the
+    # root's asymptotes pi at c = 0 and pi/2 + 2/(pi*c) for large c
+    return 0.5 * math.pi + 0.5 * math.pi / (1.0 + c * (0.25 * math.pi * math.pi))
+
+
 def _tau_conj_value(eta: float, pbar3: float, start: float = math.nan) -> float:
     # tau_conj for a checked eta > 0 and pbar3; start as for _tau3_value
     c = eta * (1.0 - pbar3 * pbar3) / (1.0 + eta * pbar3 * pbar3)
     if c >= _HUGE:  # the root pi/2 + 2/(pi*c) + ... rounds to pi/2
         return 0.5 * math.pi
-
-    def fg(x: float) -> tuple[float, float]:
-        cx, sx = math.cos(x), math.sin(x)
-        return sx + c * x * cx, (1.0 + c) * cx - c * x * sx
-
-    return _newton(fg, 0.5 * math.pi, math.pi, BISECT_TOL, start)
+    if start != start:
+        start = _conj_start(c)
+    return _newton(_CONJ, c, 0.0, 0.5 * math.pi, math.pi, BISECT_TOL, start)
 
 
 def tau_conj(eta: float, pbar3: float) -> float:

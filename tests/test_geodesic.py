@@ -716,11 +716,18 @@ class TestExpMap:
         # the energy is nearly all equatorial, and in 2000 steps p turns by 0.0559 and
         # 0.0581 rad a step, either side of the cap (72e-6/2000)^(1/6) = 0.057
         (1e-12, 0.999999999, 5e-9, None), (1e-12, 0.999999999, 5.2e-9, "0.0581"),
-        # 2.3e-4 of the energy is equatorial but 0.19 of |p|^2: p turns by 0.0829 and
-        # 0.0879 rad a step, either side of |p|'s cap (144e-6/(2000*0.19))^(1/6) = 0.085;
-        # at 0.2 rad a step the energy drifts by only 4.1e-7 of itself, |p| by 1.7e-4
-        (1001.0, 0.9, 100.0, None), (1001.0, 0.9, 166.0, None),
+        # 2.3e-4 of the energy is equatorial but 0.19 of |p|^2: at 0.0879 rad a step p
+        # is past |p|'s cap (144e-6/(2000*0.19))^(1/6) = 0.085; at 0.2 rad a step the
+        # energy drifts by only 4.1e-7 of itself, |p| by 1.7e-4
         (1001.0, 0.9, 176.0, "0.0879"), (1001.0, 0.9, 400.0, "0.2"),
+        # no drift shows q's phase error n*(|Omega|*h/2)^5/120, capped at 1e-6: q turns by
+        # 0.05 and 0.083 rad a step, either side of the cap 2*(120e-6/2000)^(1/5) = 0.072,
+        # with q predicted 1.6e-7 and 2.0e-6 off
+        (1001.0, 0.9, 100.0, None), (1001.0, 0.9, 166.0, "0.083"),
+        # on the round metric p does not turn and q turns by t/2000 rad a step: 0.07 and
+        # 0.074 rad, q 8.8e-7 and 1.2e-6 off; at 0.5 rad a step q is 1.3e-2 off
+        (1.0, 0.0, 140.0, None), (1.0, 0.5, 140.0, None), (1.0, 0.0, 148.0, "0.074"),
+        (1.0, 0.5, 148.0, "0.074"), (1.0, 0.0, 1000.0, "0.5"),
     ])
     def test_drift_check_caps_the_turn_per_step(self, i1, pb, t, turn):
         m = BergerMetric(i1, 1.0)
