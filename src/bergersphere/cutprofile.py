@@ -25,7 +25,7 @@ from operator import lt
 from typing import Callable, Optional
 
 from .errors import DomainError
-# not called here; perfbench/tracing.py wraps momentum_norm, tau_conj, tau3_derivative, json_text
+# not called here; perfbench/tracing.py wraps momentum_norm, tau3, tau_conj, tau3_derivative, json_text
 from .model import BergerMetric, _integer, _pbar3, _real, _shape, momentum_norm  # noqa: F401
 from .roots import _slopes, _tau3_value, _tau_conj_value, tau3, tau3_derivative, tau_conj  # noqa: F401
 from .serialize import fmt17, json_text  # noqa: F401
@@ -48,13 +48,11 @@ _JSON_ROW = "    {{\n" + ",\n".join(f'      "{c}": {{}}' for c in _CELLS) + "\n 
 
 def tau_cut(eta: float, pbar3: float) -> float:
     """Reparametrized cut time: pi for ``eta <= 0``, ``tau3`` for ``eta > 0``."""
-    eta = _real("eta", eta, finite=True)
+    eta = _real("eta", eta)
     if eta <= -1.0:
         raise DomainError(f"eta must be greater than -1, got {eta!r}")
-    if eta <= 0.0:
-        _pbar3(pbar3)  # validate even though the value is constant
-        return math.pi
-    return tau3(eta, pbar3)
+    pbar3 = _pbar3(pbar3)
+    return _tau3_value(eta, abs(pbar3)) if eta > 0.0 else math.pi
 
 
 def _arc_length(m: BergerMetric, pbar3: float, tau: float) -> float:
@@ -65,7 +63,7 @@ def _arc_length(m: BergerMetric, pbar3: float, tau: float) -> float:
 def t_cut(m: BergerMetric, pbar3: float) -> float:
     """Cut time ``2*sqrt(i1)*tau_cut*sqrt(1 + eta*pbar3^2)`` at axis fraction ``pbar3``."""
     eta, pbar3 = m.eta(), _pbar3(pbar3)
-    return _arc_length(m, pbar3, tau_cut(eta, pbar3))
+    return _arc_length(m, pbar3, _tau3_value(eta, abs(pbar3)) if eta > 0.0 else math.pi)
 
 
 def t_cut_derivative(m: BergerMetric, pbar3: float) -> float:
@@ -89,7 +87,7 @@ def t_cut_derivative(m: BergerMetric, pbar3: float) -> float:
     pbar3 = _pbar3(pbar3)
     if pbar3 == 0.0:
         raise DomainError("t_cut_derivative is undefined at pbar3 = 0")
-    d = _dt_cut(m, eta, pbar3, tau3(eta, pbar3))
+    d = _dt_cut(m, eta, pbar3, _tau3_value(eta, abs(pbar3)))
     if math.isinf(d):
         raise DomainError(f"t_cut_derivative at pbar3={pbar3!r} is beyond the float maximum")
     return d

@@ -40,11 +40,12 @@ The oracles built on the flow:
   and the flow's exact derivatives in two level-set directions.  The
   determinant is ``sin(a)*D`` with ``a = t*|p0|/(2*i1)``.  ``D`` is
   positive up to ``a = pi/2`` and changes sign at most once on
-  ``(0, pi)`` (proved at ``_conjugate_determinant``), so the first
-  conjugate time is the zero of ``D`` that one Illinois solve finds on
-  ``[pi/4, pi)`` in ``a``, or else ``t_pi``, where ``a = pi`` and every
-  geodesic of the family meets.  It agrees with the conjugate equation's
-  root within 1e-12 relative at every scale;
+  ``(0, pi)``, and for ``eta <= 0`` not at all (proved at
+  ``_conjugate_determinant``), so the first conjugate time is the zero of
+  ``D`` that one Illinois solve finds on ``[pi/4, pi)`` in ``a``, or else
+  ``t_pi``, where ``a = pi`` and every geodesic of the family meets.  For
+  ``eta > 0`` it agrees with the conjugate equation's root within 1e-12
+  relative at every scale, and for ``eta <= 0`` it is ``t_pi``;
 * ``shorter_path_search``: the shortest geodesic reaching a given
   endpoint strictly earlier, from the endpoint map's earliest preimage
   (``_shortest_preimage``): a level crossing of one phase, refined by the
@@ -353,7 +354,7 @@ def _energy(m: BergerMetric, p: Momentum) -> float:
 
 def initial_momentum(m: BergerMetric, pbar3: float, phi: float) -> Momentum:
     """Unit-speed momentum with axis fraction ``pbar3`` and equatorial angle ``phi``."""
-    phi = _real("phi", phi, finite=True)
+    phi = _real("phi", phi)
     pbar3 = _pbar3(pbar3)
     norm = momentum_norm(m, pbar3)
     s = math.sqrt((1.0 - pbar3) * (1.0 + pbar3))  # 1 - pbar3^2 cancels as pbar3 -> 1
@@ -404,12 +405,12 @@ def endpoint_state(m: BergerMetric, p0: Momentum, t: float, step: float) -> Geod
     steps, 0.5 rad a step, would leave ``q`` 1.3e-2 off.  The error names
     the fastest rotation per step.
     """
-    t = _real("t", t, finite=True)
+    t = _real("t", t)
     if t < 0.0:
         raise DomainError(f"t must be nonnegative, got {t!r}")
     _check_level(m, p0)
     # at t = 0 no step is taken, so a step of 0 (the CLI's default t/2000) is valid there
-    step = _real("step", step, finite=True, positive=t > 0.0)
+    step = _real("step", step, positive=t > 0.0)
     if step < 0.0:
         raise DomainError(f"step must be nonnegative, got {step!r}")
     if t == 0.0:
@@ -459,16 +460,6 @@ def conservation_drift(m: BergerMetric, p0: Momentum, p: Momentum) -> "dict[str,
     }
 
 
-# Dot products are written out left to right, so the rounding is the same on
-# every Python version (``sum`` of floats is compensated since 3.12).
-def _dot(u, v) -> float:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _cross(u, v) -> tuple:
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-
-
 def _conjugate_determinant(m: BergerMetric, pbar3: float) -> "tuple[Callable, float]":
     """``(D, t_pi)`` along the geodesic with ``pbar3``: ``D = det/sin(a)``, and ``a = pi`` at ``t_pi``.
 
@@ -493,7 +484,8 @@ def _conjugate_determinant(m: BergerMetric, pbar3: float) -> "tuple[Callable, fl
     ``s``, 1 below ``eta = 2**1000``, keeps ``a*eta*v3`` finite up to the
     float maximum; it scales ``c(v2)`` exactly.  Times are in units of
     ``sqrt(i1)`` through ``rate``, so the columns are the same at every
-    scale.
+    scale; its ``sqrt(1 + eta*pbar3^2)`` is ``_shape``'s, which does not
+    cancel near the axis as ``eta -> -1``.
 
     Sign of ``D``.  Let ``w = (-pbar3, 0, e0)``, the unit vector across
     ``e`` in its plane with ``e3``, and ``B = 1 + eta*pbar3^2``.  The proof
@@ -506,13 +498,18 @@ def _conjugate_determinant(m: BergerMetric, pbar3: float) -> "tuple[Callable, fl
 
         D = kappa*(B*sin(a) + c*a*cos(a)),  kappa = s*B/n^2 > 0,  c = eta*e0^2,
 
-    and ``B + c = 1 + eta``.  Three facts follow.  (i) For ``eta > 0``,
+    and ``B + c = 1 + eta``.  Four facts follow.  (i) For ``eta > 0``,
     ``c >= 0``, so ``D >= kappa*B*sin(a) > 0`` on ``(0, pi/2]``.  (ii) For
-    ``|pbar3| < 1``, ``c > 0`` and ``D' = kappa*((1 + eta)*cos(a) -
-    c*a*sin(a)) < 0`` on ``[pi/2, pi)``, where ``cos(a) <= 0 < sin(a)``;
-    with ``D(pi) = -kappa*c*pi < 0``, ``D`` has exactly one zero on
-    ``(0, pi)``, past ``pi/2``.  (iii) On the axis ``c = 0`` and
-    ``D = kappa*(1 + eta)*sin(a) > 0`` on ``(0, pi)``.  The gathered form
+    ``eta > 0`` and ``|pbar3| < 1``, ``c > 0`` and ``D' = kappa*((1 +
+    eta)*cos(a) - c*a*sin(a)) < 0`` on ``[pi/2, pi)``, where
+    ``cos(a) <= 0 < sin(a)``; with ``D(pi) = -kappa*c*pi < 0``, ``D`` has
+    exactly one zero on ``(0, pi)``, past ``pi/2``.  (iii) On the axis
+    ``c = 0`` and ``D = kappa*(1 + eta)*sin(a) > 0`` on ``(0, pi)``.
+    (iv) For ``eta <= 0``, ``c <= 0`` and ``B >= 1 + eta > 0``.  On
+    ``(0, pi/2]``, ``a*cos(a) <= sin(a)`` gives ``D >= kappa*(B + c)*sin(a)
+    = kappa*(1 + eta)*sin(a) > 0``; on ``[pi/2, pi)``, ``c*a*cos(a) >= 0``
+    gives ``D >= kappa*B*sin(a) > 0``.  So ``D`` has no zero on
+    ``(0, pi)`` and the first conjugate time is ``t_pi``.  The gathered form
     is the conjugate equation, but the code never evaluates it: ``D`` is
     the triple product of the flow's columns, a test checks it against
     differences of ``_flow``, and the proof only tells the oracle where to
@@ -522,20 +519,19 @@ def _conjugate_determinant(m: BergerMetric, pbar3: float) -> "tuple[Callable, fl
     """
     eta = m.eta()
     e0 = math.sqrt(max(0.0, 1.0 - pbar3 * pbar3))
-    e = (e0, 0.0, pbar3)
-    rate = 0.5 / (math.sqrt(m.i1) * math.sqrt(1.0 + eta * pbar3 * pbar3))
+    rate = 0.5 / (math.sqrt(m.i1) * _shape(m.i1 / m.i3, pbar3))
     n = math.hypot(e0, (1.0 + eta) * pbar3)
     u0, u2 = e0 / n, (1.0 + eta) * pbar3 / n
     s = math.ldexp(1.0, min(0, 1000 - math.frexp(eta)[1]))
-    v = (-u2 * s, 0.0, u0 * s)
-    ev = _dot(e, v)
+    v0, v2 = -u2 * s, u0 * s  # v1 = 0, as e1 = 0
+    ev = e0 * v0 + pbar3 * v2
     # c(v2) = a*g + sin*cos*h - sin^2*k: g and h lie in the plane of e and v, k = e x v on e2
-    g0, g2 = ev * e0, ev * pbar3 + eta * v[2]
-    h0, h2 = v[0] - ev * e0, v[2] - ev * pbar3
-    k1 = _cross(e, v)[1]
+    g0, g2 = ev * e0, ev * pbar3 + eta * v2
+    h0, h2 = v0 - ev * e0, v2 - ev * pbar3
+    k1 = pbar3 * v0 - e0 * v2
 
     def det(t: float) -> float:
-        # _dot(u, _cross(x, y)) on scalar locals; u1, g1, h1, k0 and k2 are 0
+        # u . (x x y) on scalar locals; u1, g1, h1, k0 and k2 are 0
         a = t * rate
         ca, sa = math.cos(a), math.sin(a)
         x0, x2 = sa * pbar3, -sa * e0
@@ -555,9 +551,10 @@ def conjugate_time_numeric(m: BergerMetric, pbar3: float, t_max: float) -> float
     the derivatives in two level-set directions, is ``sin(a)*D(t)``
     (``_conjugate_determinant``).  ``sin(a)`` first vanishes at ``t_pi``,
     where all geodesics of the family meet, so the first conjugate time is
-    the first zero of ``D`` before ``t_pi``, or else ``t_pi``.  ``D`` is
-    positive on ``(0, t_pi/2]`` and, off the axis, falls through its one
-    zero on ``(t_pi/2, t_pi)``; on the axis it has none.  So with
+    the first zero of ``D`` before ``t_pi``, or else ``t_pi``.  For
+    ``eta > 0``, ``D`` is positive on ``(0, t_pi/2]`` and, off the axis,
+    falls through its one zero on ``(t_pi/2, t_pi)``; on the axis, and for
+    every ``pbar3`` when ``eta <= 0``, it has none.  So with
     ``end = min(t_max, t_pi)``, a ``D(end) < 0`` brackets that zero on
     ``[t_pi/4, end]``, and ``_bracketed_root`` refines it to within one
     float.  The bracket starts at ``a = pi/4``, not ``pi/2``: at huge
@@ -565,15 +562,15 @@ def conjugate_time_numeric(m: BergerMetric, pbar3: float, t_max: float) -> float
     of a rounded ``pi/2``, which can round to ``D <= 0``.  Otherwise no zero
     lies before ``end``: a ``D`` that is 0 there has underflowed, and on the
     axis ``D``'s sign at ``t_pi`` is only that of ``sin(a)`` rounded near
-    ``pi``.  Over metrics from subnormal to the float maximum and ``eta``
-    from 1e-9 to 1e308, the time agrees with the conjugate equation's root
-    to within 1e-12 relative.  Defined for ``eta > 0``; raises
-    NoConjugatePoint when no zero lies before ``t_max < t_pi``.
+    ``pi``.  Where ``eta`` is within a few rounding errors of 0, off the
+    axis too, that rounding can bracket a zero, which then lies within
+    rounding of ``t_pi``.  Over metrics from subnormal to the float maximum
+    and ``eta`` from 1e-9 to 1e308, the time agrees with the conjugate
+    equation's root to within 1e-12 relative, and for ``eta <= 0`` it is
+    ``t_pi``.  Raises NoConjugatePoint when no zero lies before
+    ``t_max < t_pi``.
     """
-    eta = m.eta()
-    if eta <= 0.0:
-        raise DomainError(f"conjugate times require eta > 0, got eta={eta!r}")
-    t_max = _real("t_max", t_max, finite=True, positive=True)
+    t_max = _real("t_max", t_max, positive=True)
     pbar3 = _pbar3(pbar3)
     det_at, t_pi = _conjugate_determinant(m, pbar3)
     # t_pi may overflow where the conjugate time does not; a is at most pi/4 at lo all the same
@@ -674,7 +671,7 @@ def shorter_path_search(m: BergerMetric, p0: Momentum, t: float) -> Optional[Sho
     ``A^2 - (A - P)^2/(1 - i1/i3)`` rises with ``A`` and is ``P^2`` at ``A = P``, so the loop over
     ``k`` ends where ``(k - 1)*pi`` reaches the least arrival.
     """
-    t = _real("t", t, finite=True, positive=True)
+    t = _real("t", t, positive=True)
     _check_level(m, p0)
     r1, ratio = math.sqrt(m.i1), m.i1 / m.i3
     qw, qx, qy, qz = _flow(m, (p0.p1, p0.p2, p0.p3), t)[:4]

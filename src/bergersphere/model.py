@@ -42,12 +42,12 @@ __all__ = [
 ]
 
 
-def _real(name: str, v: object, *, finite: bool = False, positive: bool = False) -> float:
-    """``v`` as a float, checked to be a real number other than a bool.
+def _real(name: str, v: object, *, positive: bool = False) -> float:
+    """``v`` as a finite float, checked to be a real number other than a bool.
 
     Accepts Python and numpy integers and floats.  Raises DomainError
-    naming ``name`` when ``v`` is not real, or is not finite or not
-    positive where those are asked for.
+    naming ``name`` when ``v`` is not real or not finite, or not positive
+    where that is asked for.
     """
     # Fast paths: the numbers.Real check costs about 4x a type check, so
     # floats skip it and float subclasses (np.float64) stop at ``float``.
@@ -58,7 +58,7 @@ def _real(name: str, v: object, *, finite: bool = False, positive: bool = False)
             v = float(v)
         except OverflowError:
             raise DomainError(f"{name} is too large for a float, got {v!r}") from None
-    if finite and not math.isfinite(v):
+    if not math.isfinite(v):
         raise DomainError(f"{name} must be finite, got {v!r}")
     if positive and not v > 0.0:
         raise DomainError(f"{name} must be positive, got {v!r}")
@@ -97,7 +97,7 @@ class BergerMetric:
 
     def __post_init__(self) -> None:
         for name in ("i1", "i3"):
-            v = _real(name, getattr(self, name), finite=True, positive=True)
+            v = _real(name, getattr(self, name), positive=True)
             object.__setattr__(self, name, v)
 
     def eta(self) -> float:
@@ -126,7 +126,7 @@ class Momentum:
 
     def __post_init__(self) -> None:
         for name in ("p1", "p2", "p3"):
-            object.__setattr__(self, name, _real(name, getattr(self, name), finite=True))
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
 
     def norm(self) -> float:
         """Euclidean norm ``sqrt(p1^2 + p2^2 + p3^2)``, without overflow or underflow."""

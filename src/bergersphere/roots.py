@@ -253,7 +253,7 @@ def tau3(eta: float, pbar3: float) -> float:
     ``pbar3`` there) to ``pi/(1 + eta)`` at ``pbar3 = +-1``, and equals
     ``pi/2`` at ``pbar3 = 1/eta`` when ``eta >= 1``.
     """
-    eta = _real("eta", eta, finite=True, positive=True)
+    eta = _real("eta", eta, positive=True)
     return _tau3_value(eta, abs(_pbar3(pbar3)))
 
 
@@ -285,7 +285,7 @@ def tau_conj(eta: float, pbar3: float) -> float:
     ``c == 0`` or the root is within rounding of pi, by the solver's end
     rule, and ``pi/2``, the root rounded, without a solve from ``c = 2**54`` on.
     """
-    return _tau_conj_value(_real("eta", eta, finite=True, positive=True), _pbar3(pbar3))
+    return _tau_conj_value(_real("eta", eta, positive=True), _pbar3(pbar3))
 
 
 def _slopes(eta: float, s: float, t: float) -> tuple[float, float]:
@@ -327,7 +327,7 @@ def tau3_derivative(eta: float, pbar3: float) -> float:
     direct quotient, which does not cancel there, is used.  Odd in
     ``pbar3``, negative for ``pbar3 > 0`` and undefined at ``pbar3 = 0``.
     """
-    eta = _real("eta", eta, finite=True, positive=True)
+    eta = _real("eta", eta, positive=True)
     pbar3 = _pbar3(pbar3)
     if pbar3 == 0.0:
         raise DomainError("tau3_derivative is undefined at pbar3 = 0")

@@ -50,13 +50,6 @@ class CheckResult:
     detail: str
 
 
-def _metric_with_positive_eta(m: BergerMetric) -> "tuple[BergerMetric, str]":
-    # the closed forms of tcut-derivative-sign, tcut-below-conjugate-time and
-    # geodesic-conjugate-agreement need eta > 0; fall back to a fixed prolate one, at
-    # i1 = 1 as the conjugate check runs, and a note for their details that names it
-    return (m, "") if m.eta() > 0.0 else (BergerMetric(1.0, 0.5), " on stand-in i1=1, i3=0.5")
-
-
 def _scaled(m: BergerMetric, factors: "tuple[float, ...]"):
     # (c, BergerMetric(c*i1, c*i3)) for each c that keeps both eigenvalues finite and normal
     for c in factors:
@@ -153,7 +146,9 @@ def _check_tcut_branch_continuity(m: BergerMetric) -> CheckResult:
 
 
 def _check_tcut_grid(m: BergerMetric) -> "tuple[CheckResult, CheckResult]":
-    mm, on = _metric_with_positive_eta(m)
+    # the closed forms of both checks need eta > 0; for eta <= 0 they fall back to a
+    # fixed prolate metric, and their details name it
+    mm, on = (m, "") if m.eta() > 0.0 else (BergerMetric(1.0, 0.5), " on stand-in i1=1, i3=0.5")
     eta = mm.eta()
     split = min(1.0, 1.0 / eta)
     k = 1000 - math.frexp(mm.i1)[1]
@@ -230,16 +225,16 @@ def _check_conservation(m: BergerMetric) -> CheckResult:
 
 
 def _check_conjugate_agreement(m: BergerMetric) -> CheckResult:
-    # at i1 = 1, as times scale with sqrt(i1): the horizon can pass the float maximum
-    base, on = _metric_with_positive_eta(m)
-    eta = base.eta()
+    # at i1 = 1, as times scale with sqrt(i1): the horizon can pass the float maximum;
+    # for eta <= 0 the first conjugate time is t_pi, where tau = pi
+    eta = m.eta()
     mm = BergerMetric(1.0, 1.0 / (1.0 + eta))
     worst = 0.0
     for pb in (0.0, 0.5):
-        expected = _arc_length(mm, pb, tau_conj(eta, pb))
+        expected = _arc_length(mm, pb, tau_conj(eta, pb) if eta > 0.0 else math.pi)
         got = conjugate_time_numeric(mm, pb, 1.02 * _arc_length(mm, pb, math.pi))
         worst = max(worst, abs(got - expected) / expected)
-    return CheckResult("geodesic-conjugate-agreement", worst < 1e-12, f"max rel dev {worst:.3e}{on}")
+    return CheckResult("geodesic-conjugate-agreement", worst < 1e-12, f"max rel dev {worst:.3e}")
 
 
 def _check_cut_sandwich(m: BergerMetric) -> CheckResult:

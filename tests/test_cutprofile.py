@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bergersphere import cutprofile, model, roots
 from bergersphere.cutprofile import (
     CSV_HEADER,
     _arc_length,
@@ -38,6 +39,33 @@ class TestTauCut:
     def test_validates_pbar3_on_constant_branch(self):
         with pytest.raises(ValueError):
             tau_cut(-0.5, 1.5)
+
+
+_PROLATE, _OBLATE = BergerMetric(3.0, 1.0), BergerMetric(1.0, 2.0)
+
+
+class TestEachArgumentCheckedOnce:
+    @pytest.mark.parametrize("call,checked", [
+        (lambda: t_cut(_PROLATE, 0.5), ["pbar3"]),
+        (lambda: t_cut(_OBLATE, 0.5), ["pbar3"]),
+        (lambda: t_cut_derivative(_PROLATE, 0.5), ["pbar3"]),
+        (lambda: tau_cut(2.0, 0.5), ["eta", "pbar3"]),
+        (lambda: tau_cut(-0.5, 0.5), ["eta", "pbar3"]),
+        (lambda: tau3(2.0, 0.5), ["eta", "pbar3"]),
+    ])
+    def test_one_real_check_per_argument(self, monkeypatch, call, checked):
+        # the metric is built beforehand, so every _real call counted is one of the call's
+        # own arguments, checked at the public boundary and not again further down
+        names = []
+        real = model._real
+
+        def counted(name, *args, **kwargs):
+            names.append(name)
+            return real(name, *args, **kwargs)
+        for module in (model, roots, cutprofile):
+            monkeypatch.setattr(module, "_real", counted)
+        call()
+        assert names == checked
 
 
 class TestTCut:

@@ -13,8 +13,6 @@ from bergersphere.errors import DomainError, NoConjugatePoint, NormalizationErro
 from bergersphere.geodesic import (
     GeodesicState,
     UnitQuaternion,
-    _cross,
-    _dot,
     _flow,
     _identity_step,
     _rk4,
@@ -263,12 +261,22 @@ def _rel_log_reference(base, other):
     return v if vn < 1e-300 else 2.0 * math.atan2(vn, w) / vn * v
 
 
+# Dot products are written out left to right, so the rounding is the same on
+# every Python version (``sum`` of floats is compensated since 3.12).
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
 def _conjugate_determinant_reference(m, pbar3):
     # the compact form of _conjugate_determinant, one list per column, with
     # c(e2)/sin(a) as the first; the scalar D must reproduce it bit for bit
     eta = m.eta()
     e = (math.sqrt(max(0.0, 1.0 - pbar3 * pbar3)), 0.0, pbar3)
-    rate = 0.5 / (math.sqrt(m.i1) * math.sqrt(1.0 + eta * pbar3 * pbar3))
+    rate = 0.5 / (math.sqrt(m.i1) * _shape(m.i1 / m.i3, pbar3))
     n = math.hypot(e[0], (1.0 + eta) * pbar3)
     u = (e[0] / n, 0.0, (1.0 + eta) * pbar3 / n)
     s = math.ldexp(1.0, min(0, 1000 - math.frexp(eta)[1]))
@@ -971,9 +979,33 @@ class TestConjugateTime:
         # conjugate time is itself past the float maximum at this metric
         assert _conjugate_deviation(BergerMetric(1.7e308, 1.0), 0.0) < 1e-3
 
-    def test_rejects_nonpositive_eta(self):
-        with pytest.raises(DomainError):
-            conjugate_time_numeric(BergerMetric(1.0, 2.0), 0.5, 10.0)
+    def test_oblate_conjugate_time_is_t_pi(self):
+        # for eta <= 0, D > 0 on (0, t_pi) (case (iv) at _conjugate_determinant): the first
+        # conjugate time is t_pi, down to i1/i3 just above 2**-54 and at every scale, and a
+        # horizon short of t_pi holds no conjugate point
+        rng = np.random.default_rng(36)
+        edges = [0.0, 1.0, -1.0, 1.0 - 1e-12, -(1.0 - 1e-12), 1e-300]
+        worst = 0.0
+        for i in range(1200):
+            # every 50th draw is eta = 0; the ratio's floor keeps a subnormal i1 above 2**-54*i3
+            ratio = 1.0 if i % 50 == 0 else math.exp(rng.uniform(math.log(2.0 ** -54 * 1.001), 0.0))
+            i3 = 10.0 ** rng.uniform(-300.0, 300.0)
+            m = BergerMetric(ratio * i3, i3)
+            pb = edges[i % 10] if i % 10 < len(edges) else float(rng.uniform(-1.0, 1.0))
+            t_pi = _arc_length(m, pb, math.pi)
+            got = conjugate_time_numeric(m, pb, 1.02 * t_pi)
+            worst = max(worst, abs(got - t_pi) / t_pi)
+            with pytest.raises(NoConjugatePoint):
+                conjugate_time_numeric(m, pb, t_pi * rng.uniform(0.01, 0.999))
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("i1", [1e-12, 3e-16])
+    def test_t_pi_does_not_cancel_on_the_axis(self, i1):
+        # sqrt(1 + eta*pbar3^2) cancels as eta -> -1 on the axis, 5.4e-2 relative at
+        # i1/i3 = 3e-16; _shape's (1 - pbar3^2) + (i1/i3)*pbar3^2 does not
+        m = BergerMetric(i1, 1.0)
+        t_pi = geodesic._conjugate_determinant(m, 1.0)[1]
+        assert t_pi == pytest.approx(_arc_length(m, 1.0, math.pi), rel=1e-15, abs=0.0)
 
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError):

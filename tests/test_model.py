@@ -130,6 +130,13 @@ class TestMomentumNorm:
         # sqrt(i3) on the axis; 1 + eta*pbar3^2 would cancel to 2.5e-9 relative here
         assert momentum_norm(BergerMetric(1e-8, 1.0), 1.0) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("pb,message", [(math.nan, "pbar3 must be finite"),
+                                            (-math.inf, "pbar3 must be finite"),
+                                            (1.5, r"pbar3 must lie in \[-1, 1\]")])
+    def test_names_the_pbar3_limit(self, pb, message):
+        with pytest.raises(DomainError, match=message):
+            momentum_norm(BergerMetric(2.0, 1.0), pb)
+
     @given(i1=finite_positive, i3=finite_positive,
            pb=st.floats(min_value=-1.0, max_value=1.0))
     def test_bracket(self, i1, i3, pb):

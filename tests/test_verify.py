@@ -55,12 +55,13 @@ class TestRunChecks:
         assert float(detail.split("arrival ")[1]) < 1.1 * t_cut(m, 0.6)
 
     @pytest.mark.parametrize("i1,i3,stand_in", [
-        (1.0, 2.0, dict.fromkeys(["tcut-derivative-sign", "tcut-below-conjugate-time",
-                                  "geodesic-conjugate-agreement"], " on stand-in i1=1, i3=0.5")),
+        (1.0, 2.0, dict.fromkeys(["tcut-derivative-sign", "tcut-below-conjugate-time"],
+                                 " on stand-in i1=1, i3=0.5")),
         (3.0, 1.0, {}),
     ])
     def test_details_name_the_stand_in_metric(self, i1, i3, stand_in):
-        # for eta <= 0 three checks run on a prolate stand-in, and say so
+        # for eta <= 0 the two tcut-* checks run on a prolate stand-in, and say so; the
+        # conjugate check runs on the metric itself, where the first conjugate time is t_pi
         details = {r.name: r.detail for r in run_checks(BergerMetric(i1, i3), "full")}
         named = {name: detail[detail.index(" on stand-in"):]
                  for name, detail in details.items() if "stand-in" in detail}
@@ -179,8 +180,10 @@ class TestDerivativeUnderflow:
 
 class TestConjugateAgreement:
     @pytest.mark.parametrize("i1,i3", [(2.0, 1.0), (1.0, 2.0), (1.0016710069985971, 1.0),
-                                       (1.0 + 1e-9, 1.0), (1e300, 1.0), (1.7e308, 1e308)])
+                                       (1.0 + 1e-9, 1.0), (1e300, 1.0), (1.7e308, 1e308),
+                                       (1.0, 1.0), (1e-8, 1.0), (1e-12, 1.0), (3e-16, 1.0)])
     def test_within_the_stated_accuracy(self, i1, i3):
-        # 3.9e-16 at worst over 500 random metrics, against a bound of 1e-12
+        # 3.9e-16 at worst over 500 random metrics, against a bound of 1e-12; for eta <= 0
+        # the check runs on the metric itself and expects t_pi
         worst = float(verify._check_conjugate_agreement(BergerMetric(i1, i3)).detail.split()[3])
         assert worst < 1e-14
