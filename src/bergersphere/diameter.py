@@ -15,10 +15,10 @@ The expression is continuous across both regime boundaries and satisfies
 profile directly.  For ``eta > 0`` the profile's closed-form derivative
 is positive on ``(0, min(1, 1/eta))`` and negative after it, so the
 maximizer is where that derivative changes sign, found by halving [0, 1]
-to an octave and refining there by the Illinois method; values, flat to
-rounding there, would place it only to about ``sqrt(eps)``, while the
-sign changes cleanly.  For ``eta <= 0`` the profile does not rise from
-``pbar3 = 0``.
+to an octave and refining there by the Anderson-Bjorck method (Anderson &
+Bjorck, BIT 13, 1973); values, flat to rounding there, would place it
+only to about ``sqrt(eps)``, while the sign changes cleanly.  For
+``eta <= 0`` the profile does not rise from ``pbar3 = 0``.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from operator import itemgetter
 from .cutprofile import _arc_length, _dt_cut, _warm_roots, t_cut  # noqa: F401
 from .geodesic import _bracketed_root
 from .model import BergerMetric, Regime, classify_regime
+from .roots import _tau3_value
 from .serialize import json_text
 
 __all__ = [
@@ -46,7 +47,11 @@ _GAP_BUDGET = 1e-8    # a relative closed-form vs numeric gap above this is a di
 
 def diameter_closed_form(m: BergerMetric) -> float:
     """Exact diameter of ``m`` from the three-regime closed form."""
-    regime = classify_regime(m)
+    return _closed_form(m, classify_regime(m))
+
+
+def _closed_form(m: BergerMetric, regime: Regime) -> float:
+    # the closed form of m, whose regime is given
     if regime is Regime.ROUND_DOMINATED:
         return 2.0 * math.pi * math.sqrt(m.i1)
     if regime is Regime.MIDDLE:
@@ -64,21 +69,23 @@ def diameter_numeric(m: BergerMetric) -> "tuple[float, float]":
     that derivative is positive (``eta <= 1``) nothing in (0, 1] changes
     sign and the pole is the candidate.  Otherwise [0, hi] is halved from
     ``hi = 1`` until the derivative at ``hi/2`` is positive, and the sign
-    change in that octave ``[hi/2, hi]`` is refined by the Illinois method
-    (``geodesic._bracketed_root``) to a zero or to adjacent floats.  The
-    halving comes first because the derivative near 0 is orders of
+    change in that octave ``[hi/2, hi]`` is refined by the Anderson-Bjorck
+    method (``geodesic._bracketed_root``) to a zero or to adjacent floats.
+    The halving comes first because the derivative near 0 is orders of
     magnitude above its value at 1, where regula falsi crawls.  A maximizer
     ``1/eta`` below 1e-24 is the midpoint of the last halved cell, never the
     derivative's undefined ``pbar3 = 0``.  Each root is solved by
     ``_warm_roots``: Newton starts at the quadratic prediction through the
-    three most recent roots, inside the same bracket.  The best of
-    ``pbar3 = 0``, the refined point and ``pbar3 = 1`` is returned, so
-    boundary maxima report their maximizer exactly; exact ties are broken
-    toward the smaller axis fraction.  For ``eta <= 0`` the profile
-    ``2*pi*sqrt(i1)*sqrt(1 + eta*x^2)`` has a derivative of the sign of
-    ``eta*x``, never positive, and its maximum is at 0.
+    three most recent roots, inside the same bracket, and a point asked for
+    again right after its solve, as the refinement's last is, is not solved
+    again.  The best of ``pbar3 = 0``, the refined point and ``pbar3 = 1``
+    is returned, so boundary maxima report their maximizer exactly; exact
+    ties are broken toward the smaller axis fraction.  For ``eta <= 0`` the
+    profile ``2*pi*sqrt(i1)*sqrt(1 + eta*x^2)`` has a derivative of the sign
+    of ``eta*x``, never positive, and its maximum is at 0.
     """
-    eta, tau, _ = _warm_roots(m)
+    eta, warm = _warm_roots(m)
+    tau = warm(_tau3_value)
     v0 = _arc_length(m, 0.0, tau(0.0))
     if eta <= 0.0:
         return v0, 0.0
@@ -132,11 +139,12 @@ class DiameterReport:
 
 def diameter_report(m: BergerMetric) -> DiameterReport:
     """Compute both diameter routes and package the comparison."""
-    closed = diameter_closed_form(m)
+    regime = classify_regime(m)
+    closed = _closed_form(m, regime)
     numeric, maximizer = diameter_numeric(m)
     return DiameterReport(
         metric=m,
-        regime=classify_regime(m),
+        regime=regime,
         closed_form=closed,
         numeric=numeric,
         maximizer_pbar3=maximizer,

@@ -42,15 +42,17 @@ The oracles built on the flow:
   positive up to ``a = pi/2`` and changes sign at most once on
   ``(0, pi)``, and for ``eta <= 0`` not at all (proved at
   ``_conjugate_determinant``), so the first conjugate time is the zero of
-  ``D`` that one Illinois solve finds on ``[pi/4, pi)`` in ``a``, or else
-  ``t_pi``, where ``a = pi`` and every geodesic of the family meets.  For
+  ``D`` that one Anderson-Bjorck solve (Anderson & Bjorck, BIT 13, 1973)
+  finds on ``[pi/4, pi)`` in ``a``, or else ``t_pi``, where ``a = pi`` and
+  every geodesic of the family meets.  For
   ``eta > 0`` it agrees with the conjugate equation's root within 1e-12
   relative at every scale, and for ``eta <= 0`` it is ``t_pi``;
 * ``shorter_path_search``: the shortest geodesic reaching a given
   endpoint strictly earlier, from the endpoint map's earliest preimage
   (``_shortest_preimage``): a level crossing of one phase, refined by the
-  Illinois method on a piece where the phase and the arrival are monotone,
-  or on the ``e3`` subgroup, where that chart is singular, a closed form.
+  Anderson-Bjorck method on a piece where the phase and the arrival are
+  monotone, or on the ``e3`` subgroup, where that chart is singular, a
+  closed form.
 
 The RK4 block loop and the conjugate determinant are written out on
 scalar locals for speed; tests pin them, bit for bit, to compact forms.
@@ -587,14 +589,19 @@ def conjugate_time_numeric(m: BergerMetric, pbar3: float, t_max: float) -> float
 def _bracketed_root(f: Callable[[float], float], x0: float, x1: float, f0: float, f1: float) -> float:
     """Zero of ``f`` between ``x0`` and ``x1``, where ``f0 = f(x0)`` and ``f1 = f(x1)`` differ in sign.
 
-    The Illinois method (Dowell & Jarratt, BIT 11, 1971): regula falsi through the two ends,
-    taken from the end with the smaller value, where the step keeps its relative precision,
-    with the value stored at an end halved when a step keeps that end as the previous step
-    did.  A step that rounds onto the kept end is the midpoint instead, and one that rounds
-    onto the newest end, a step below its resolution, is one float toward the kept end.
-    Every step lies strictly between the ends, so each takes at least one float out of the
-    bracket and the solve terminates: at an exact zero (also one passed in for ``f0`` or
-    ``f1``), or with the ends adjacent floats, where the newest end is returned.
+    The Anderson-Bjorck method (Anderson & Bjorck, BIT 13, 1973): regula falsi through the
+    two ends, taken from the end with the smaller value, where the step keeps its relative
+    precision.  When a step ``x`` keeps the same end as the previous step did, the value
+    stored there is scaled by ``k = 1 - f(x)/fb``, ``fb`` the value at the end ``x``
+    replaces, or halved, as in the Illinois method (Dowell & Jarratt, BIT 11, 1971), where
+    that ``k`` is not positive.  A step that rounds onto the kept end is the midpoint
+    instead, and one that rounds onto the newest end, a step below its resolution, is one
+    float toward the kept end.  Every step lies strictly between the ends, so each takes at
+    least one float out of the bracket and the solve terminates: at an exact zero (also one
+    passed in for ``f0`` or ``f1``), or with the ends adjacent floats, where the newest end
+    is returned.  A stored value scaled until it underflows to 0 puts the next step onto the
+    kept end, so that step is the midpoint; the stored value is never taken for a zero, as
+    only evaluated values end the solve.
     """
     (a, fa), (b, fb) = (x0, f0), (x1, f1)  # a is the end the previous step kept
     if fa == 0.0:
@@ -607,7 +614,8 @@ def _bracketed_root(f: Callable[[float], float], x0: float, x1: float, f0: float
             x = a + 0.5 * (b - a)
         fx = f(x)
         if (fx < 0.0) == (fb < 0.0):
-            fa *= 0.5
+            k = 1.0 - fx / fb
+            fa *= k if k > 0.0 else 0.5
         else:
             a, fa = b, fb
         b, fb = x, fx
@@ -627,7 +635,7 @@ def shorter_path_search(m: BergerMetric, p0: Momentum, t: float) -> Optional[Sho
     and ``(k + 1)*pi - alpha``, where ``cos(alpha) = rho*cos(chi)``,
     ``s*sin(alpha) = rho*sin(chi)`` and ``|chi| <= pi/2``.  A preimage is a
     crossing of ``2*pi*j`` by the unwrapped phase ``G`` of ``z(s, a)/Z``, refined by the
-    Illinois method (``_bracketed_root``) to within one float of ``chi``.  The cut equation
+    Anderson-Bjorck method (``_bracketed_root``) to within one float of ``chi``.  The cut equation
     is the ``qz = 0`` case, never solved as such.
 
     Monotone pieces: on the sheet ``a = base + sign*alpha``, ``dalpha = s*dchi``, so with

@@ -26,11 +26,13 @@ no Python function.
 
 * Start.  The iteration starts at a given start point held in the
   bracket (an infinite one at an end).  A NaN start is a cold one: the
-  midpoint, except for the conjugate root and the cut root at
-  ``pbar3 = 0``, which is the conjugate root of ``c = eta``.  Those start
-  at ``pi/2 + (pi/2)/(1 + c*pi^2/4)``, which has the root's asymptotes at
-  both ends of ``c``: ``pi`` as ``c -> 0`` and ``pi/2 + 2/(pi*c)`` for
-  large ``c``.  The cut root from ``w = 2`` on has its own start, below.
+  midpoint, except for the conjugate root and the cut root below
+  ``w = 1``, which lies in ``(pi/2, tau_conj(eta, 0)]``, the conjugate
+  root of ``c = eta``.  Those start at ``pi/2 + (pi/2)/(1 + c*pi^2/4)``,
+  with ``c = eta`` for the cut root, which has the conjugate root's
+  asymptotes at both ends of ``c``: ``pi`` as ``c -> 0`` and
+  ``pi/2 + 2/(pi*c)`` for large ``c``.  The cut root from ``w = 2`` on
+  has its own start, below.
   The profile's sampled rows and the diameter's maximization pass the
   quadratic through the three previous roots.  A start never moves the
   bracket, so it changes the cost of a solve, not which root it finds.
@@ -62,16 +64,17 @@ no Python function.
   midpoint does not halve the bracket and can cost one evaluation more,
   so there are at most ``2*B + 1`` evaluations.  On 20 000 draws with
   ``eta`` log-uniform in [1e-6, 1e8] and ``pbar3`` log-uniform in
-  [1e-300, 1], a cold ``tau3`` solve made 6.1 evaluations on average and
-  at most 9, and a cold ``tau_conj`` solve 2.2 and at most 4, against
-  about 44 for bisection.  With ``c`` log-uniform in [1e-6, 1e15] a cold
-  conjugate solve made 1.8 on average and at most 4, against 6.1 and 9
-  from the midpoint.  On 400 diameter maximizations with ``i1/i3``
-  log-uniform in [1e-3, 1e5] (5 667 solves), a start at the quadratic
-  through the three previous roots made 2.13 on average and at most 11.
+  [1e-300, 1], nearly all below ``w = 1``, a cold ``tau3`` solve made 2.2
+  evaluations on average and at most 9 (6.1 and 9 from the midpoint),
+  and a cold ``tau_conj`` solve 2.2 and at most 4, against about 44 for
+  bisection.  With ``c`` log-uniform in [1e-6, 1e15] a cold conjugate
+  solve made 1.8 on average and at most 4, against 6.1 and 9 from the
+  midpoint.  On 400 diameter maximizations with ``i1/i3`` log-uniform in
+  [1e-3, 1e5] (4 827 solves), a start at the quadratic through the three
+  previous roots made 2.26 on average and at most 11.
   On 60 profiles with ``eta`` log-uniform in [1e-2, 1e4] and 201 to 1201
-  rows (about 21 700 solves of each root) it made 2.06 per ``tau3`` and
-  2.14 per ``tau_conj`` solve, and at most 5.
+  rows (about 19 300 solves of each root) it made 2.08 per ``tau3`` and
+  2.18 per ``tau_conj`` solve, and at most 7 and 4.
 
 The conjugate equation is solved in the singularity-free form
 ``sin(tau) + c*tau*cos(tau) = 0``, whose derivative in ``tau`` is
@@ -229,7 +232,7 @@ def _tau3_value(eta: float, s: float, start: float = math.nan) -> float:
     if w < 1.0:
         if eta >= _HUGE:  # the root lies in (pi/2, tau_conj(eta, 0)], which rounds to pi/2
             return 0.5 * math.pi
-        if s == 0.0 and start != start:  # tau_conj(eta, 0)'s cold start
+        if start != start:  # tau_conj(eta, 0)'s cold start, at the root's upper end
             start = _conj_start(eta)
         return _newton(_CUT, eta, s, 0.5 * math.pi, math.pi, BISECT_TOL, start)
     if w < 2.0:

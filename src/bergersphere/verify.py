@@ -226,9 +226,10 @@ def _check_conservation(m: BergerMetric) -> CheckResult:
 
 def _check_conjugate_agreement(m: BergerMetric) -> CheckResult:
     # at i1 = 1, as times scale with sqrt(i1): the horizon can pass the float maximum;
-    # for eta <= 0 the first conjugate time is t_pi, where tau = pi
+    # i3 = m.i3/m.i1 keeps the ratio i1/i3 to rounding, which 1 + eta does not near
+    # eta = -1; for eta <= 0 the first conjugate time is t_pi, where tau = pi
     eta = m.eta()
-    mm = BergerMetric(1.0, 1.0 / (1.0 + eta))
+    mm = BergerMetric(1.0, m.i3 / m.i1)
     worst = 0.0
     for pb in (0.0, 0.5):
         expected = _arc_length(mm, pb, tau_conj(eta, pb) if eta > 0.0 else math.pi)

@@ -106,9 +106,9 @@ def test_prolate_maximizer(metric):
     assert abs(value - closed) <= 2e-15 * closed
 
 
-# the Illinois refinement ends at adjacent floats of the derivative's sign change;
-# on 20 000 draws the worst was 3 ulp of i3/(i1 - i3) (bisection to 1e-12 of the
-# cell was up to 2e-13 off)
+# the Anderson-Bjorck refinement ends at adjacent floats of the derivative's sign
+# change; on 20 000 draws 246 were 3 ulp of i3/(i1 - i3) off and one 4 ulp, as under
+# the Illinois rule (bisection to 1e-12 of the cell was up to 2e-13 off)
 @settings(max_examples=200, deadline=None)
 @given(log_ratio=st.floats(math.log10(2.0), 11.0, exclude_min=True), log_i3=st.floats(-300.0, 280.0))
 @example(log_ratio=math.log10(3.0), log_i3=0.0)

@@ -187,3 +187,15 @@ class TestConjugateAgreement:
         # the check runs on the metric itself and expects t_pi
         worst = float(verify._check_conjugate_agreement(BergerMetric(i1, i3)).detail.split()[3])
         assert worst < 1e-14
+
+    @pytest.mark.parametrize("i1,i3", [(3e-16, 1.0), (1e-12, 1.0), (2.0, 1.0)])
+    def test_checks_the_named_ratio(self, monkeypatch, i1, i3):
+        # the check runs at i1 = 1 on the ratio of the metric it names; eta = i1/i3 - 1
+        # keeps few of its digits near -1, so i3 = 1/(1 + eta) would be 11 % off at
+        # (3e-16, 1) and 2.2e-5 off at (1e-12, 1)
+        ratios = []
+        oracle = verify.conjugate_time_numeric
+        monkeypatch.setattr(verify, "conjugate_time_numeric",
+                            lambda mm, *args: ratios.append(mm.i1 / mm.i3) or oracle(mm, *args))
+        assert verify._check_conjugate_agreement(BergerMetric(i1, i3)).passed
+        assert ratios == [i1 / i3] * 2
