@@ -101,21 +101,20 @@ def _dt_cut(m: BergerMetric, eta: float, pbar3: float, t3: float) -> float:
 
 
 def _warm_roots(m: BergerMetric) -> tuple:
-    # eta, and warm(value), which turns value, _tau3_value or _tau_conj_value, into an
-    # unchecked function of pbar3 = x in [0, 1]; pi when eta <= 0.  Each solve starts
-    # at the quadratic through the three most recent (x, root) pairs of its root at
-    # distinct x, in Newton's divided differences; (0, tau_conj(eta, 0)) is the first
-    # pair for both, and with fewer pairs the prediction is the constant or the
-    # secant.  Asked again for the most recent x, it returns that pair's root
-    # unsolved.  The bracket still moves only by evaluated signs, and a start that is
-    # not finite is an end or the midpoint, so every root is the first one, whatever
-    # order the caller takes x in; small steps only make it cheaper.
+    # eta and two solvers, tau3(eta, .) and tau_conj(eta, .), unchecked, on pbar3 = x
+    # in [0, 1]; pi when eta <= 0.  Each solve starts at the quadratic through the
+    # three most recent (x, root) pairs of its root at distinct x, in Newton's divided
+    # differences; (0, tau_conj(eta, 0)) is the first pair for both, and with fewer
+    # pairs the prediction is the constant or the secant.  Asked again for its most
+    # recent x, a solver returns that root unsolved.  The bracket moves only by signs,
+    # and a start that is not finite is an end or the midpoint, so every root is the
+    # first one, whatever order x comes in; small steps only make it cheaper.
     eta = m.eta()
     if eta <= 0.0:
-        return eta, lambda value: lambda x: math.pi
+        return (eta,) + (lambda x: math.pi,) * 2
     tau0 = _tau_conj_value(eta, 0.0)
 
-    def warm(value: Callable[..., float]) -> Callable[[float], float]:
+    def quadratic(value: Callable[..., float]) -> Callable[[float], float]:
         # the most recent pair (x2, t2), the one before at x1, and the divided
         # differences d1 through the last two pairs and d2 through the last three
         x1, x2, t2, d1, d2 = 0.0, 0.0, tau0, 0.0, 0.0
@@ -132,7 +131,7 @@ def _warm_roots(m: BergerMetric) -> tuple:
             return tau
         return root
 
-    return eta, warm
+    return eta, quadratic(_tau3_value), quadratic(_tau_conj_value)
 
 
 @dataclass(frozen=True)
@@ -261,8 +260,7 @@ def sample_profile(m: BergerMetric, n: int = 201) -> CutProfile:
     are computed from them.
     """
     n = _integer("n", n, 3)
-    eta, warm = _warm_roots(m)
-    tau3_at, tau_conj_at = warm(_tau3_value), warm(_tau_conj_value)
+    eta, tau3_at, tau_conj_at = _warm_roots(m)
     half = []
     for k in range(n // 2, n):
         pbar3 = (2 * k - (n - 1)) / (n - 1)

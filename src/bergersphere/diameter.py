@@ -31,7 +31,6 @@ from operator import itemgetter
 from .cutprofile import _arc_length, _dt_cut, _warm_roots, t_cut  # noqa: F401
 from .geodesic import _bracketed_root
 from .model import BergerMetric, Regime, classify_regime
-from .roots import _tau3_value
 from .serialize import json_text
 
 __all__ = [
@@ -47,11 +46,7 @@ _GAP_BUDGET = 1e-8    # a relative closed-form vs numeric gap above this is a di
 
 def diameter_closed_form(m: BergerMetric) -> float:
     """Exact diameter of ``m`` from the three-regime closed form."""
-    return _closed_form(m, classify_regime(m))
-
-
-def _closed_form(m: BergerMetric, regime: Regime) -> float:
-    # the closed form of m, whose regime is given
+    regime = classify_regime(m)
     if regime is Regime.ROUND_DOMINATED:
         return 2.0 * math.pi * math.sqrt(m.i1)
     if regime is Regime.MIDDLE:
@@ -78,14 +73,15 @@ def diameter_numeric(m: BergerMetric) -> "tuple[float, float]":
     ``_warm_roots``: Newton starts at the quadratic prediction through the
     three most recent roots, inside the same bracket, and a point asked for
     again right after its solve, as the refinement's last is, is not solved
-    again.  The best of ``pbar3 = 0``, the refined point and ``pbar3 = 1``
-    is returned, so boundary maxima report their maximizer exactly; exact
-    ties are broken toward the smaller axis fraction.  For ``eta <= 0`` the
+    again.  The best of the refined point and ``pbar3 = 1`` is returned,
+    and of ``pbar3 = 0`` too where the halving ran out: up to a refined
+    point the profile rises from 0, which could win only by rounding.
+    Boundary maxima report their maximizer exactly; exact ties are broken
+    toward the smaller axis fraction.  For ``eta <= 0`` the
     profile ``2*pi*sqrt(i1)*sqrt(1 + eta*x^2)`` has a derivative of the sign
     of ``eta*x``, never positive, and its maximum is at 0.
     """
-    eta, warm = _warm_roots(m)
-    tau = warm(_tau3_value)
+    eta, tau, _ = _warm_roots(m)
     v0 = _arc_length(m, 0.0, tau(0.0))
     if eta <= 0.0:
         return v0, 0.0
@@ -104,12 +100,13 @@ def diameter_numeric(m: BergerMetric) -> "tuple[float, float]":
         glo = g(lo)
         if glo > 0.0:
             xg = _bracketed_root(g, lo, hi, glo, ghi)
+            ends = ends[1:]  # the profile rises from 0 to xg: 0 could win only by rounding
             break
         hi, ghi = lo, glo
     else:
         xg = 0.5 * hi
-    # in increasing x, so max keeps the smallest of tied maximizers
-    return max(ends[0], (_arc_length(m, xg, tau(xg)), xg), ends[1], key=itemgetter(0))
+    # the candidates in increasing x, so max keeps the smallest of tied maximizers
+    return max(*ends[:-1], (_arc_length(m, xg, tau(xg)), xg), ends[-1], key=itemgetter(0))
 
 
 @dataclass(frozen=True)
@@ -139,12 +136,11 @@ class DiameterReport:
 
 def diameter_report(m: BergerMetric) -> DiameterReport:
     """Compute both diameter routes and package the comparison."""
-    regime = classify_regime(m)
-    closed = _closed_form(m, regime)
+    closed = diameter_closed_form(m)
     numeric, maximizer = diameter_numeric(m)
     return DiameterReport(
         metric=m,
-        regime=regime,
+        regime=classify_regime(m),
         closed_form=closed,
         numeric=numeric,
         maximizer_pbar3=maximizer,

@@ -357,8 +357,8 @@ def _energy(m: BergerMetric, p: Momentum) -> float:
 def initial_momentum(m: BergerMetric, pbar3: float, phi: float) -> Momentum:
     """Unit-speed momentum with axis fraction ``pbar3`` and equatorial angle ``phi``."""
     phi = _real("phi", phi)
-    pbar3 = _pbar3(pbar3)
-    norm = momentum_norm(m, pbar3)
+    norm = momentum_norm(m, pbar3)  # checks pbar3 and the metric; perfbench/tracing.py wraps it
+    pbar3 = float(pbar3)
     s = math.sqrt((1.0 - pbar3) * (1.0 + pbar3))  # 1 - pbar3^2 cancels as pbar3 -> 1
     return Momentum(
         p1=norm * s * math.cos(phi),

@@ -10,10 +10,12 @@ Checks that read one grid share one pass over it and return a tuple of
 results, which ``run_checks`` flattens in place: the five root checks
 solve ``tau3`` and ``tau_conj`` once per point of the fixed grid, and the
 two ``tcut-*`` checks read one pass over ``pbar3``.  Each still reports
-its own first failure.  The sign of ``t_cut'`` is read on the metric's
-copy scaled by a power of two to ``i1`` near ``2**1000``, which keeps
-``eta`` to the bit: the slope scales with ``sqrt(i1)``, and at small
-scales it can round to zero, as at ``i1 = 1, i3 = 1e-300``.
+its own first failure.  Two checks run on a copy of the metric with both
+eigenvalues scaled by one power of two, which keeps ``i1/i3`` to the bit
+while ``i3`` stays normal.  Times and slopes scale with ``sqrt(i1)``: the
+sign of ``t_cut'`` is read with ``i1`` near ``2**1000``, as at small
+scales it can round to zero (``i1 = 1, i3 = 1e-300``), and the conjugate
+times with ``i1`` in [1, 2), where the search horizon stays finite.
 """
 
 from __future__ import annotations
@@ -225,11 +227,11 @@ def _check_conservation(m: BergerMetric) -> CheckResult:
 
 
 def _check_conjugate_agreement(m: BergerMetric) -> CheckResult:
-    # at i1 = 1, as times scale with sqrt(i1): the horizon can pass the float maximum;
-    # i3 = m.i3/m.i1 keeps the ratio i1/i3 to rounding, which 1 + eta does not near
-    # eta = -1; for eta <= 0 the first conjugate time is t_pi, where tau = pi
+    # on the copy with i1 in [1, 2) (module docstring); for eta <= 0 the first
+    # conjugate time is t_pi, where tau = pi
     eta = m.eta()
-    mm = BergerMetric(1.0, m.i3 / m.i1)
+    k = 1 - math.frexp(m.i1)[1]
+    mm = BergerMetric(math.ldexp(m.i1, k), math.ldexp(m.i3, k))
     worst = 0.0
     for pb in (0.0, 0.5):
         expected = _arc_length(mm, pb, tau_conj(eta, pb) if eta > 0.0 else math.pi)

@@ -1,10 +1,12 @@
 import json
 import math
+import random
 import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bergersphere import diameter as diameter_module
 from bergersphere.cutprofile import sample_profile, t_cut
 from bergersphere.diameter import (
     diameter_closed_form,
@@ -120,6 +122,18 @@ def test_prolate_maximizer_to_a_few_ulp(log_ratio, log_i3):
     assert abs(diameter_numeric(BergerMetric(i1, i3))[1] - want) <= 4 * math.ulp(want)
 
 
+def test_prolate_maximizer_is_not_zero_up_to_1e15():
+    # from about i1/i3 = 5e14 on, t_cut at 0 and at the maximizer round to the same
+    # double; the halving has seen the profile rise from 0, so 0 is no candidate
+    rng = random.Random(38)
+    for _ in range(3000):
+        i3 = 10.0 ** rng.uniform(-300.0, 280.0)
+        i1 = i3 * 10.0 ** rng.uniform(math.log10(2.0), 15.0)
+        want = i3 / (i1 - i3)
+        maximizer = diameter_numeric(BergerMetric(i1, i3))[1]
+        assert abs(maximizer - want) <= 4 * math.ulp(want), (i1, i3, maximizer)
+
+
 class TestReport:
     def test_round_agreement(self):
         report = diameter_report(BergerMetric(1.0, 1.0))
@@ -130,6 +144,16 @@ class TestReport:
         report = diameter_report(BergerMetric(10.0, 1.0))
         assert report.regime is Regime.PROLATE
         assert report.maximizer_pbar3 == pytest.approx(1.0 / 9.0, abs=1e-6)
+
+    def test_closed_form_through_its_public_name(self, monkeypatch):
+        # once, through the name perfbench/tracing.py wraps
+        calls = []
+        closed_form = diameter_module.diameter_closed_form
+        monkeypatch.setattr(diameter_module, "diameter_closed_form",
+                            lambda m: calls.append(m) or closed_form(m))
+        m = BergerMetric(3.0, 1.0)
+        assert diameter_report(m).closed_form == closed_form(m)
+        assert calls == [m]
 
     def test_round_dominated_closed_form(self):
         report = diameter_report(BergerMetric(1.0, 100.0))

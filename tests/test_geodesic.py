@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bergersphere import geodesic
+from bergersphere import geodesic, model
 from bergersphere.errors import DomainError, NoConjugatePoint, NormalizationError
 from bergersphere.geodesic import (
     GeodesicState,
@@ -491,6 +491,15 @@ class TestInitialMomentum:
     def test_rejects_non_finite_phi(self):
         with pytest.raises(ValueError):
             initial_momentum(ROUND, 0.5, math.nan)
+
+    def test_checks_pbar3_once(self, monkeypatch):
+        # momentum_norm checks it for initial_momentum
+        calls = []
+        check = model._pbar3
+        for module in (model, geodesic):
+            monkeypatch.setattr(module, "_pbar3", lambda v: calls.append(v) or check(v))
+        initial_momentum(BergerMetric(2.0, 1.0), 0.6, 0.9)
+        assert calls == [0.6]
 
 
 class TestExpMap:

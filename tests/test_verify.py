@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -199,3 +200,22 @@ class TestConjugateAgreement:
                             lambda mm, *args: ratios.append(mm.i1 / mm.i3) or oracle(mm, *args))
         assert verify._check_conjugate_agreement(BergerMetric(i1, i3)).passed
         assert ratios == [i1 / i3] * 2
+
+    def test_checks_the_named_ratio_to_the_bit(self, monkeypatch):
+        # both eigenvalues are scaled by one power of two; i3 = m.i3/m.i1 at i1 = 1 would
+        # miss the ratio by an ulp where 1/(m.i3/m.i1) != m.i1/m.i3
+        ratios = []
+        oracle = verify.conjugate_time_numeric
+        monkeypatch.setattr(verify, "conjugate_time_numeric",
+                            lambda mm, *args: ratios.append(mm.i1 / mm.i3) or oracle(mm, *args))
+        rng = random.Random(38)
+        inexact = 0
+        for _ in range(1000):
+            i3 = 10.0 ** rng.uniform(-300.0, 0.0)
+            m = BergerMetric(i3 * 10.0 ** rng.uniform(-16.0, 300.0), i3)
+            ratio = m.i1 / m.i3
+            inexact += 1.0 / (m.i3 / m.i1) != ratio
+            ratios.clear()
+            assert verify._check_conjugate_agreement(m).passed, m
+            assert ratios == [ratio] * 2, m
+        assert inexact > 0
