@@ -17,8 +17,10 @@ is positive on ``(0, min(1, 1/eta))`` and negative after it, so the
 maximizer is where that derivative changes sign, found by halving [0, 1]
 to an octave and refining there by the Anderson-Bjorck method (Anderson &
 Bjorck, BIT 13, 1973); values, flat to rounding there, would place it
-only to about ``sqrt(eps)``, while the sign changes cleanly.  For
-``eta <= 0`` the profile does not rise from ``pbar3 = 0``.
+only to about ``sqrt(eps)``, while the sign changes cleanly.  The better
+of the refined point and ``pbar3 = 1`` wins, or, with no sign change
+down to ``2**-80``, of ``pbar3 = 0`` and 1.  For ``eta <= 0`` the
+profile does not rise from ``pbar3 = 0``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ __all__ = [
     "DiameterReport",
 ]
 
-_REFINE_TOL = 1e-24   # no cell [0, hi] at or below this is halved; its midpoint is the maximizer
+_REFINE_TOL = 1e-24   # no cell [0, hi] at or below this is halved: the last probe is 2**-80
 _GAP_BUDGET = 1e-8    # a relative closed-form vs numeric gap above this is a disagreement
 
 
@@ -67,19 +69,18 @@ def diameter_numeric(m: BergerMetric) -> "tuple[float, float]":
     change in that octave ``[hi/2, hi]`` is refined by the Anderson-Bjorck
     method (``geodesic._bracketed_root``) to a zero or to adjacent floats.
     The halving comes first because the derivative near 0 is orders of
-    magnitude above its value at 1, where regula falsi crawls.  A maximizer
-    ``1/eta`` below 1e-24 is the midpoint of the last halved cell, never the
-    derivative's undefined ``pbar3 = 0``.  Each root is solved by
-    ``_warm_roots``: Newton starts at the quadratic prediction through the
-    three most recent roots, inside the same bracket, and a point asked for
-    again right after its solve, as the refinement's last is, is not solved
-    again.  The best of the refined point and ``pbar3 = 1`` is returned,
-    and of ``pbar3 = 0`` too where the halving ran out: up to a refined
-    point the profile rises from 0, which could win only by rounding.
-    Boundary maxima report their maximizer exactly; exact ties are broken
-    toward the smaller axis fraction.  For ``eta <= 0`` the
-    profile ``2*pi*sqrt(i1)*sqrt(1 + eta*x^2)`` has a derivative of the sign
-    of ``eta*x``, never positive, and its maximum is at 0.
+    magnitude above its value at 1, where regula falsi crawls.  Each root
+    is solved by ``_warm_roots``: Newton starts at the quadratic prediction
+    through the three most recent roots, inside the same bracket, and a
+    point asked for again right after its solve, as the refinement's last
+    is, is not solved again.  One rule picks the result: the better of
+    ``pbar3 = 1`` and the refined point, up to which the profile rises from
+    0, or else of ``pbar3 = 0`` and 1, with no solve below the halving's
+    last probe ``2**-80``; past it (``i1/i3`` above about 1.2e24) the
+    maximum rounds to the value at 0.  Boundary maxima report their
+    maximizer exactly; exact ties go to the smaller axis fraction.  For
+    ``eta <= 0`` the profile ``2*pi*sqrt(i1)*sqrt(1 + eta*x^2)`` has a
+    derivative of the sign of ``eta*x``, never positive, and its maximum is at 0.
     """
     eta, tau, _ = _warm_roots(m)
     v0 = _arc_length(m, 0.0, tau(0.0))
@@ -98,15 +99,11 @@ def diameter_numeric(m: BergerMetric) -> "tuple[float, float]":
     while hi > _REFINE_TOL:
         lo = 0.5 * hi
         glo = g(lo)
-        if glo > 0.0:
+        if glo > 0.0:  # the profile rises from 0 to xg: 0 could win only by rounding
             xg = _bracketed_root(g, lo, hi, glo, ghi)
-            ends = ends[1:]  # the profile rises from 0 to xg: 0 could win only by rounding
-            break
+            return max((_arc_length(m, xg, tau(xg)), xg), ends[1], key=itemgetter(0))
         hi, ghi = lo, glo
-    else:
-        xg = 0.5 * hi
-    # the candidates in increasing x, so max keeps the smallest of tied maximizers
-    return max(*ends[:-1], (_arc_length(m, xg, tau(xg)), xg), ends[-1], key=itemgetter(0))
+    return max(ends, key=itemgetter(0))
 
 
 @dataclass(frozen=True)

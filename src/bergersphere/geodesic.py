@@ -322,8 +322,8 @@ def _flow(m: BergerMetric, p0, t: float) -> tuple:
     as ``eta -> -1``, and conjugated for ``s < 0``.  Returns ``(qw, qx, qy, qz, p1, p2, p3)``.
     """
     p1, p2, p3 = p0
-    n = math.hypot(p1, p2, p3)
-    a = t / (2.0 * math.sqrt(m.i1)) * (n / math.sqrt(m.i1))
+    n, r1 = math.hypot(p1, p2, p3), math.sqrt(m.i1)
+    a = t / (2.0 * r1) * (n / r1)
     half = a * (m.eta() * (p3 / n))
     ca, sa, u = math.cos(a), math.sin(a), abs(p3) / n
     f = sa / n  # exp(t*p0/(2*i1)) = (ca, f*p0)

@@ -165,7 +165,7 @@ _CONJ, _CUT, _CUT_Y = 0, 1, 2  # the forms _newton solves
 
 
 def _newton(form: int, p: float, q: float, a: float, b: float, tol: float,
-            start: float = math.nan) -> float:
+            start: float) -> float:
     # Safeguarded Newton on [a, b] for one of the module docstring's three functions,
     # each positive at a and negative at b, written out below with its derivative:
     #   _CONJ   the conjugate function in tau, c = p;

@@ -96,14 +96,20 @@ def _prolate(draw):
 @example(metric=(6.328751757310134e-107, 6.51434917723068e-119))  # maximizer near 1e-12
 @example(metric=(2.321931055650435e-17, 4.217477575544679e-21))  # tau3 near pi/2: 6.3e-14 low
 @example(metric=(1e300, 1.0))
-@example(metric=(1.7e308, 1.0))  # the maximizer, below 1e-24, is the midpoint of the last halved cell
+@example(metric=(1.7e308, 1.0))  # the maximizer lies below the halving's floor: 0 is reported
+@example(metric=(2.0 ** 80, 1.0))  # the maximizer rounds to 2**-80, the halving's last probe
+@example(metric=(2.0 ** 80 * (1.0 + 2.0 ** -52), 1.0))  # the maximizer 2 ulp below 2**-80
 @example(metric=(1e15 + 1.0, 1.0))
 @example(metric=(1e5 + 1.0, 1.0))  # the benchmark's largest ratio
 def test_prolate_maximizer(metric):
     i1, i3 = metric
     m = BergerMetric(i1, i3)
     value, maximizer = diameter_numeric(m)
-    assert abs(maximizer - i3 / (i1 - i3)) <= 1e-12
+    want = i3 / (i1 - i3)
+    if want >= 2.0 ** -80:
+        assert abs(maximizer - want) <= 4 * math.ulp(want)
+    else:
+        assert maximizer == 0.0
     closed = diameter_closed_form(m)
     assert abs(value - closed) <= 2e-15 * closed
 
@@ -132,6 +138,27 @@ def test_prolate_maximizer_is_not_zero_up_to_1e15():
         want = i3 / (i1 - i3)
         maximizer = diameter_numeric(BergerMetric(i1, i3))[1]
         assert abs(maximizer - want) <= 4 * math.ulp(want), (i1, i3, maximizer)
+
+
+@pytest.mark.parametrize("i1,i3", [
+    (1.3e24, 1.0), (1e25, 1.0), (1e300, 1.0), (1.7e308, 1.0), (1e300, 1e-8), (1e-270, 1e-300)])
+def test_no_solve_below_the_floor(i1, i3, monkeypatch):
+    # past the halving's last probe 2**-80 the report is the profile's value at 0
+    m = BergerMetric(i1, i3)
+    asked = []
+    warm_roots = diameter_module._warm_roots
+
+    def recording(m):
+        eta, tau, conj = warm_roots(m)
+
+        def recorded(x):
+            asked.append(x)
+            return tau(x)
+        return eta, recorded, conj
+    monkeypatch.setattr(diameter_module, "_warm_roots", recording)
+    assert diameter_numeric(m) == (t_cut(m, 0.0), 0.0)
+    assert min(x for x in asked if x > 0.0) == 2.0 ** -80
+    assert all(x == 0.0 or x >= 2.0 ** -80 for x in asked)
 
 
 class TestReport:

@@ -529,9 +529,11 @@ class TestWarmStart:
     # the halving to an octave takes about log2(eta) solves and the Anderson-Bjorck
     # refinement a few more.  Most of them are at w = eta*pbar3 >= 2, where a cold
     # solve in y = pi - w*tau takes 1 to 5 evaluations, and 1 from eta = 1e15 on.
+    # Past the halving's floor (eta above about 1.2e24) the pole and the 80 probes
+    # are all: tau_conj(eta, 0) rounds to pi/2 unsolved, and nothing follows them.
     @pytest.mark.parametrize("eta,solves,evaluations", [
         (1e-9, 2, 3), (0.5, 2, 8), (1.0, 2, 5), (3.0, 13, 31), (1e3, 20, 47), (1e8, 39, 53),
-        (1e15, 61, 70), (1e300, 82, 82)])
+        (1e15, 61, 70), (1e25, 81, 81), (1e300, 81, 81), (1.7e308, 81, 81)])
     def test_diameter_evaluations_per_call(self, eta, solves, evaluations, monkeypatch):
         counts = []
         monkeypatch.setattr(roots_module, "_newton", _counting_newton(counts))
